@@ -46,7 +46,6 @@ from .embedding import (
     MemoryQueue,
     MlpEncoder,
     SnippetBatch,
-    contrastive_loss,
     encode_key,
     encode_query,
     enqueue_memory,
@@ -86,10 +85,8 @@ from .reconstruction import (
     Reconstructor,
     assemble_masked_input,
     compute_losses,
-    joint_loss,
+    masked_reconstruct,
     positional_embedding,
-    reconstruct,
-    reconstruction_loss,
     sample_mask_rows,
     train_step,
 )

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_thresholds
 from .data import (
     Annotation,
     annotations_by_id,
@@ -117,6 +117,7 @@ def cmd_detect(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
+    thresholds = parse_thresholds(args.thresholds) if args.thresholds else cfg.thresholds
     out = Path(args.out or cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     detections_path = cfg.paths.detections or str(out / "detections.json")
@@ -125,12 +126,6 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         raise ConfigError("eval needs [paths] annotations")
     detections = annotations_by_id(load_annotations(detections_path))
     annotations = annotations_by_id(load_annotations(annotations_path))
-    thresholds = cfg.thresholds
-    if args.thresholds:
-        try:
-            thresholds = tuple(float(t) for t in args.thresholds.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse thresholds {args.thresholds!r}") from exc
     report = evaluate_corpus(detections, annotations, thresholds)
     (out / "metrics.json").write_text(report.to_json())
     table = report.to_text_table()

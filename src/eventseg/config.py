@@ -117,23 +117,47 @@ _SECTIONS = {
 }
 
 
+def _int_pair(raw: str) -> tuple[int, int]:
+    parts = raw.split(",")
+    if len(parts) != 2:
+        raise ValueError("expected two comma-separated integers")
+    return int(parts[0]), int(parts[1])
+
+
+def _optional_int(raw: str) -> int | None:
+    return None if raw.lower() in ("", "none") else int(raw)
+
+
+# Parser per field annotation. The config modules use postponed annotations,
+# so dataclass field types are these strings.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "int | None": _optional_int,
+    "tuple[int, int]": _int_pair,
+}
+
+
 def _parse_value(raw: str, annotation, section: str, key: str):
-    raw = raw.strip()
+    parse = _PARSERS.get(annotation)
+    if parse is None:
+        raise ConfigError(f"[{section}] {key}: unsupported option type {annotation!r}")
     try:
-        if annotation in (int, "int"):
-            return int(raw)
-        if annotation in (float, "float"):
-            return float(raw)
-        if annotation in (str, "str"):
-            return raw
-        if str(annotation).startswith(("tuple", "tuple[int, int]")) or "tuple" in str(annotation):
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            return tuple(int(p) if p.lstrip("+-").isdigit() else float(p) for p in parts)
-        if "int | None" in str(annotation) or annotation == "int | None":
-            return None if raw.lower() in ("", "none") else int(raw)
+        return parse(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from exc
-    raise ConfigError(f"[{section}] {key}: unsupported option type {annotation!r}")
+
+
+def parse_thresholds(raw: str) -> tuple[float, ...]:
+    """Comma-separated Rel.Dis thresholds, each in (0, 1]."""
+    try:
+        values = tuple(float(p) for p in raw.split(",") if p.strip())
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse thresholds {raw!r}: {exc}") from exc
+    if not values or any(not 0 < t <= 1 for t in values):
+        raise ConfigError(f"thresholds must lie in (0, 1], got {raw!r}")
+    return values
 
 
 def load_config(path: str | Path | None = None, seed: int | None = None) -> RunConfig:
@@ -156,7 +180,7 @@ def load_config(path: str | Path | None = None, seed: int | None = None) -> RunC
                 if extra:
                     raise ConfigError(f"[evaluation] unknown keys: {sorted(extra)}")
                 if raw:
-                    cfg.thresholds = tuple(float(p) for p in raw.split(",") if p.strip())
+                    cfg.thresholds = parse_thresholds(raw)
                 continue
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")

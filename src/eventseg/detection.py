@@ -19,17 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import FrameFeatureSequence
 from .embedding import EncoderPair, encode_query
 from .errors import ConfigError, DataError
-from .reconstruction import (
-    Reconstructor,
-    _assemble_batch,
-    _mask_matrix,
-    positional_embedding,
-)
-from .tensor import Tensor, no_grad
+from .reconstruction import Reconstructor, masked_reconstruct, positional_embedding
+from .tensor import no_grad
 
 
 @dataclass
@@ -115,10 +111,7 @@ def error_trajectory(
         embeddings = encode_query(video.features, enc).data
         starts = np.arange(first - mid, last - mid + 1)
         windows = embeddings[starts[:, None] + np.arange(T)[None, :]]
-        mask = _mask_matrix(T, [[mid]] * len(starts), embeddings.dtype)
-        assembled = _assemble_batch(Tensor(windows), mask, pos, rec)
-        out = rec.forward(assembled).data
-    recon_mid = out[:, mid, :]
+        recon_mid = masked_reconstruct(windows, np.full((len(starts), 1), mid), pos, rec).data
     originals = embeddings[first : last + 1]
     core = ((recon_mid - originals) ** 2).sum(axis=1)
     values = np.empty(n, dtype=np.float32)
@@ -157,14 +150,15 @@ def relative_extrema(values: np.ndarray, extrema_range: int) -> np.ndarray:
     if extrema_range < 1:
         raise ConfigError("extrema_range must be >= 1")
     values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    r = extrema_range
-    found = []
-    for t in range(r, n - r):
-        v = values[t]
-        if (v > values[t - r : t]).all() and (v > values[t + 1 : t + r + 1]).all():
-            found.append(t)
-    return np.asarray(found, dtype=np.int64)
+    n, r = values.size, extrema_range
+    if n < 2 * r + 1:
+        return np.empty(0, dtype=np.int64)
+    # block_max[i] is the maximum of values[i : i + r]; a NaN anywhere in a
+    # block makes its maximum NaN, and every comparison with NaN is false.
+    block_max = sliding_window_view(values, r).max(axis=1)
+    center = values[r : n - r]
+    fires = (center > block_max[: n - 2 * r]) & (center > block_max[r + 1 :])
+    return (np.flatnonzero(fires) + r).astype(np.int64)
 
 
 def detect_boundaries(

@@ -8,7 +8,8 @@ video) and from a FIFO memory queue of past key embeddings. The loss treats
 every other frame of the query's own snippet as a positive, one at a time,
 against the shared pool of negatives.
 
-``contrastive_loss`` and the encoders are pure given parameters;
+``info_nce_loss`` and the encoders are pure given parameters; the training
+loss on a snippet batch is put together in ``reconstruction.compute_losses``.
 ``momentum_update`` and ``enqueue_memory`` mutate shared state and expect a
 single writer per training step.
 """
@@ -249,25 +250,6 @@ def info_nce_loss(
     log_p = logits - denom.log()
     total = (positives_mask * log_p).sum()
     return -total * (1.0 / (n * (window - 1)))
-
-
-def contrastive_loss(
-    batch: SnippetBatch,
-    enc: EncoderPair,
-    queue: MemoryQueue,
-    cfg: ContrastiveConfig,
-) -> Tensor:
-    """Batch loss per the snippet/queue negative scheme; empty queue is fine."""
-    if batch.window < 2:
-        raise ConfigError("snippets must have at least 2 frames")
-    L, T, _ = batch.frames.shape
-    flat = batch.frames.reshape(L * T, -1)
-    h = encode_query(flat, enc)
-    z = encode_key(flat, enc)
-    snippet_ids = np.repeat(np.arange(L), T)
-    return info_nce_loss(
-        h, z.data, snippet_ids, queue.as_array(enc.dim), cfg.temperature, T
-    )
 
 
 def enqueue_memory(

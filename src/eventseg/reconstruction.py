@@ -10,12 +10,17 @@ residual stream back to the embedding space. The objective is the mean
 squared distance between reconstructed and original rows at the masked
 positions; the target rows are detached so the reconstruction loss cannot
 shrink the embedding geometry itself.
+
+Everything works on batches of snippets. ``masked_reconstruct`` is the one
+forward path: it masks the given rows of every snippet, runs the
+reconstructor, and returns the reconstructed rows. Training
+(``compute_losses``) scores them against the detached embeddings; detection
+(``detection.error_trajectory``) masks the middle frame of every window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -160,75 +165,37 @@ class Reconstructor:
         return x @ self.head_w + self.head_b
 
 
-def _mask_matrix(window: int, masks: Sequence[Iterable[int]], dtype) -> np.ndarray:
-    out = np.zeros((len(masks), window, 1), dtype=dtype)
-    for row, indices in enumerate(masks):
-        for t in indices:
-            t = int(t)
-            if not 0 <= t < window:
-                raise ShapeError(f"mask index {t} outside [0, {window})")
-            out[row, t, 0] = 1.0
-    return out
+def assemble_masked_input(h3, mask_rows, pos: np.ndarray, rec: Reconstructor) -> Tensor:
+    """The (L x T x D) reconstructor input for L snippets of embeddings.
 
-
-def _assemble_batch(h: Tensor, mask: np.ndarray, pos: np.ndarray,
-                    params: Reconstructor) -> Tensor:
-    keep = Tensor(1.0 - mask)
-    positional = Tensor(np.asarray(pos, dtype=h.data.dtype))
-    return (h + positional) * keep + params.mask_token * Tensor(mask)
-
-
-def assemble_masked_input(h, t_mask: Iterable[int], pos: np.ndarray,
-                          params: Reconstructor) -> Tensor:
-    """Rows at ``t_mask`` become the mask token; every other row is
-    embedding + positional row. Accepts a (T x D) tensor or array."""
-    h = h if isinstance(h, Tensor) else Tensor(np.asarray(h))
-    if h.data.ndim != 2:
-        raise ShapeError(f"expected a 2-d snippet, got shape {h.data.shape}")
-    window = h.data.shape[0]
-    if pos.shape != h.data.shape:
-        raise ShapeError(f"positional table {pos.shape} does not match input {h.data.shape}")
-    mask = _mask_matrix(window, [list(t_mask)], h.data.dtype)
-    batched = h.reshape((1,) + h.data.shape)
-    return _assemble_batch(batched, mask, pos, params).reshape(h.data.shape)
-
-
-def reconstruct(h, t_mask: Iterable[int], params: Reconstructor, pos: np.ndarray,
-                return_attention: bool = False):
-    """Assemble the masked input and run it through the encoder and head.
-
-    Returns the full (T x D) output; the rows at ``t_mask`` are the
-    reconstructions. With ``return_attention`` also returns one
-    (heads x T x T) softmax array per block.
+    Row ``mask_rows[i, j]`` of snippet ``i`` becomes the mask token; every
+    other row is embedding + positional row. ``mask_rows`` is (L x m).
     """
-    h = h if isinstance(h, Tensor) else Tensor(np.asarray(h))
-    assembled = assemble_masked_input(h, t_mask, pos, params)
-    batched = assembled.reshape((1,) + assembled.data.shape)
-    attention: list | None = [] if return_attention else None
-    out = params.forward(batched, attention).reshape(assembled.data.shape)
-    if return_attention:
-        return out, [a[0] for a in attention]
-    return out
+    h3 = h3 if isinstance(h3, Tensor) else Tensor(np.asarray(h3))
+    if h3.data.ndim != 3:
+        raise ShapeError(f"expected (snippets x window x dim) input, got {h3.data.shape}")
+    L, T, _ = h3.data.shape
+    if pos.shape != h3.data.shape[1:]:
+        raise ShapeError(f"positional table {pos.shape} does not match input {h3.data.shape}")
+    rows = np.asarray(mask_rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[0] != L:
+        raise ShapeError(f"mask rows {rows.shape} do not give one row per snippet ({L})")
+    outside = rows[(rows < 0) | (rows >= T)]
+    if outside.size:
+        raise ShapeError(f"mask index {outside[0]} outside [0, {T})")
+    mask = np.zeros((L, T, 1), dtype=h3.data.dtype)
+    mask[np.arange(L)[:, None], rows, 0] = 1.0
+    keep = Tensor(1.0 - mask)
+    positional = Tensor(np.asarray(pos, dtype=h3.data.dtype))
+    return (h3 + positional) * keep + rec.mask_token * Tensor(mask)
 
 
-def reconstruction_loss(h_target, h_recon: Tensor, t_mask: Iterable[int]) -> Tensor:
-    """Mean over masked rows of the squared distance to the (detached) target."""
-    rows = sorted(int(t) for t in t_mask)
-    if not rows:
-        raise ConfigError("reconstruction loss needs at least one masked index")
-    target = h_target.data if isinstance(h_target, Tensor) else np.asarray(h_target)
-    if target.shape != h_recon.data.shape:
-        raise ShapeError(
-            f"target shape {target.shape} != reconstruction shape {h_recon.data.shape}"
-        )
-    diff = h_recon[rows] - Tensor(target[rows])
-    return (diff * diff).sum(axis=-1).mean()
-
-
-def joint_loss(contrastive, reconstruction, beta: float) -> Tensor:
-    lc = contrastive if isinstance(contrastive, Tensor) else Tensor(np.asarray(contrastive))
-    lr = reconstruction if isinstance(reconstruction, Tensor) else Tensor(np.asarray(reconstruction))
-    return lc + lr * float(beta)
+def masked_reconstruct(h3, mask_rows, pos: np.ndarray, rec: Reconstructor) -> Tensor:
+    """Mask ``mask_rows`` of every snippet, run the reconstructor, and return
+    the reconstructed rows: (L*m x D), snippet-major."""
+    out = rec.forward(assemble_masked_input(h3, mask_rows, pos, rec))
+    rows = np.asarray(mask_rows, dtype=np.int64)
+    return out[(np.repeat(np.arange(rows.shape[0]), rows.shape[1]), rows.reshape(-1))]
 
 
 def compute_losses(
@@ -259,6 +226,8 @@ def compute_losses(
             f"batch window {T} does not match configured windows "
             f"{contrastive_cfg.window}/{recon_cfg.window}"
         )
+    if np.shape(mask_rows)[-1] == 0:
+        raise ConfigError("reconstruction loss needs at least one masked index")
     flat = batch.frames.reshape(L * T, -1)
     h = encode_query(flat, enc)
     z = encode_key(flat, enc)
@@ -268,19 +237,12 @@ def compute_losses(
     )
 
     h3 = h.reshape((L, T, enc.dim))
-    mask = _mask_matrix(T, mask_rows, h.data.dtype)
-    assembled = _assemble_batch(h3, mask, pos, rec)
-    out = rec.forward(assembled)
-
-    snip_idx = np.repeat(np.arange(L), mask_rows.shape[1])
-    row_idx = np.asarray(mask_rows).reshape(-1)
-    recon_rows = out[(snip_idx, row_idx)]
+    recon_rows = masked_reconstruct(h3, mask_rows, pos, rec)
     if recon_targets is None:
-        recon_targets = h3.data[snip_idx, row_idx]
-    target_rows = Tensor(recon_targets)
-    diff = recon_rows - target_rows
+        recon_targets = h3.data[np.arange(L)[:, None], mask_rows].reshape(-1, enc.dim)
+    diff = recon_rows - Tensor(recon_targets)
     lr = (diff * diff).sum(axis=-1).mean()
-    total = joint_loss(lc, lr, recon_cfg.beta)
+    total = lc + lr * float(recon_cfg.beta)
     return lc, lr, total
 
 

@@ -153,6 +153,22 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "stepz" in capsys.readouterr().err
 
 
+def test_unparsable_ini_thresholds_is_config_error(tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_text("[evaluation]\nthresholds = 0.05,abc\n")
+    code = _run(["synth", "--config", config, "--out", tmp_path / "out"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize("thresholds", ["0,1.5", "0.05,abc"])
+def test_bad_eval_thresholds_flag_is_config_error(workspace, capsys, thresholds):
+    _, config, out = workspace
+    code = _run(["eval", "--config", config, "--out", out, "--thresholds", thresholds])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
 def test_missing_checkpoint_is_io_error(workspace, capsys):
     _, config, out = workspace
     _run(["synth", "--config", config, "--out", out])

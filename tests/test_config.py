@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eventseg import ConfigError, NumericsError, RunConfig, load_config, synth_generate
-from eventseg.config import write_config_template
+from eventseg.config import _PARSERS, _SECTIONS, write_config_template
 from eventseg.training import run_training
 
 
@@ -53,6 +53,40 @@ def test_window_consistency_enforced(tmp_path):
 def test_event_length_must_cover_window(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[synth]\nevent_length = 4,8\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", ["30", "30,60,90", "30.5,60", "30,", "a,b"])
+def test_int_pair_needs_exactly_two_ints(tmp_path, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[synth]\nevent_length = {value}\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("training", "steps", "5.5"),
+    ("optimizer", "momentum", "fast"),
+    ("detector", "min_trajectory_len", "1.5"),
+])
+def test_unparsable_scalar_is_config_error(tmp_path, section, key, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_every_config_field_has_a_parser():
+    for section, (_, cls) in _SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            assert f.type in _PARSERS, f"[{section}] {f.name}: {f.type!r}"
+
+
+@pytest.mark.parametrize("value", ["0.05,abc", "0,0.5", "0.5,1.5", "nan", ","])
+def test_bad_thresholds_are_config_errors(tmp_path, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[evaluation]\nthresholds = {value}\n")
     with pytest.raises(ConfigError):
         load_config(path)
 

@@ -87,6 +87,43 @@ def test_relative_extrema_antitone_in_range():
         assert wide <= narrow
 
 
+def _extrema_oracle(values, extrema_range):
+    """The definition, one position at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size
+    r = extrema_range
+    found = []
+    for t in range(r, n - r):
+        v = values[t]
+        if (v > values[t - r : t]).all() and (v > values[t + 1 : t + r + 1]).all():
+            found.append(t)
+    return np.asarray(found, dtype=np.int64)
+
+
+@pytest.mark.parametrize("extrema_range", [1, 5, 29, 70])
+def test_relative_extrema_matches_oracle(extrema_range):
+    rng = np.random.default_rng(extrema_range)
+    r = extrema_range
+    for trial in range(60):
+        # Every fourth signal is at most one sample longer than 2r+1.
+        high = 2 * r + 2 if trial % 4 == 0 else 8 * r + 40
+        n = int(rng.integers(0 if trial % 4 == 0 else 2 * r + 1, high))
+        kind = trial % 3
+        if kind == 0:
+            signal = rng.normal(size=n)
+        elif kind == 1:
+            # Few distinct levels: ties everywhere, including at maxima.
+            signal = rng.integers(0, 4, size=n).astype(np.float64)
+        else:
+            signal = rng.normal(size=n)
+            signal[rng.random(n) < 0.02] = np.nan
+            signal[rng.random(n) < 0.02] = np.inf
+        got = relative_extrema(signal, r)
+        expected = _extrema_oracle(signal, r)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
 def _frozen_models(dim_in=6, dim=8, seed=0):
     rng = np.random.default_rng(seed)
     enc = EncoderPair(dim_in, dim, rng=rng)
@@ -111,6 +148,26 @@ def test_error_trajectory_length_and_copy_model():
     # Edge frames replicate the nearest computed value.
     assert (trajectory.values[:5] == trajectory.values[5]).all()
     assert (trajectory.values[-4:] == trajectory.values[-5]).all()
+
+
+def test_error_trajectory_matches_window_slices():
+    # Each frame's error, recomputed from a video holding only its own
+    # window, equals the full trajectory; edge frames take the nearest
+    # computed frame's value.
+    enc, rec = _frozen_models(seed=10)
+    rng = np.random.default_rng(11)
+    video = FrameFeatureSequence("v", 25.0, rng.normal(size=(37, 6)).astype(np.float32))
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    full = error_trajectory(video, enc, rec, cfg).values
+    T, mid = cfg.window, cfg.window // 2
+    first, last = mid, video.num_frames - T + mid
+    for f in range(video.num_frames):
+        c = min(max(f, first), last)
+        window = FrameFeatureSequence("slice", 25.0, video.features[c - mid : c - mid + T])
+        value = error_trajectory(window, enc, rec, cfg).values[mid]
+        np.testing.assert_allclose(full[f], value, rtol=1e-4)
+    # Distinct values per computed frame, so a misordered trajectory fails.
+    assert np.unique(full).size == last - first + 1
 
 
 def test_error_trajectory_zero_for_perfect_reconstruction():

@@ -14,9 +14,11 @@ from eventseg import (
     FrameFeatureSequence,
     MemoryQueue,
     Parameter,
+    ReconstructionConfig,
+    Reconstructor,
     SnippetBatch,
     Tensor,
-    contrastive_loss,
+    compute_losses,
     encode_key,
     encode_query,
     enqueue_memory,
@@ -24,6 +26,7 @@ from eventseg import (
     gradients_close,
     info_nce_loss,
     momentum_update,
+    positional_embedding,
     sample_batch,
 )
 
@@ -228,7 +231,11 @@ def test_contrastive_loss_is_nonnegative_and_needs_positives():
     batch = SnippetBatch(frames, ["a", "a", "b", "c"], [0, 3, 0, 0])
     queue = MemoryQueue(16)
     cfg = ContrastiveConfig(temperature=0.2, window=3)
-    loss = contrastive_loss(batch, enc, queue, cfg)
+    rec = Reconstructor(8, 4, 1, rng)
+    loss, _, _ = compute_losses(
+        batch, enc, queue, rec, cfg, ReconstructionConfig(window=3),
+        positional_embedding(3, 8), np.ones((4, 1), dtype=np.int64),
+    )
     assert loss.item() >= 0.0
 
     with pytest.raises(ConfigError):

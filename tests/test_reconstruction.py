@@ -20,10 +20,8 @@ from eventseg import (
     encode_query,
     finite_difference,
     gradients_close,
-    joint_loss,
+    masked_reconstruct,
     positional_embedding,
-    reconstruct,
-    reconstruction_loss,
     sample_mask_rows,
     train_step,
 )
@@ -54,13 +52,35 @@ def _reconstructor(dim=8, heads=4, layers=2, seed=0):
     return Reconstructor(dim, heads, layers, np.random.default_rng(seed))
 
 
+def _pass_through(rec):
+    """Zero weights and an identity head: the output equals the assembled
+    input (layer norms stay zeroed, so each block adds nothing)."""
+    for p in rec.parameters():
+        p.data[...] = 0.0
+    rec.head_w.data[...] = np.eye(rec.dim, dtype=np.float32)
+    return rec
+
+
+def _full_output(h, t, rec, pos):
+    """Every output row of one (T x D) snippet with row ``t`` masked."""
+    return rec.forward(assemble_masked_input(h[None], [[t]], pos, rec)).data[0]
+
+
+def _masked_loss(h, t, rec, pos):
+    """Squared distance of the reconstructed row ``t`` to the detached
+    embedding row, for one (T x D) snippet."""
+    recon = masked_reconstruct(h.reshape((1,) + h.data.shape), [[t]], pos, rec)
+    diff = recon - Tensor(h.data[[t]])
+    return (diff * diff).sum(axis=-1).mean()
+
+
 def test_assemble_no_mask_adds_positional_rows():
     rng = np.random.default_rng(1)
     rec = _reconstructor()
     h = rng.normal(size=(5, 8)).astype(np.float32)
     pos = positional_embedding(5, 8)
-    out = assemble_masked_input(h, [], pos, rec)
-    np.testing.assert_allclose(out.data, h + pos, atol=1e-6)
+    out = assemble_masked_input(h[None], [[]], pos, rec)
+    np.testing.assert_allclose(out.data[0], h + pos, atol=1e-6)
 
 
 def test_assemble_masked_row_is_mask_token():
@@ -68,34 +88,58 @@ def test_assemble_masked_row_is_mask_token():
     rec = _reconstructor()
     h = rng.normal(size=(5, 8)).astype(np.float32)
     pos = positional_embedding(5, 8)
-    out = assemble_masked_input(h, [2], pos, rec)
-    np.testing.assert_array_equal(out.data[2], rec.mask_token.data)
+    out = assemble_masked_input(h[None], [[2]], pos, rec)
+    np.testing.assert_array_equal(out.data[0, 2], rec.mask_token.data)
 
     h2 = h.copy()
     h2[2] = 99.0
-    out2 = assemble_masked_input(h2, [2], pos, rec)
+    out2 = assemble_masked_input(h2[None], [[2]], pos, rec)
     np.testing.assert_array_equal(out.data, out2.data)
+
+
+def test_assemble_masks_each_snippet_at_its_own_rows():
+    rng = np.random.default_rng(12)
+    rec = _reconstructor()
+    h = rng.normal(size=(3, 5, 8)).astype(np.float32)
+    pos = positional_embedding(5, 8)
+    rows = np.array([[0, 4], [1, 2], [3, 1]])
+    out = assemble_masked_input(h, rows, pos, rec).data
+    for i, masked in enumerate(rows):
+        for t in range(5):
+            expected = rec.mask_token.data if t in masked else h[i, t] + pos[t]
+            np.testing.assert_allclose(out[i, t], expected, atol=1e-6)
 
 
 def test_assemble_rejects_out_of_range_index():
     rec = _reconstructor()
     pos = positional_embedding(5, 8)
     with pytest.raises(ShapeError):
-        assemble_masked_input(np.zeros((5, 8), dtype=np.float32), [5], pos, rec)
+        assemble_masked_input(np.zeros((1, 5, 8), dtype=np.float32), [[5]], pos, rec)
+    with pytest.raises(ShapeError):
+        assemble_masked_input(np.zeros((1, 5, 8), dtype=np.float32), [[-1]], pos, rec)
 
 
 def test_zero_weights_identity_head_passes_input_through():
-    rec = _reconstructor()
-    for p in rec.parameters():
-        p.data[...] = 0.0
-    # Identity output head; layer norms stay zeroed so each block adds nothing.
-    rec.head_w.data[...] = np.eye(8, dtype=np.float32)
+    rec = _pass_through(_reconstructor())
     rng = np.random.default_rng(3)
     h = rng.normal(size=(5, 8)).astype(np.float32)
     pos = positional_embedding(5, 8)
-    assembled = assemble_masked_input(h, [2], pos, rec)
-    out = reconstruct(h, [2], rec, pos)
+    assembled = assemble_masked_input(h[None], [[2]], pos, rec)
+    out = rec.forward(assembled)
     np.testing.assert_allclose(out.data, assembled.data, atol=1e-6)
+
+
+def test_masked_reconstruct_returns_masked_rows_snippet_major():
+    rec = _reconstructor(seed=13)
+    rng = np.random.default_rng(14)
+    h = rng.normal(size=(3, 5, 8)).astype(np.float32)
+    pos = positional_embedding(5, 8)
+    rows = np.array([[1, 4], [0, 2], [3, 2]])
+    recon = masked_reconstruct(h, rows, pos, rec).data
+    assert recon.shape == (6, 8)
+    for i in range(3):
+        full = rec.forward(assemble_masked_input(h[i : i + 1], rows[i : i + 1], pos, rec))
+        np.testing.assert_allclose(recon[2 * i : 2 * i + 2], full.data[0, rows[i]], atol=1e-5)
 
 
 def test_position_sensitivity_and_permutation_covariance():
@@ -103,17 +147,17 @@ def test_position_sensitivity_and_permutation_covariance():
     rng = np.random.default_rng(5)
     h = rng.normal(size=(5, 8)).astype(np.float32)
     pos = positional_embedding(5, 8)
-    baseline = reconstruct(h, [2], rec, pos).data
+    baseline = _full_output(h, 2, rec, pos)
 
     # Swapping two unmasked frames (but not their positional rows) changes
     # the output.
     perm = np.array([1, 0, 2, 3, 4])
-    swapped = reconstruct(h[perm], [2], rec, pos).data
+    swapped = _full_output(h[perm], 2, rec, pos)
     assert not np.allclose(swapped[2], baseline[2], atol=1e-5)
 
     # Permuting frames together with their positional rows permutes the
     # output rows identically.
-    covariant = reconstruct(h[perm], [2], rec, pos[perm]).data
+    covariant = _full_output(h[perm], 2, rec, pos[perm])
     np.testing.assert_allclose(covariant, baseline[perm], atol=1e-5)
 
 
@@ -122,39 +166,52 @@ def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(7)
     h = rng.normal(size=(5, 8)).astype(np.float32)
     pos = positional_embedding(5, 8)
-    _, attention = reconstruct(h, [1], rec, pos, return_attention=True)
+    attention = []
+    rec.forward(assemble_masked_input(h[None], [[1]], pos, rec), attention)
     assert len(attention) == 2
     for block_attention in attention:
-        assert block_attention.shape == (4, 5, 5)
+        assert block_attention.shape == (1, 4, 5, 5)
         np.testing.assert_allclose(
-            block_attention.sum(axis=-1), np.ones((4, 5)), atol=1e-6
+            block_attention[0].sum(axis=-1), np.ones((4, 5)), atol=1e-6
         )
 
 
 def test_reconstruction_loss_cases():
-    rng = np.random.default_rng(8)
-    h = rng.normal(size=(5, 8)).astype(np.float32)
-    assert reconstruction_loss(h, Tensor(h.copy()), [2]).item() == 0.0
+    # A pass-through reconstructor outputs the mask token (zero here) at every
+    # masked row, so fixed targets set each row's squared error exactly.
+    enc, rec, queue, batch, ccfg, _, pos = _training_setup(seed=8, videos=2)
+    _pass_through(rec)
 
-    recon = h.copy()
-    offset = np.zeros(8, dtype=np.float32)
-    offset[0] = 1.0
-    recon[2] += offset
-    assert abs(reconstruction_loss(h, Tensor(recon), [2]).item() - 1.0) < 1e-6
+    def recon_loss(mask_rows, targets):
+        rcfg = ReconstructionConfig(window=5, mask_size=np.shape(mask_rows)[1])
+        return compute_losses(batch, enc, queue, rec, ccfg, rcfg, pos,
+                              np.asarray(mask_rows), targets)[1].item()
 
-    recon = h.copy()
-    recon[1, 0] += 1.0   # squared error 1
-    recon[3, 1] += np.sqrt(3.0)  # squared error 3
-    assert abs(reconstruction_loss(h, Tensor(recon), [1, 3]).item() - 2.0) < 1e-5
+    assert recon_loss([[2], [2]], np.zeros((2, 8), dtype=np.float32)) == 0.0
+
+    offset = np.zeros((2, 8), dtype=np.float32)
+    offset[:, 0] = 1.0
+    assert abs(recon_loss([[2], [2]], offset) - 1.0) < 1e-6
+
+    targets = np.zeros((4, 8), dtype=np.float32)
+    targets[0::2, 0] = 1.0           # row 1 of each snippet: squared error 1
+    targets[1::2, 1] = np.sqrt(3.0)  # row 3 of each snippet: squared error 3
+    assert abs(recon_loss([[1, 3], [1, 3]], targets) - 2.0) < 1e-5
 
     with pytest.raises(ConfigError):
-        reconstruction_loss(h, Tensor(h), [])
+        compute_losses(batch, enc, queue, rec, ccfg, ReconstructionConfig(window=5),
+                       pos, np.zeros((2, 0), dtype=np.int64))
 
 
 def test_joint_loss_cases():
-    assert abs(joint_loss(0.5, 0.3, 1.0).item() - 0.8) < 1e-7
-    assert abs(joint_loss(0.7, 0.3, 0.0).item() - 0.7) < 1e-7
-    assert abs(joint_loss(0.0, 0.25, 2.0).item() - 0.5) < 1e-7
+    # total = contrastive + beta * reconstruction
+    enc, rec, queue, batch, ccfg, _, pos = _training_setup(seed=9)
+    mask_rows = sample_mask_rows(np.random.default_rng(0), batch.num_snippets, 5, 1)
+    for beta in (1.0, 0.0, 2.0):
+        rcfg = ReconstructionConfig(window=5, mask_size=1, beta=beta)
+        lc, lr, total = compute_losses(batch, enc, queue, rec, ccfg, rcfg, pos, mask_rows)
+        assert lr.item() > 0
+        assert abs(total.item() - (lc.item() + beta * lr.item())) < 1e-6
 
 
 def test_reconstruction_gradient_matches_finite_differences():
@@ -173,9 +230,7 @@ def test_reconstruction_gradient_matches_finite_differences():
     pos = positional_embedding(window, dim).astype(np.float64)
 
     def forward():
-        h = encode_query(frames, enc).detach()
-        out = reconstruct(h, [2], rec, pos)
-        return reconstruction_loss(h.data, out, [2])
+        return _masked_loss(encode_query(frames, enc).detach(), 2, rec, pos)
 
     forward().backward()
     params = rec.parameters()
@@ -253,9 +308,7 @@ def test_masked_row_input_gets_no_reconstruction_gradient():
         np.random.default_rng(5).normal(size=(window, dim)).astype(np.float32),
         requires_grad=True,
     )
-    h = encode_query(frames, enc)
-    out = reconstruct(h, [2], rec, pos)
-    loss = reconstruction_loss(h.data, out, [2])
+    loss = _masked_loss(encode_query(frames, enc), 2, rec, pos)
     loss.backward()
     np.testing.assert_array_equal(frames.grad[2], np.zeros(dim, dtype=np.float32))
     assert np.abs(frames.grad[[0, 1, 3, 4]]).sum() > 0

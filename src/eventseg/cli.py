@@ -24,7 +24,7 @@ from .data import (
     synth_generate,
 )
 from .detection import detect_corpus
-from .errors import ConfigError, EventSegError
+from .errors import ConfigError, EventSegError, ShapeError
 from .metrics import evaluate_corpus
 from .training import model_meta, run_training, write_loss_csv
 
@@ -90,6 +90,12 @@ def cmd_detect(cfg: RunConfig, args) -> int:
         )
     # A corpus with no videos yields an empty detections file, not an error.
     corpus = load_corpus(Path(cfg.paths.data_dir), allow_empty=True)
+    for seq in corpus:
+        if seq.dim != int(meta["input_dim"]):
+            raise ShapeError(
+                f"video {seq.video_id!r} has {seq.dim}-wide features, "
+                f"checkpoint expects input_dim {int(meta['input_dim'])}"
+            )
     if args.dump_trajectory:
         detections, signals = detect_corpus(corpus, enc, rec, cfg.detector, True)
         traj_dir = out / "trajectories"

@@ -8,6 +8,16 @@ video) and from a FIFO memory queue of past key embeddings. The loss treats
 every other frame of the query's own snippet as a positive, one at a time,
 against the shared pool of negatives.
 
+``info_nce_loss`` is one autodiff node. Its forward pass is a single matmul
+of the queries against ``[keys; queue]`` into one buffer that is turned in
+place from logits into the exponentials of exactly the negatives. Its
+backward pass uses the closed-form softmax gradient (van den Oord et al.,
+2018): ``p - 1`` on each positive logit and the negative's share of each
+positive's denominator on each negative logit, mapped back to the queries
+with one matmul against the same pool. The keys and the queue get no
+gradient. ``MemoryQueue`` is a preallocated ring buffer; ``as_array``
+returns its rows oldest first, which is the checkpoint layout.
+
 ``info_nce_loss`` and the encoders are pure given parameters; the training
 loss on a snippet batch is put together in ``reconstruction.compute_losses``.
 ``momentum_update`` and ``enqueue_memory`` mutate shared state and expect a
@@ -16,14 +26,13 @@ single writer per training step.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import FrameFeatureSequence
 from .errors import ConfigError, DataError, ShapeError
-from .tensor import Parameter, Tensor, l2_normalize, no_grad
+from .tensor import Parameter, Tensor, _accumulate, l2_normalize, no_grad
 
 
 @dataclass
@@ -118,29 +127,57 @@ def encode_key(frames, enc: EncoderPair) -> Tensor:
 
 
 class MemoryQueue:
-    """FIFO buffer of up to ``capacity`` unit-norm key embeddings."""
+    """FIFO buffer of up to ``capacity`` unit-norm key embeddings.
+
+    A preallocated ``(capacity, dim)`` ring: ``_head`` is the row of the
+    oldest entry and a push overwrites it once the ring is full. The first
+    push (or ``load``) fixes ``dim``.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: deque[np.ndarray] = deque(maxlen=capacity)
+        self._rows: np.ndarray | None = None
+        self._head = 0
+        self._len = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._len
 
     def push(self, vector: np.ndarray) -> None:
-        self._entries.append(np.asarray(vector, dtype=np.float32).copy())
+        row = np.asarray(vector, dtype=np.float32)
+        if self._rows is None:
+            if row.ndim != 1:
+                raise ShapeError(f"queue entries must be vectors, got shape {row.shape}")
+            self._rows = np.empty((self.capacity, row.shape[0]), dtype=np.float32)
+        elif row.shape != self._rows.shape[1:]:
+            raise ShapeError(
+                f"queue holds rows of width {self._rows.shape[1]}, got shape {row.shape}"
+            )
+        self._rows[(self._head + self._len) % self.capacity] = row
+        if self._len < self.capacity:
+            self._len += 1
+        else:
+            self._head = (self._head + 1) % self.capacity
 
     def as_array(self, dim: int | None = None) -> np.ndarray:
-        if not self._entries:
+        """A fresh (len, dim) copy, oldest entry first."""
+        if not self._len:
             return np.zeros((0, dim if dim is not None else 0), dtype=np.float32)
-        return np.stack(self._entries)
+        order = np.arange(self._head, self._head + self._len)
+        return self._rows.take(order, axis=0, mode="wrap")
 
     def load(self, matrix: np.ndarray) -> None:
-        self._entries.clear()
-        for row in np.asarray(matrix, dtype=np.float32):
-            self._entries.append(row.copy())
+        """Replace the contents with the newest ``capacity`` rows of ``matrix``."""
+        rows = np.asarray(matrix, dtype=np.float32)
+        if rows.ndim != 2:
+            raise ShapeError(f"queue rows must form a matrix, got shape {rows.shape}")
+        kept = rows[max(0, len(rows) - self.capacity):]
+        self._rows = np.empty((self.capacity, rows.shape[1]), dtype=np.float32)
+        self._rows[: len(kept)] = kept
+        self._head = 0
+        self._len = len(kept)
 
 
 @dataclass
@@ -222,34 +259,59 @@ def info_nce_loss(
     temperature: float,
     window: int,
 ) -> Tensor:
-    """Loss over flattened per-frame embeddings.
+    """Loss over flattened per-frame embeddings, as one autodiff node.
 
     ``queries`` is (L*T, D) and differentiable, ``keys`` the matching
     detached key embeddings, ``snippet_ids`` the snippet index of every row.
     For each query row, every other row of the same snippet is a positive;
-    rows of other snippets and all queue entries are negatives.
+    rows of other snippets and all queue entries are negatives. With logits
+    ``l = q . k / temperature`` and ``N_i`` the summed exponentials of row
+    i's negatives, the loss is the mean over positives (i, j) of
+    ``-(l_ij - log(exp(l_ij) + N_i))``. The gradient flows into ``queries``
+    only.
     """
     if window < 2:
         raise ConfigError("contrastive loss needs window >= 2 to form positives")
-    n = queries.data.shape[0]
-    keys_t = Tensor(keys)
-    logits = (queries @ keys_t.swapaxes(0, 1)) * (1.0 / temperature)
-    exp_logits = logits.exp()
-
-    same = (snippet_ids[:, None] == snippet_ids[None, :]).astype(queries.data.dtype)
-    negatives_mask = Tensor(1.0 - same)
-    positives_mask = Tensor(same - np.eye(n, dtype=queries.data.dtype))
-
-    q1 = (exp_logits * negatives_mask).sum(axis=1, keepdims=True)
+    q = queries.data
+    n = q.shape[0]
+    keys = np.asarray(keys)
+    ids = np.asarray(snippet_ids)
+    if keys.shape[0] != n or ids.shape != (n,):
+        raise ShapeError(
+            f"{n} queries need as many keys and snippet ids, got {keys.shape[0]} "
+            f"and {ids.shape}"
+        )
+    pool = keys
     if queue_entries is not None and len(queue_entries) > 0:
-        queue_logits = (queries @ Tensor(queue_entries.T)) * (1.0 / temperature)
-        q2 = queue_logits.exp().sum(axis=1, keepdims=True)
-        denom = exp_logits + q1 + q2
-    else:
-        denom = exp_logits + q1
-    log_p = logits - denom.log()
-    total = (positives_mask * log_p).sum()
-    return -total * (1.0 / (n * (window - 1)))
+        pool = np.concatenate((keys, queue_entries))
+    same = ids[:, None] == ids[None, :]
+    rows, cols = np.nonzero(same & ~np.eye(n, dtype=bool))
+
+    # One n x (n + Q) buffer: logits, then their exponentials, then (with the
+    # same-snippet block zeroed) exactly the negatives' exponentials.
+    e = q @ pool.T
+    e *= 1.0 / temperature
+    l_pos = e[rows, cols].astype(np.float64)
+    np.exp(e, out=e)
+    e[:, :n][same] = 0.0
+    negatives = e.sum(axis=1, dtype=np.float64)
+    exp_pos = np.exp(l_pos)
+    denom = exp_pos + negatives[rows]
+    scale = 1.0 / (n * (window - 1))
+    loss = -scale * np.sum(l_pos - np.log(denom))
+
+    def backward(g):
+        # d loss / d logit: (p_ij - 1) on a positive; e_ik * sum_j 1/denom_ij
+        # on a negative k of row i. Both are scaled by 1/temperature.
+        c = float(g) * scale / temperature
+        weight = c * np.bincount(rows, weights=1.0 / denom, minlength=n)
+        grad = (e @ pool) * weight[:, None]
+        d_pos = np.zeros((n, n))
+        d_pos[rows, cols] = c * (exp_pos / denom - 1.0)
+        grad += d_pos @ keys
+        _accumulate(queries, grad)
+
+    return queries._result(np.asarray(loss, dtype=q.dtype), (queries,), backward)
 
 
 def enqueue_memory(

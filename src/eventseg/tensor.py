@@ -17,7 +17,6 @@ One recorded graph belongs to one thread. Separate graphs are independent.
 from __future__ import annotations
 
 import contextlib
-import math
 from typing import Iterable, Sequence
 
 import numpy as np

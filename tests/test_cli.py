@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from eventseg.cli import main
@@ -206,3 +207,23 @@ def test_empty_corpus_detect_writes_empty_output(workspace, tmp_path):
                  "--checkpoint", out / "checkpoint.bin"])
     assert code == 0
     assert json.loads((out / "detections.json").read_text()) == []
+
+
+def test_detect_rejects_corpus_width_mismatch(workspace, capsys):
+    from eventseg import FrameFeatureSequence, load_feature_file, save_feature_file
+
+    _, config, out = workspace
+    _run(["synth", "--config", config, "--out", out])
+    _run(["train", "--config", config, "--out", out])
+    path = sorted((out / "features").glob("*.csgf"))[-1]
+    seq = load_feature_file(path)
+    wide = np.hstack([seq.features, np.zeros((seq.num_frames, 2), dtype=np.float32)])
+    save_feature_file(FrameFeatureSequence(seq.video_id, seq.fps, wide), path)
+    capsys.readouterr()
+    code = _run(["detect", "--config", config, "--out", out,
+                 "--checkpoint", out / "checkpoint.bin"])
+    assert code == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: shape:")
+    assert repr(seq.video_id) in err and "10" in err and "input_dim 8" in err
+    assert not (out / "detections.json").exists()

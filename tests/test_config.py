@@ -7,7 +7,6 @@ import pytest
 
 from eventseg import ConfigError, NumericsError, RunConfig, load_config, synth_generate
 from eventseg.config import _PARSERS, _SECTIONS, write_config_template
-from eventseg.training import run_training
 
 
 def test_defaults_carry_standard_hyperparameters():

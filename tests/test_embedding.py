@@ -1,5 +1,6 @@
 """Encoders, momentum update, memory queue, batch sampling, and the
-contrastive loss against an independent pure-Python double-loop oracle."""
+contrastive loss against an independent pure-Python double-loop oracle and
+against the same loss composed from autodiff primitives."""
 
 import math
 
@@ -16,6 +17,7 @@ from eventseg import (
     Parameter,
     ReconstructionConfig,
     Reconstructor,
+    ShapeError,
     SnippetBatch,
     Tensor,
     compute_losses,
@@ -25,9 +27,11 @@ from eventseg import (
     finite_difference,
     gradients_close,
     info_nce_loss,
+    load_model,
     momentum_update,
     positional_embedding,
     sample_batch,
+    save_model,
 )
 
 
@@ -50,6 +54,30 @@ def brute_force_loss(h, z, snippet_ids, queue, tau, window):
                 inner += -math.log(q_pos / (q_pos + q1 + q2))
         total += inner / (window - 1)
     return total / n
+
+
+def composed_info_nce(queries, keys, snippet_ids, queue_entries, temperature, window):
+    """The loss built from generic autodiff ops (exp, masked sums, log): the
+    gradient oracle for the fused ``info_nce_loss``."""
+    n = queries.data.shape[0]
+    keys_t = Tensor(keys)
+    logits = (queries @ keys_t.swapaxes(0, 1)) * (1.0 / temperature)
+    exp_logits = logits.exp()
+
+    same = (snippet_ids[:, None] == snippet_ids[None, :]).astype(queries.data.dtype)
+    negatives_mask = Tensor(1.0 - same)
+    positives_mask = Tensor(same - np.eye(n, dtype=queries.data.dtype))
+
+    q1 = (exp_logits * negatives_mask).sum(axis=1, keepdims=True)
+    if queue_entries is not None and len(queue_entries) > 0:
+        queue_logits = (queries @ Tensor(queue_entries.T)) * (1.0 / temperature)
+        q2 = queue_logits.exp().sum(axis=1, keepdims=True)
+        denom = exp_logits + q1 + q2
+    else:
+        denom = exp_logits + q1
+    log_p = logits - denom.log()
+    total = (positives_mask * log_p).sum()
+    return -total * (1.0 / (n * (window - 1)))
 
 
 def _unit_rows(rng, n, dim):
@@ -149,6 +177,68 @@ def test_queue_fifo_and_capacity():
     np.testing.assert_array_equal(queue.as_array(3)[:, 0], [2.0, 3.0, 4.0, 5.0])
 
 
+def test_queue_fifo_after_wrapping_twice():
+    queue = MemoryQueue(5)
+    for i in range(13):
+        queue.push(np.full(2, float(i), dtype=np.float32))
+        expected = np.arange(max(0, i - 4), i + 1, dtype=np.float32)
+        assert len(queue) == len(expected)
+        np.testing.assert_array_equal(queue.as_array(2)[:, 0], expected)
+
+
+def test_queue_load_keeps_newest_rows_oldest_first():
+    rows = np.arange(14, dtype=np.float32).reshape(7, 2)
+    queue = MemoryQueue(4)
+    queue.load(rows)
+    assert len(queue) == 4
+    np.testing.assert_array_equal(queue.as_array(2), rows[3:])
+    queue.push(np.array([99.0, 99.0], dtype=np.float32))
+    np.testing.assert_array_equal(queue.as_array(2)[:, 0], [8.0, 10.0, 12.0, 99.0])
+
+    queue.load(rows[:2])
+    np.testing.assert_array_equal(queue.as_array(2), rows[:2])
+
+
+def test_queue_as_array_is_a_copy():
+    queue = MemoryQueue(3)
+    for i in range(4):
+        queue.push(np.full(2, float(i), dtype=np.float32))
+    snapshot = queue.as_array(2)
+    snapshot[...] = -1.0
+    np.testing.assert_array_equal(queue.as_array(2)[:, 0], [1.0, 2.0, 3.0])
+
+
+def test_queue_rejects_row_of_other_width():
+    queue = MemoryQueue(3)
+    queue.push(np.zeros(4, dtype=np.float32))
+    with pytest.raises(ShapeError):
+        queue.push(np.zeros(5, dtype=np.float32))
+    with pytest.raises(ShapeError):
+        queue.push(np.zeros((1, 4), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        MemoryQueue(3).push(np.zeros((1, 4), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        queue.load(np.zeros(4, dtype=np.float32))
+    assert len(queue) == 1
+
+
+def test_wrapped_queue_round_trips_through_checkpoint(tmp_path):
+    rng = np.random.default_rng(16)
+    enc = EncoderPair(6, 8, 0.99, rng)
+    rec = Reconstructor(8, 4, 1, rng)
+    queue = MemoryQueue(5)
+    for _ in range(12):
+        queue.push(_unit_rows(rng, 1, 8)[0])
+    meta = {
+        "input_dim": 6, "embedding_dim": 8, "heads": 4, "layers": 1,
+        "window": 5, "queue_capacity": 5, "alpha": 0.99,
+    }
+    save_model(tmp_path / "model.bin", enc, rec, queue, meta)
+    _, _, loaded, _ = load_model(tmp_path / "model.bin")
+    assert len(loaded) == 5
+    np.testing.assert_array_equal(loaded.as_array(8), queue.as_array(8))
+
+
 def test_enqueue_memory_contract():
     rng = np.random.default_rng(5)
     enc = EncoderPair(6, 8, rng=rng)
@@ -210,6 +300,85 @@ def test_contrastive_matches_brute_force():
             h.data, z, ids, queue if queue is not None else [], tau, T
         )
         assert abs(fast - slow) < 1e-5
+
+
+def _assert_matches_composed(h, z, ids, queue, tau, window):
+    fused_q = Tensor(h.copy(), requires_grad=True)
+    fused = info_nce_loss(fused_q, z, ids, queue, tau, window)
+    fused.backward()
+    oracle_q = Tensor(h.copy(), requires_grad=True)
+    oracle = composed_info_nce(oracle_q, z, ids, queue, tau, window)
+    oracle.backward()
+    assert abs(fused.item() - oracle.item()) < 1e-5
+    # Entries that cancel to near zero carry the float32 rounding of their
+    # whole row (about 1e-9 here), hence the small absolute floor.
+    np.testing.assert_allclose(fused_q.grad, oracle_q.grad, rtol=1e-4, atol=1e-7)
+
+
+def test_fused_info_nce_matches_composed_on_random_shapes():
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        L = int(rng.integers(1, 6))
+        T = int(rng.integers(2, 6))
+        dim = int(rng.integers(2, 9))
+        queue_len = int(rng.integers(0, 12))
+        queue = _unit_rows(rng, queue_len, dim) if queue_len else None
+        _assert_matches_composed(
+            _unit_rows(rng, L * T, dim), _unit_rows(rng, L * T, dim),
+            np.repeat(np.arange(L), T), queue, float(rng.uniform(0.1, 1.0)), T,
+        )
+
+
+def test_fused_info_nce_matches_composed_at_training_size():
+    # The default training shape: 32 snippets of 10 frames, a full queue.
+    rng = np.random.default_rng(18)
+    L, T, dim = 32, 10, 16
+    _assert_matches_composed(
+        _unit_rows(rng, L * T, dim), _unit_rows(rng, L * T, dim),
+        np.repeat(np.arange(L), T), _unit_rows(rng, 4096, dim), 0.2, T,
+    )
+
+
+@pytest.mark.parametrize("L, T, queue_len", [
+    (3, 4, 0),   # empty queue: batch negatives only
+    (1, 6, 7),   # one snippet: queue negatives only
+    (1, 5, 0),   # one snippet, empty queue: no negatives at all
+    (4, 2, 5),   # window 2: one positive per query
+])
+def test_fused_info_nce_matches_composed_on_edge_cases(L, T, queue_len):
+    rng = np.random.default_rng(19)
+    dim = 6
+    queue = _unit_rows(rng, queue_len, dim) if queue_len else np.zeros((0, dim), np.float32)
+    _assert_matches_composed(
+        _unit_rows(rng, L * T, dim), _unit_rows(rng, L * T, dim),
+        np.repeat(np.arange(L), T), queue, 0.3, T,
+    )
+
+
+def test_info_nce_rejects_keys_or_ids_not_matching_queries():
+    rng = np.random.default_rng(21)
+    h = Tensor(_unit_rows(rng, 6, 4))
+    ids = np.repeat(np.arange(3), 2)
+    queue = _unit_rows(rng, 5, 4)
+    with pytest.raises(ShapeError):
+        info_nce_loss(h, _unit_rows(rng, 4, 4), ids, queue, 0.2, 2)
+    with pytest.raises(ShapeError):
+        info_nce_loss(h, _unit_rows(rng, 6, 4), ids[:4], queue, 0.2, 2)
+
+
+def test_info_nce_query_gradient_finite_difference():
+    rng = np.random.default_rng(20)
+    L, T, dim = 3, 3, 5
+    h = _unit_rows(rng, L * T, dim).astype(np.float64)
+    z = _unit_rows(rng, L * T, dim).astype(np.float64)
+    queue = _unit_rows(rng, 4, dim).astype(np.float64)
+    ids = np.repeat(np.arange(L), T)
+    q = Tensor(h, requires_grad=True)
+    info_nce_loss(q, z, ids, queue, 0.5, T).backward()
+    (numeric,) = finite_difference(
+        lambda: float(info_nce_loss(Tensor(h), z, ids, queue, 0.5, T).data), [h], 1e-6
+    )
+    assert gradients_close(q.grad, numeric, rel_tol=1e-6, abs_tol=1e-9)
 
 
 def test_contrastive_high_temperature_limit():

@@ -14,8 +14,6 @@ enough that small ripples of the error floor do not fire. Here events run
 
 import dataclasses
 
-import numpy as np
-
 from eventseg import (
     RunConfig,
     annotations_by_id,
@@ -42,8 +40,8 @@ result = run_training(corpus, cfg)
 
 video = corpus[1]
 truth = ann_map[video.video_id].boundaries
-detected, raw, smoothed, grad = detect_boundaries(
-    video, result.encoders, result.reconstructor, cfg.detector, return_signals=True
+detected, (raw, smoothed, grad) = detect_boundaries(
+    video, result.encoders, result.reconstructor, cfg.detector
 )
 print(f"\n{video.video_id}: {video.num_frames} frames")
 print(f"true boundaries:     {truth}")
@@ -61,7 +59,7 @@ for t in range(0, video.num_frames, 4):
         marks += " D"
     print(f"  {t:4d} {bar}{marks}")
 
-detections = detect_corpus(corpus, result.encoders, result.reconstructor, cfg.detector)
+detections, _ = detect_corpus(corpus, result.encoders, result.reconstructor, cfg.detector)
 report = evaluate_corpus(detections, ann_map, cfg.thresholds)
 print(f"\ncorpus F1@0.05 = {report.f1[0]:.3f}  "
       f"(precision {report.precision[0]:.3f}, recall {report.recall[0]:.3f})")

@@ -25,7 +25,7 @@ detected = BoundarySet("demo", video_len, [28, 61, 90])
 print("boundary matching at different Rel.Dis thresholds:")
 for threshold in (0.01, 0.05, 0.5):
     result = match_boundaries(detected, truth, threshold)
-    p, r, f1 = precision_recall_f1(result, len(detected.frames), len(truth.frames))
+    p, r, f1 = precision_recall_f1(len(result.pairs), len(detected.frames), len(truth.frames))
     print(f"  threshold {threshold:4.2f}: pairs={result.pairs}  "
           f"P={p:.2f} R={r:.2f} F1={f1:.2f}")
 

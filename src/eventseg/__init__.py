@@ -78,7 +78,7 @@ from .metrics import (
     rel_dis,
     segment_scores,
 )
-from .optim import Optimizer, sgd_step, zero_grad
+from .optim import Optimizer, sgd_step
 from .reconstruction import (
     AttentionBlock,
     ReconstructionConfig,
@@ -94,13 +94,11 @@ from .tensor import (
     Parameter,
     Tensor,
     as_tensor,
-    assert_finite,
     dot,
     finite_difference,
     gradients_close,
     l2_normalize,
     layer_norm,
-    matmul,
     no_grad,
     softmax,
 )

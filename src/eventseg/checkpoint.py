@@ -56,7 +56,11 @@ def deserialize_records(blob: bytes) -> dict[str, np.ndarray]:
     records: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = _NAME_LEN.unpack(take(_NAME_LEN.size, "record name length"))
-        name = take(name_len, "record name").decode("utf-8")
+        raw_name = take(name_len, "record name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"record name {raw_name!r} is not UTF-8: {exc}") from exc
         (rank,) = _RANK.unpack(take(_RANK.size, "record rank"))
         dims = tuple(
             struct.unpack("<I", take(4, f"dimension of {name!r}"))[0] for _ in range(rank)
@@ -103,11 +107,17 @@ def save_model(path, enc, rec, queue, meta: Mapping[str, float]) -> None:
 
 
 def load_model(path):
-    """Rebuild (encoders, reconstructor, queue, meta) from a checkpoint."""
+    """Rebuild (encoders, reconstructor, queue, meta) from a checkpoint.
+
+    A record holding NaN or Inf is a ``FormatError`` naming the record.
+    """
     from .embedding import EncoderPair, MemoryQueue
     from .reconstruction import Reconstructor
 
     records = load_checkpoint(path)
+    for name, value in records.items():
+        if not np.isfinite(value).all():
+            raise FormatError(f"checkpoint record {name!r} holds non-finite values")
     meta = {
         name[len("meta."):]: float(value)
         for name, value in records.items()

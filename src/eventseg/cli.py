@@ -24,7 +24,7 @@ from .data import (
     synth_generate,
 )
 from .detection import detect_corpus
-from .errors import ConfigError, EventSegError, ShapeError
+from .errors import ConfigError, DataError, EventSegError, ShapeError
 from .metrics import evaluate_corpus
 from .training import model_meta, run_training, write_loss_csv
 
@@ -90,14 +90,21 @@ def cmd_detect(cfg: RunConfig, args) -> int:
         )
     # A corpus with no videos yields an empty detections file, not an error.
     corpus = load_corpus(Path(cfg.paths.data_dir), allow_empty=True)
+    # Every video is checked before any detection work: a mismatched width
+    # or a video shorter than the window aborts the whole command.
     for seq in corpus:
         if seq.dim != int(meta["input_dim"]):
             raise ShapeError(
                 f"video {seq.video_id!r} has {seq.dim}-wide features, "
                 f"checkpoint expects input_dim {int(meta['input_dim'])}"
             )
+        if seq.num_frames < cfg.detector.window:
+            raise DataError(
+                f"video {seq.video_id!r} has {seq.num_frames} frames, "
+                f"shorter than the detector window {cfg.detector.window}"
+            )
+    detections, signals = detect_corpus(corpus, enc, rec, cfg.detector)
     if args.dump_trajectory:
-        detections, signals = detect_corpus(corpus, enc, rec, cfg.detector, True)
         traj_dir = out / "trajectories"
         traj_dir.mkdir(parents=True, exist_ok=True)
         for vid, (raw, smoothed, grad) in signals.items():
@@ -105,14 +112,9 @@ def cmd_detect(cfg: RunConfig, args) -> int:
             for i in range(len(raw)):
                 lines.append(f"{i},{raw[i]:.8f},{smoothed[i]:.8f},{grad[i]:.8f}")
             (traj_dir / f"{vid}.csv").write_text("\n".join(lines) + "\n")
-    else:
-        detections = detect_corpus(corpus, enc, rec, cfg.detector)
     fps_by_id = {seq.video_id: seq.fps for seq in corpus}
     payload = [
-        Annotation(
-            vid, det.num_frames, fps_by_id[vid], det.frames,
-            det.scores if det.scores is not None else [],
-        )
+        Annotation(vid, det.num_frames, fps_by_id[vid], det.frames, det.scores)
         for vid, det in detections.items()
     ]
     detections_path = Path(cfg.paths.detections or out / "detections.json")

@@ -124,17 +124,12 @@ def _int_pair(raw: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _optional_int(raw: str) -> int | None:
-    return None if raw.lower() in ("", "none") else int(raw)
-
-
 # Parser per field annotation. The config modules use postponed annotations,
 # so dataclass field types are these strings.
 _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "int | None": _optional_int,
     "tuple[int, int]": _int_pair,
 }
 
@@ -169,7 +164,10 @@ def load_config(path: str | Path | None = None, seed: int | None = None) -> RunC
     cfg = RunConfig()
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} is malformed: {exc}") from exc
         if not read:
             raise ConfigError(f"config file {path} not found or unreadable")
         overrides: dict[str, dict] = {}
@@ -211,8 +209,6 @@ def write_config_template(path: str | Path) -> None:
             value = getattr(getattr(cfg, attr), f.name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            if value is None:
-                value = ""
             lines.append(f"{f.name} = {value}")
         lines.append("")
     lines.append("[evaluation]")

@@ -245,6 +245,8 @@ def load_annotations(path) -> list[Annotation]:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"annotations: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"annotations: {path} is not UTF-8: {exc}") from exc
     if not isinstance(payload, list):
         raise DataError("annotations: top-level value must be a list")
     return [_parse_annotation(obj, f"annotations[{i}]") for i, obj in enumerate(payload)]

@@ -8,10 +8,13 @@ computed value. The trajectory is box-filtered, differentiated with central
 differences, and boundaries are the points of the gradient that strictly
 dominate every neighbour within ``extrema_range`` on both sides. Positions
 with fewer than ``extrema_range`` neighbours on either side are ineligible,
-so no detection lies within that range of the trajectory ends.
+so no detection lies within that range of the trajectory ends. A video
+shorter than the window has no trajectory and is a ``DataError``.
 
-Everything here is pure over a frozen model; videos can be processed
-independently.
+``detect_boundaries`` returns each video's boundaries together with the
+raw, smoothed, and gradient signals they came from; ``detect_corpus`` does
+the same for a corpus. Everything here is pure over a frozen model; videos
+can be processed independently.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ class DetectorConfig:
     window: int = 10
     fir_half_width: int = 5
     extrema_range: int = 70
-    min_trajectory_len: int | None = None
 
     def __post_init__(self):
         if self.window < 3:
@@ -42,8 +44,6 @@ class DetectorConfig:
             raise ConfigError(f"fir_half_width must be >= 0, got {self.fir_half_width}")
         if self.extrema_range < 1:
             raise ConfigError(f"extrema_range must be >= 1, got {self.extrema_range}")
-        if self.min_trajectory_len is None:
-            self.min_trajectory_len = self.window
 
 
 @dataclass
@@ -97,11 +97,8 @@ def error_trajectory(
     """
     T = cfg.window
     n = video.num_frames
-    if n < max(T, cfg.min_trajectory_len):
-        raise DataError(
-            f"video {video.video_id!r} has {n} frames, needs >= "
-            f"{max(T, cfg.min_trajectory_len)}"
-        )
+    if n < T:
+        raise DataError(f"video {video.video_id!r} has {n} frames, needs >= {T}")
     if pos is None:
         pos = positional_embedding(T, enc.dim)
     mid = T // 2
@@ -167,13 +164,12 @@ def detect_boundaries(
     rec: Reconstructor,
     cfg: DetectorConfig,
     pos: np.ndarray | None = None,
-    return_signals: bool = False,
-):
+) -> tuple[BoundarySet, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Full pipeline: error trajectory -> smoothing -> gradient -> extrema.
 
-    Boundary scores are the gradient magnitude at the detected frame. With
-    ``return_signals`` the raw, smoothed, and gradient trajectories come back
-    too (for CSV dumps and plotting).
+    Returns the boundaries, scored by the gradient magnitude at each
+    detected frame, and the raw, smoothed, and gradient trajectories they
+    came from (for CSV dumps and plotting).
     """
     trajectory = error_trajectory(video, enc, rec, cfg, pos)
     smoothed = fir_smooth(trajectory.values, cfg.fir_half_width)
@@ -181,9 +177,7 @@ def detect_boundaries(
     frames = relative_extrema(grad, cfg.extrema_range)
     scores = [float(abs(grad[t])) for t in frames]
     boundaries = BoundarySet(video.video_id, video.num_frames, list(frames), scores)
-    if return_signals:
-        return boundaries, trajectory.values, smoothed, grad
-    return boundaries
+    return boundaries, (trajectory.values, smoothed, grad)
 
 
 def detect_corpus(
@@ -191,21 +185,13 @@ def detect_corpus(
     enc: EncoderPair,
     rec: Reconstructor,
     cfg: DetectorConfig,
-    return_signals: bool = False,
-):
-    """Detections for every video, merged in sorted video-id order."""
+) -> tuple[dict[str, BoundarySet], dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Detections and signals for every video, keyed in sorted video-id order."""
     pos = positional_embedding(cfg.window, enc.dim)
     detections: dict[str, BoundarySet] = {}
     signals: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for video in sorted(corpus, key=lambda s: s.video_id):
-        if return_signals:
-            bset, raw, smoothed, grad = detect_boundaries(
-                video, enc, rec, cfg, pos, return_signals=True
-            )
-            signals[video.video_id] = (raw, smoothed, grad)
-        else:
-            bset = detect_boundaries(video, enc, rec, cfg, pos)
-        detections[video.video_id] = bset
-    if return_signals:
-        return detections, signals
-    return detections
+        detections[video.video_id], signals[video.video_id] = detect_boundaries(
+            video, enc, rec, cfg, pos
+        )
+    return detections, signals

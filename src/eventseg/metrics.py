@@ -3,9 +3,10 @@
 Boundary detections are scored by relative distance: |detected - truth|
 divided by the video length, correct when at or below a threshold. Matching
 is maximum-cardinality one-to-one, with the smallest total distance among
-maximum matchings and crossing-free pair order on exact ties. Segment
-metrics (MoF, IoU) derive segments from boundaries, match them per video by
-maximum frame overlap through the Hungarian algorithm, and score matched
+maximum matchings; the matched detections and truths are paired in temporal
+order, so no two pairs cross, even where distances tie. Segment metrics
+(MoF, IoU) derive segments from boundaries, match them per video by maximum
+frame overlap through the Hungarian algorithm, and score matched
 intersections against the ground-truth segment sizes. Corpus precision,
 recall, and F1 are micro-averaged over boundary counts; per-video numbers
 are kept alongside for inspection.
@@ -49,7 +50,7 @@ def match_boundaries(det: BoundarySet, gt: BoundarySet, threshold: float) -> Mat
     """Maximum-cardinality one-to-one matching among pairs within threshold.
 
     Among maximum matchings the one with the smallest total distance wins;
-    remaining ties are resolved toward temporal (non-crossing) order.
+    its pairs are listed in temporal order and never cross.
     """
     if det.video_id != gt.video_id or det.num_frames != gt.num_frames:
         raise DataError(
@@ -58,42 +59,29 @@ def match_boundaries(det: BoundarySet, gt: BoundarySet, threshold: float) -> Mat
         )
     n_det, n_gt = len(det.frames), len(gt.frames)
     if n_det == 0 or n_gt == 0:
-        return MatchResult([], list(range(n_det)), list(range(n_gt)))
+        return _match_result([], n_det, n_gt)
     dist = np.abs(
         np.subtract.outer(np.asarray(det.frames, dtype=np.float64), np.asarray(gt.frames))
     ) / gt.num_frames
     valid = dist <= threshold
-    cost = np.where(valid, dist, _INVALID_COST)
-    rows, cols = linear_sum_assignment(cost)
-    pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if valid[i, j]]
-    pairs = _uncross(pairs, valid, dist)
-    matched_det = {i for i, _ in pairs}
-    matched_gt = {j for _, j in pairs}
+    rows, cols = linear_sum_assignment(np.where(valid, dist, _INVALID_COST))
+    kept = valid[rows, cols]
+    # On a line, pairing two equal-size point sets in order minimises both
+    # the total and the largest distance, so re-pairing the matched points
+    # in order keeps every pair within threshold and the total optimal, and
+    # resolves distance ties toward the non-crossing matching.
+    pairs = zip(sorted(rows[kept].tolist()), sorted(cols[kept].tolist()))
+    return _match_result(list(pairs), n_det, n_gt)
+
+
+def _match_result(pairs: list[tuple[int, int]], n_a: int, n_b: int) -> MatchResult:
+    matched_a = {i for i, _ in pairs}
+    matched_b = {j for _, j in pairs}
     return MatchResult(
-        sorted(pairs),
-        [i for i in range(n_det) if i not in matched_det],
-        [j for j in range(n_gt) if j not in matched_gt],
+        pairs,
+        [i for i in range(n_a) if i not in matched_a],
+        [j for j in range(n_b) if j not in matched_b],
     )
-
-
-def _uncross(pairs, valid, dist):
-    """Swap crossing pairs when the swap is valid and distance-neutral."""
-    pairs = sorted(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                i1, j1 = pairs[a]
-                i2, j2 = pairs[b]
-                if i1 < i2 and j1 > j2 and valid[i1, j2] and valid[i2, j1]:
-                    if np.isclose(
-                        dist[i1, j1] + dist[i2, j2], dist[i1, j2] + dist[i2, j1]
-                    ):
-                        pairs[a], pairs[b] = (i1, j2), (i2, j1)
-                        pairs.sort()
-                        changed = True
-    return pairs
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -102,12 +90,11 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def precision_recall_f1(matches, n_det: int, n_gt: int) -> tuple[float, float, float]:
-    """(P, R, F1) from a MatchResult or a true-positive count.
+def precision_recall_f1(tp: int, n_det: int, n_gt: int) -> tuple[float, float, float]:
+    """(P, R, F1) from a true-positive count.
 
     Empty predictions score precision 0 (and recall 0 with empty truth).
     """
-    tp = len(matches.pairs) if isinstance(matches, MatchResult) else int(matches)
     if tp > n_det or tp > n_gt:
         raise DataError(f"true positives {tp} exceed counts det={n_det}, gt={n_gt}")
     precision = tp / n_det if n_det > 0 else 0.0
@@ -145,26 +132,18 @@ def boundaries_to_segments(boundaries: BoundarySet) -> SegmentSet:
     return SegmentSet(boundaries.video_id, boundaries.num_frames, segments)
 
 
-def _overlap(a: tuple[int, int], b: tuple[int, int]) -> int:
-    return max(0, min(a[1], b[1]) - max(a[0], b[0]))
-
-
 def hungarian_match(pred: SegmentSet, gt: SegmentSet) -> MatchResult:
     """One-to-one segment assignment maximizing total frame overlap."""
     if pred.num_frames != gt.num_frames:
         raise DataError("segment matching needs equal video lengths")
-    overlaps = np.array(
-        [[_overlap(y, z) for z in gt.segments] for y in pred.segments], dtype=np.float64
-    )
+    pred_starts, pred_ends = np.array(pred.segments).T
+    gt_starts, gt_ends = np.array(gt.segments).T
+    overlaps = np.clip(
+        np.minimum.outer(pred_ends, gt_ends) - np.maximum.outer(pred_starts, gt_starts), 0, None
+    ).astype(np.float64)
     rows, cols = linear_sum_assignment(-overlaps)
-    pairs = sorted((int(i), int(j)) for i, j in zip(rows, cols))
-    matched_pred = {i for i, _ in pairs}
-    matched_gt = {j for _, j in pairs}
-    return MatchResult(
-        pairs,
-        [i for i in range(len(pred.segments)) if i not in matched_pred],
-        [j for j in range(len(gt.segments)) if j not in matched_gt],
-    )
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    return _match_result(pairs, len(pred.segments), len(gt.segments))
 
 
 def mof_iou(pred: SegmentSet, gt: SegmentSet, matching: MatchResult) -> tuple[float, float]:
@@ -173,19 +152,15 @@ def mof_iou(pred: SegmentSet, gt: SegmentSet, matching: MatchResult) -> tuple[fl
     Unmatched ground-truth segments contribute zero intersection (and their
     own size to the union), so they pull both metrics down.
     """
-    n_gt = len(gt.segments)
-    inter_by_gt = {j: _overlap(pred.segments[i], gt.segments[j]) for i, j in matching.pairs}
-    total_inter = sum(inter_by_gt.values())
-    total_gt = sum(end - start for start, end in gt.segments)
-    mof = total_inter / total_gt
+    total_inter = 0
     iou_sum = 0.0
-    for j, (start, end) in enumerate(gt.segments):
-        if j in inter_by_gt:
-            i = next(i for i, jj in matching.pairs if jj == j)
-            pred_size = pred.segments[i][1] - pred.segments[i][0]
-            union = pred_size + (end - start) - inter_by_gt[j]
-            iou_sum += inter_by_gt[j] / union
-    return mof, iou_sum / n_gt
+    for i, j in sorted(matching.pairs, key=lambda pair: pair[1]):
+        pred_start, pred_end = pred.segments[i]
+        gt_start, gt_end = gt.segments[j]
+        inter = max(0, min(pred_end, gt_end) - max(pred_start, gt_start))
+        total_inter += inter
+        iou_sum += inter / ((pred_end - pred_start) + (gt_end - gt_start) - inter)
+    return total_inter / gt.num_frames, iou_sum / len(gt.segments)
 
 
 def segment_scores(det: BoundarySet, gt: BoundarySet) -> tuple[float, float]:
@@ -208,22 +183,10 @@ class MetricReport:
     iou: float
     per_video: dict[str, dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "thresholds": self.thresholds,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "avg_precision": self.avg_precision,
-            "avg_recall": self.avg_recall,
-            "avg_f1": self.avg_f1,
-            "mof": self.mof,
-            "iou": self.iou,
-            "per_video": self.per_video,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        # vars() gives the fields in declaration order without the deep copy
+        # of every number that dataclasses.asdict makes.
+        return json.dumps(vars(self), indent=2) + "\n"
 
     def to_text_table(self) -> str:
         """Aligned table: one column per threshold plus their average."""
@@ -278,7 +241,7 @@ def evaluate_corpus(
     thresholds = [float(t) for t in thresholds]
     ids = sorted(det_ids)
     per_video: dict[str, dict] = {}
-    tp = np.zeros(len(thresholds))
+    tp = [0] * len(thresholds)
     n_det_total = 0
     n_gt_total = 0
     mofs, ious = [], []
@@ -291,9 +254,9 @@ def evaluate_corpus(
         video_p = []
         video_r = []
         for k, theta in enumerate(thresholds):
-            result = match_boundaries(det, gt, theta)
-            tp[k] += len(result.pairs)
-            p, r, f = precision_recall_f1(result, len(det.frames), len(gt.frames))
+            matched = len(match_boundaries(det, gt, theta).pairs)
+            tp[k] += matched
+            p, r, f = precision_recall_f1(matched, len(det.frames), len(gt.frames))
             video_p.append(p)
             video_r.append(r)
             video_f1.append(f)
@@ -309,7 +272,7 @@ def evaluate_corpus(
         }
     precision, recall, f1 = [], [], []
     for k in range(len(thresholds)):
-        p, r, f = precision_recall_f1(int(tp[k]), n_det_total, n_gt_total)
+        p, r, f = precision_recall_f1(tp[k], n_det_total, n_gt_total)
         precision.append(p)
         recall.append(r)
         f1.append(f)

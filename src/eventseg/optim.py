@@ -50,8 +50,3 @@ def sgd_step(params: Iterable[Parameter], opt: Optimizer) -> None:
         buf += p.grad + opt.weight_decay * p.data
         p.data -= opt.learning_rate * buf
         p.grad[...] = 0.0
-
-
-def zero_grad(params: Iterable[Parameter]) -> None:
-    for p in params:
-        p.zero_grad()

@@ -8,8 +8,8 @@ checks); reductions accumulate in float64 before casting back. Storage is
 row-major throughout. A tensor holding NaN or Inf is an error state; callers
 that can produce one (losses, optimizer steps) check explicitly.
 
-Gradient accumulation is additive across uses of a tensor; callers reset
-parameter gradients through ``sgd_step`` or ``zero_grad``.
+Gradient accumulation is additive across uses of a tensor; ``sgd_step``
+resets parameter gradients after each update.
 
 One recorded graph belongs to one thread. Separate graphs are independent.
 """
@@ -87,10 +87,6 @@ class Tensor:
     def zeros(shape, dtype=np.float32) -> "Tensor":
         return Tensor(np.zeros(shape, dtype=dtype))
 
-    @staticmethod
-    def ones(shape, dtype=np.float32) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=dtype))
-
     # -- basic introspection ---------------------------------------------------
 
     @property
@@ -118,10 +114,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """A view of the same values, cut off from the recorded graph."""
         return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     # -- graph machinery -------------------------------------------------------
 
@@ -384,10 +376,6 @@ class Parameter(Tensor):
 # -- composite operations used throughout the model ---------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return a @ b
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply affine.
 
@@ -415,31 +403,19 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exps / exps.sum(axis=axis, keepdims=True)
 
 
-def l2_normalize(x: Tensor, eps: float = 1e-12, return_degenerate: bool = False):
+def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale each row (last axis) to unit Euclidean norm.
 
-    Rows with norm below ``eps`` stay at zero. With ``return_degenerate=True``
-    also returns a boolean mask of those rows.
+    Rows with norm below ``eps`` are scaled by ``1/eps``, so zero rows stay
+    at zero.
     """
     norm_sq = (x * x).sum(axis=-1, keepdims=True)
     inv = norm_sq.clamp_min(eps * eps) ** -0.5
-    out = x * inv
-    if return_degenerate:
-        degenerate = np.sqrt(norm_sq.data[..., 0]) < eps
-        return out, degenerate
-    return out
+    return x * inv
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
     return (a * b).sum()
-
-
-def assert_finite(x: Tensor | np.ndarray, what: str = "tensor") -> None:
-    data = x.data if isinstance(x, Tensor) else x
-    if not np.isfinite(data).all():
-        from .errors import NumericsError
-
-        raise NumericsError(f"non-finite values in {what}")
 
 
 def finite_difference(fn, arrays: Iterable[np.ndarray], epsilon: float = 1e-3):

@@ -302,7 +302,7 @@ def _run_pipeline():
     corpus, annotations = synth_generate(cfg.synth)
     ann_map = annotations_by_id(annotations)
     result = run_training(corpus, cfg)
-    detections = detect_corpus(corpus, result.encoders, result.reconstructor, cfg.detector)
+    detections, _ = detect_corpus(corpus, result.encoders, result.reconstructor, cfg.detector)
     report = evaluate_corpus(detections, ann_map, cfg.thresholds)
     checkpoint_bytes = serialize_records(
         model_records(result.encoders, result.reconstructor, result.queue, model_meta(cfg))

@@ -104,3 +104,55 @@ def test_checkpoint_names_follow_scheme():
     assert any(n.startswith("ffr.layer1.mlp.") for n in names)
     assert any(n.startswith("ffr.layer0.ln1.") for n in names)
     assert any(n.startswith("ffr.head.") for n in names)
+
+
+def test_truncation_at_every_offset_is_a_format_error():
+    blob = serialize_records(_records())
+    for end in range(len(blob)):
+        with pytest.raises(TruncatedError):
+            deserialize_records(blob[:end])
+
+
+def test_huge_declared_dims_are_truncation_not_allocation():
+    blob = serialize_records([("big", np.zeros((1, 1), dtype=np.float32))])
+    # Rank 2 record: its two u32 dims follow the 10-byte header, the u16
+    # name length, the 3-byte name and the u8 rank.
+    dims_at = 10 + 2 + 3 + 1
+    huge = bytearray(blob)
+    huge[dims_at : dims_at + 8] = (2**32 - 1).to_bytes(4, "little") * 2
+    with pytest.raises(TruncatedError):
+        deserialize_records(bytes(huge))
+
+
+def test_non_utf8_record_name_is_format_error():
+    blob = serialize_records([("name", np.zeros(2, dtype=np.float32))])
+    with pytest.raises(FormatError) as err:
+        deserialize_records(blob.replace(b"name", b"n\xffme"))
+    assert "UTF-8" in str(err.value)
+
+
+def _tiny_model_records():
+    rng = np.random.default_rng(3)
+    enc = EncoderPair(4, 8, 0.99, rng)
+    rec = Reconstructor(8, 4, 1, rng)
+    queue = MemoryQueue(8)
+    queue.push(np.full(8, 8**-0.5, dtype=np.float32))
+    meta = {
+        "input_dim": 4, "embedding_dim": 8, "heads": 4, "layers": 1,
+        "window": 5, "queue_capacity": 8, "alpha": 0.99,
+    }
+    return enc, rec, queue, meta
+
+
+@pytest.mark.parametrize("record", ["ctfe.query.w1", "ffr.head.b", "ctfe.queue"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_model_rejects_non_finite_records(tmp_path, record, bad):
+    path = tmp_path / "model.bin"
+    save_model(path, *_tiny_model_records())
+    records = deserialize_records(path.read_bytes())
+    assert record in records
+    records[record].flat[0] = bad
+    path.write_bytes(serialize_records(list(records.items())))
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert repr(record) in str(err.value)

@@ -154,6 +154,19 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "stepz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [
+    b"[paths]\nout_dir = caf\xe9\n",
+    b"steps = 5\n",
+    b"[training]\nsteps = 5\nsteps = 6\n",
+], ids=["not-utf8", "no-section", "duplicate-key"])
+def test_malformed_ini_is_config_error(tmp_path, capsys, raw):
+    config = tmp_path / "bad.ini"
+    config.write_bytes(raw)
+    code = _run(["synth", "--config", config, "--out", tmp_path / "out"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
 def test_unparsable_ini_thresholds_is_config_error(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     config.write_text("[evaluation]\nthresholds = 0.05,abc\n")
@@ -227,3 +240,49 @@ def test_detect_rejects_corpus_width_mismatch(workspace, capsys):
     assert err.startswith("error: shape:")
     assert repr(seq.video_id) in err and "10" in err and "input_dim 8" in err
     assert not (out / "detections.json").exists()
+
+
+def test_short_video_aborts_detect_before_any_detection(workspace, capsys, monkeypatch):
+    from eventseg import FrameFeatureSequence, save_feature_file
+    from eventseg import cli
+
+    _, config, out = workspace
+    _run(["synth", "--config", config, "--out", out])
+    _run(["train", "--config", config, "--out", out])
+    short = FrameFeatureSequence("zz_short", 25.0, np.ones((5, 8), dtype=np.float32))
+    save_feature_file(short, out / "features" / "zz_short.csgf")
+
+    def no_detection(*args, **kwargs):
+        raise AssertionError("detection ran before the corpus was checked")
+
+    monkeypatch.setattr(cli, "detect_corpus", no_detection)
+    capsys.readouterr()
+    code = _run(["detect", "--config", config, "--out", out,
+                 "--checkpoint", out / "checkpoint.bin"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:")
+    assert "'zz_short'" in err and "5 frames" in err and "window 6" in err
+    assert not (out / "detections.json").exists()
+
+
+def test_non_utf8_checkpoint_record_name_is_format_error(workspace, capsys):
+    from eventseg import serialize_records
+
+    _, config, out = workspace
+    out.mkdir(parents=True, exist_ok=True)
+    blob = serialize_records([("name", np.zeros(2, dtype=np.float32))])
+    (out / "bad.bin").write_bytes(blob.replace(b"name", b"n\xffme"))
+    code = _run(["detect", "--config", config, "--out", out,
+                 "--checkpoint", out / "bad.bin"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: format:")
+
+
+def test_non_utf8_detections_json_is_data_error(workspace, capsys):
+    _, config, out = workspace
+    _run(["synth", "--config", config, "--out", out])
+    (out / "detections.json").write_bytes(b'[{"video_id": "caf\xe9"}]')
+    code = _run(["eval", "--config", config, "--out", out])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: data:")

@@ -67,7 +67,6 @@ def test_int_pair_needs_exactly_two_ints(tmp_path, value):
 @pytest.mark.parametrize("section, key, value", [
     ("training", "steps", "5.5"),
     ("optimizer", "momentum", "fast"),
-    ("detector", "min_trajectory_len", "1.5"),
 ])
 def test_unparsable_scalar_is_config_error(tmp_path, section, key, value):
     path = tmp_path / "bad.ini"

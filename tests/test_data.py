@@ -130,6 +130,32 @@ def test_feature_file_error_taxonomy(tmp_path):
         load_feature_file(padded)
 
 
+def test_feature_file_truncated_at_every_offset(tmp_path):
+    seq = FrameFeatureSequence("clip", 30.0, np.arange(6, dtype=np.float32).reshape(3, 2))
+    path = tmp_path / "clip.csgf"
+    save_feature_file(seq, path)
+    blob = path.read_bytes()
+    for end in range(len(blob)):
+        path.write_bytes(blob[:end])
+        with pytest.raises(TruncatedError):
+            load_feature_file(path)
+
+
+def test_feature_file_huge_declared_dims(tmp_path):
+    path = tmp_path / "huge.csgf"
+    path.write_bytes(struct.pack("<4sHIIf", b"CSGF", 1, 2**32 - 1, 2**32 - 1, 25.0))
+    with pytest.raises(TruncatedError):
+        load_feature_file(path)
+
+
+def test_non_utf8_annotations_are_data_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('[{"video_id": "caf\u00e9"}]'.encode("latin-1"))
+    with pytest.raises(DataError) as err:
+        load_annotations(path)
+    assert "UTF-8" in str(err.value)
+
+
 def test_annotations_round_trip(tmp_path):
     annotations = [
         Annotation("a", 100, 25.0, [10, 50, 90]),

@@ -198,7 +198,7 @@ def test_detect_boundaries_zero_trajectory_detects_nothing():
         "v", 25.0, np.tile(np.ones(6, dtype=np.float32), (60, 1))
     )
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
-    result = detect_boundaries(video, enc, rec, cfg)
+    result, _ = detect_boundaries(video, enc, rec, cfg)
     assert result.frames == []
 
 
@@ -207,8 +207,8 @@ def test_detect_boundaries_deterministic_and_scored():
     rng = np.random.default_rng(9)
     video = FrameFeatureSequence("v", 25.0, rng.normal(size=(80, 6)).astype(np.float32))
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
-    a, raw_a, smooth_a, grad_a = detect_boundaries(video, enc, rec, cfg, return_signals=True)
-    b = detect_boundaries(video, enc, rec, cfg)
+    a, (raw_a, smooth_a, grad_a) = detect_boundaries(video, enc, rec, cfg)
+    b, _ = detect_boundaries(video, enc, rec, cfg)
     assert a.frames == b.frames and a.scores == b.scores
     assert len(raw_a) == len(smooth_a) == len(grad_a) == 80
     for frame, score in zip(a.frames, a.scores):

@@ -4,12 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from eventseg import (
     Annotation,
     BoundarySet,
     DataError,
-    MatchResult,
     boundaries_to_segments,
     evaluate_corpus,
     f1_score,
@@ -45,6 +45,37 @@ def brute_force_boundary_match(det, gt, num_frames, threshold):
             best = (size, found)
             break
     return best
+
+
+def assignment_pairs(det, gt, num_frames, threshold):
+    """Valid pairs of the minimum-cost assignment, sorted; may cross on ties."""
+    dist = np.abs(np.subtract.outer(np.asarray(det, dtype=np.float64), np.asarray(gt)))
+    dist /= num_frames
+    valid = dist <= threshold
+    rows, cols = linear_sum_assignment(np.where(valid, dist, 1e9))
+    pairs = sorted((int(i), int(j)) for i, j in zip(rows, cols) if valid[i, j])
+    return pairs, valid, dist
+
+
+def fixpoint_match_pairs(det, gt, num_frames, threshold):
+    """The former matcher: the assignment, then a fixpoint loop that swaps
+    crossing pairs while a swap is valid and distance-neutral."""
+    pairs, valid, dist = assignment_pairs(det, gt, num_frames, threshold)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(pairs)):
+            for b in range(a + 1, len(pairs)):
+                i1, j1 = pairs[a]
+                i2, j2 = pairs[b]
+                if i1 < i2 and j1 > j2 and valid[i1, j2] and valid[i2, j1]:
+                    if np.isclose(
+                        dist[i1, j1] + dist[i2, j2], dist[i1, j2] + dist[i2, j1]
+                    ):
+                        pairs[a], pairs[b] = (i1, j2), (i2, j1)
+                        pairs.sort()
+                        changed = True
+    return pairs
 
 
 def brute_force_segment_match(overlaps):
@@ -115,6 +146,32 @@ def test_match_against_brute_force():
         seen_gt = [j for _, j in result.pairs]
         assert len(set(seen_det)) == len(seen_det)
         assert len(set(seen_gt)) == len(seen_gt)
+        # Crossing-free: ordered by detection, the truths are ordered too.
+        assert seen_det == sorted(seen_det) and seen_gt == sorted(seen_gt)
+
+
+def test_match_pairs_equal_fixpoint_oracle():
+    rng = np.random.default_rng(4)
+    crossed = 0
+    for _ in range(2000):
+        num_frames = int(rng.integers(40, 3001))
+        det_frames = sorted(rng.choice(num_frames, size=int(rng.integers(0, 41)),
+                                       replace=False).tolist())
+        gt_frames = sorted(rng.choice(num_frames, size=int(rng.integers(0, 41)),
+                                      replace=False).tolist())
+        threshold = float(rng.uniform(0.005, 0.3))
+        result = match_boundaries(
+            BoundarySet("v", num_frames, det_frames),
+            BoundarySet("v", num_frames, gt_frames),
+            threshold,
+        )
+        assert result.pairs == fixpoint_match_pairs(
+            det_frames, gt_frames, num_frames, threshold
+        )
+        raw, _, _ = assignment_pairs(det_frames, gt_frames, num_frames, threshold)
+        crossed += [j for _, j in raw] != sorted(j for _, j in raw)
+    # The cases must exercise the swaps, not only crossing-free assignments.
+    assert crossed >= 500, crossed
 
 
 def test_match_swapping_sides_swaps_precision_recall():
@@ -122,8 +179,8 @@ def test_match_swapping_sides_swaps_precision_recall():
     gt = BoundarySet("v", 100, [12, 69])
     forward = match_boundaries(det, gt, 0.05)
     backward = match_boundaries(gt, det, 0.05)
-    p1, r1, _ = precision_recall_f1(forward, 3, 2)
-    p2, r2, _ = precision_recall_f1(backward, 2, 3)
+    p1, r1, _ = precision_recall_f1(len(forward.pairs), 3, 2)
+    p2, r2, _ = precision_recall_f1(len(backward.pairs), 2, 3)
     assert p1 == pytest.approx(r2)
     assert r1 == pytest.approx(p2)
 
@@ -136,7 +193,7 @@ def test_precision_recall_f1_reference_rows():
 
     assert precision_recall_f1(3, 3, 3) == (1.0, 1.0, 1.0)
     assert precision_recall_f1(0, 0, 5) == (0.0, 0.0, 0.0)
-    assert precision_recall_f1(MatchResult([], [], []), 0, 0) == (0.0, 0.0, 0.0)
+    assert precision_recall_f1(0, 0, 0) == (0.0, 0.0, 0.0)
 
 
 def test_boundaries_to_segments():
@@ -173,6 +230,8 @@ def test_hungarian_against_factorial_oracle():
         )
         got = sum(overlaps[i, j] for i, j in result.pairs)
         assert got == brute_force_segment_match(overlaps)
+        rows, cols = linear_sum_assignment(-overlaps)
+        assert result.pairs == list(zip(rows.tolist(), cols.tolist()))
 
 
 def test_mof_iou_identity():
@@ -201,6 +260,22 @@ def test_mof_iou_single_prediction_over_two_events():
     assert iou == pytest.approx(0.25)
 
 
+def former_mof_iou(pred, gt, matching):
+    """The former dictionary-and-scan MoF/IoU, kept as the exact oracle."""
+    def overlap(a, b):
+        return max(0, min(a[1], b[1]) - max(a[0], b[0]))
+
+    inter_by_gt = {j: overlap(pred.segments[i], gt.segments[j]) for i, j in matching.pairs}
+    mof = sum(inter_by_gt.values()) / sum(end - start for start, end in gt.segments)
+    iou_sum = 0.0
+    for j, (start, end) in enumerate(gt.segments):
+        if j in inter_by_gt:
+            i = next(i for i, jj in matching.pairs if jj == j)
+            pred_size = pred.segments[i][1] - pred.segments[i][0]
+            iou_sum += inter_by_gt[j] / (pred_size + (end - start) - inter_by_gt[j])
+    return mof, iou_sum / len(gt.segments)
+
+
 def test_mof_iou_bounds_random():
     rng = np.random.default_rng(2)
     for _ in range(100):
@@ -209,11 +284,15 @@ def test_mof_iou_bounds_random():
                                   size=int(rng.integers(0, 5)), replace=False).tolist())
         gt_b = sorted(rng.choice(np.arange(1, num_frames),
                                  size=int(rng.integers(0, 5)), replace=False).tolist())
-        mof, iou = segment_scores(
-            BoundarySet("v", num_frames, det_b), BoundarySet("v", num_frames, gt_b)
-        )
+        det = BoundarySet("v", num_frames, det_b)
+        gt = BoundarySet("v", num_frames, gt_b)
+        mof, iou = segment_scores(det, gt)
         assert 0.0 <= mof <= 1.0
         assert 0.0 <= iou <= 1.0
+        pred_segs, gt_segs = boundaries_to_segments(det), boundaries_to_segments(gt)
+        assert (mof, iou) == former_mof_iou(
+            pred_segs, gt_segs, hungarian_match(pred_segs, gt_segs)
+        )
 
 
 def test_f1_monotone_in_threshold():
@@ -229,7 +308,7 @@ def test_f1_monotone_in_threshold():
         last = -1.0
         for theta in np.arange(0.05, 0.55, 0.05):
             _, _, f1 = precision_recall_f1(
-                match_boundaries(det, gt, float(theta)), len(det_b), len(gt_b)
+                len(match_boundaries(det, gt, float(theta)).pairs), len(det_b), len(gt_b)
             )
             assert f1 >= last - 1e-12
             last = f1

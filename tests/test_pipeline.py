@@ -74,7 +74,7 @@ def test_end_to_end_detection_on_clean_three_event_stream():
     det_cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=8)
     for seq in corpus:
         truth = ann_map[seq.video_id].boundaries
-        detected = detect_boundaries(seq, result.encoders, result.reconstructor, det_cfg)
+        detected, _ = detect_boundaries(seq, result.encoders, result.reconstructor, det_cfg)
         assert len(detected.frames) == 2, seq.video_id
         for frame in detected.frames:
             assert min(rel_dis(frame, b, seq.num_frames) for b in truth) <= 0.05

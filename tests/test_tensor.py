@@ -196,9 +196,8 @@ def test_l2_normalize_cases():
     unit = np.array([[1.0, 0.0]], dtype=np.float32)
     np.testing.assert_allclose(l2_normalize(Tensor(unit)).data, unit, atol=1e-6)
 
-    out, degenerate = l2_normalize(Tensor([[0.0, 0.0], [1.0, 0.0]]), return_degenerate=True)
+    out = l2_normalize(Tensor([[0.0, 0.0], [1.0, 0.0]]))
     np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
-    assert degenerate.tolist() == [True, False]
 
 
 def test_l2_normalize_gradient():

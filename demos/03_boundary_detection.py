@@ -45,7 +45,7 @@ detected, (raw, smoothed, grad) = detect_boundaries(
 )
 print(f"\n{video.video_id}: {video.num_frames} frames")
 print(f"true boundaries:     {truth}")
-print(f"detected boundaries: {detected.frames}")
+print(f"detected boundaries: {detected.boundaries}")
 
 # A bar per frame, sampled every 4 frames: the error trajectory in ASCII.
 peak = raw.max()
@@ -55,7 +55,7 @@ for t in range(0, video.num_frames, 4):
     marks = ""
     if any(abs(t - b) <= 2 for b in truth):
         marks += " B"
-    if any(abs(t - d) <= 2 for d in detected.frames):
+    if any(abs(t - d) <= 2 for d in detected.boundaries):
         marks += " D"
     print(f"  {t:4d} {bar}{marks}")
 

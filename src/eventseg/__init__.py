@@ -30,7 +30,6 @@ from .data import (
     synth_generate,
 )
 from .detection import (
-    BoundarySet,
     DetectorConfig,
     ErrorTrajectory,
     detect_boundaries,
@@ -94,9 +93,6 @@ from .tensor import (
     Parameter,
     Tensor,
     as_tensor,
-    dot,
-    finite_difference,
-    gradients_close,
     l2_normalize,
     layer_norm,
     no_grad,

@@ -15,7 +15,6 @@ from pathlib import Path
 from . import checkpoint as ckpt
 from .config import RunConfig, load_config, parse_thresholds
 from .data import (
-    Annotation,
     annotations_by_id,
     load_annotations,
     load_corpus,
@@ -112,14 +111,9 @@ def cmd_detect(cfg: RunConfig, args) -> int:
             for i in range(len(raw)):
                 lines.append(f"{i},{raw[i]:.8f},{smoothed[i]:.8f},{grad[i]:.8f}")
             (traj_dir / f"{vid}.csv").write_text("\n".join(lines) + "\n")
-    fps_by_id = {seq.video_id: seq.fps for seq in corpus}
-    payload = [
-        Annotation(vid, det.num_frames, fps_by_id[vid], det.frames, det.scores)
-        for vid, det in detections.items()
-    ]
     detections_path = Path(cfg.paths.detections or out / "detections.json")
-    save_annotations(payload, detections_path)
-    n = sum(len(det.frames) for det in detections.values())
+    save_annotations(detections.values(), detections_path)
+    n = sum(len(det.boundaries) for det in detections.values())
     print(f"wrote {n} boundaries for {len(detections)} videos to {detections_path}")
     return 0
 

@@ -12,15 +12,20 @@ u32 num_frames, f32 fps, then num_frames x dim float32 values row-major.
 
 Annotation JSON: a list of ``{"video_id": str, "num_frames": int,
 "fps": number, "boundaries": [int, ...]}`` objects; detection files use the
-same schema plus ``"scores"`` aligned with ``"boundaries"``.
+same schema plus ``"scores"`` aligned with ``"boundaries"``. Both load into
+``Annotation``, the one boundary record, which needs ``num_frames`` >= 1, a
+finite ``fps`` > 0 (as a feature sequence does) and boundaries strictly
+increasing inside [0, num_frames).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -48,8 +53,8 @@ class FrameFeatureSequence:
             )
         if not np.isfinite(self.features).all():
             raise DataError(f"non-finite feature values in {self.video_id!r}")
-        if not self.fps > 0:
-            raise DataError(f"fps must be positive for {self.video_id!r}")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise DataError(f"fps must be finite and positive for {self.video_id!r}")
 
     @property
     def num_frames(self) -> int:
@@ -62,7 +67,7 @@ class FrameFeatureSequence:
 
 @dataclass
 class Annotation:
-    """Ground-truth (or detected) boundary frame indices for one video."""
+    """One video's boundary frames: ground truth, or detections with scores."""
 
     video_id: str
     num_frames: int
@@ -71,21 +76,32 @@ class Annotation:
     scores: list[float] | None = None
 
     def __post_init__(self):
+        # Messages start with the field, so the JSON loader can prefix the
+        # record's path to them.
+        video = f"(video {self.video_id!r})"
+        if self.num_frames < 1:
+            raise DataError(f"num_frames = {self.num_frames} is below 1 {video}")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise DataError(f"fps = {self.fps} is not finite and positive {video}")
         self.boundaries = [int(b) for b in self.boundaries]
         for i, b in enumerate(self.boundaries):
             if not 0 <= b < self.num_frames:
                 raise DataError(
-                    f"{self.video_id!r}: boundaries[{i}] = {b} outside [0, {self.num_frames})"
+                    f"boundaries[{i}] = {b} outside [0, {self.num_frames}) {video}"
                 )
             if i > 0 and b <= self.boundaries[i - 1]:
-                raise DataError(
-                    f"{self.video_id!r}: boundaries[{i}] = {b} not strictly increasing"
-                )
+                raise DataError(f"boundaries[{i}] = {b} not strictly increasing {video}")
         if self.scores is not None and len(self.scores) != len(self.boundaries):
             raise DataError(
-                f"{self.video_id!r}: scores length {len(self.scores)} != "
-                f"boundaries length {len(self.boundaries)}"
+                f"scores has length {len(self.scores)}, boundaries "
+                f"{len(self.boundaries)} {video}"
             )
+
+    @property
+    def frames(self) -> list[int]:
+        # bench/tracer.py reads the boundaries of match_boundaries' and
+        # segment_scores' arguments under this name.
+        return self.boundaries
 
 
 @dataclass
@@ -212,6 +228,13 @@ def load_corpus(directory, allow_empty: bool = False) -> list[FrameFeatureSequen
 # -- annotation / detection JSON ----------------------------------------------
 
 
+def _float(value, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise DataError(f"{where}: integer too large for a float") from exc
+
+
 def _parse_annotation(obj, where: str) -> Annotation:
     if not isinstance(obj, dict):
         raise DataError(f"{where}: expected an object")
@@ -220,6 +243,7 @@ def _parse_annotation(obj, where: str) -> Annotation:
             raise DataError(f"{where}.{key}: missing")
         if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
             raise DataError(f"{where}.{key}: expected {kind}, got {type(obj[key]).__name__}")
+    fps = _float(obj["fps"], f"{where}.fps")
     raw = obj.get("boundaries")
     if not isinstance(raw, list):
         raise DataError(f"{where}.boundaries: expected a list")
@@ -232,27 +256,28 @@ def _parse_annotation(obj, where: str) -> Annotation:
             isinstance(s, (int, float)) and not isinstance(s, bool) for s in scores
         ):
             raise DataError(f"{where}.scores: expected a list of numbers")
-        scores = [float(s) for s in scores]
+        scores = [_float(s, f"{where}.scores[{i}]") for i, s in enumerate(scores)]
     try:
-        return Annotation(obj["video_id"], obj["num_frames"], float(obj["fps"]), raw, scores)
+        return Annotation(obj["video_id"], obj["num_frames"], fps, raw, scores)
     except DataError as exc:
-        raise DataError(f"{where}: {exc}") from exc
+        raise DataError(f"{where}.{exc}") from exc
 
 
 def load_annotations(path) -> list[Annotation]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"annotations: invalid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise DataError(f"annotations: {path} is not UTF-8: {exc}") from exc
+        except ValueError as exc:
+            # JSONDecodeError, or an integer longer than Python's digit limit.
+            raise DataError(f"annotations: invalid JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise DataError("annotations: top-level value must be a list")
     return [_parse_annotation(obj, f"annotations[{i}]") for i, obj in enumerate(payload)]
 
 
-def save_annotations(annotations: list[Annotation], path) -> None:
+def save_annotations(annotations: Iterable[Annotation], path) -> None:
     payload = []
     for ann in annotations:
         obj = {

@@ -11,10 +11,11 @@ with fewer than ``extrema_range`` neighbours on either side are ineligible,
 so no detection lies within that range of the trajectory ends. A video
 shorter than the window has no trajectory and is a ``DataError``.
 
-``detect_boundaries`` returns each video's boundaries together with the
-raw, smoothed, and gradient signals they came from; ``detect_corpus`` does
-the same for a corpus. Everything here is pure over a frozen model; videos
-can be processed independently.
+``detect_boundaries`` returns each video's boundaries, a ``data.Annotation``
+with one gradient-magnitude score per boundary, together with the raw,
+smoothed, and gradient signals they came from; ``detect_corpus`` does the
+same for a corpus. Everything here is pure over a frozen model; videos can
+be processed independently.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import FrameFeatureSequence
+from .data import Annotation, FrameFeatureSequence
 from .embedding import EncoderPair, encode_query
 from .errors import ConfigError, DataError
 from .reconstruction import Reconstructor, masked_reconstruct, positional_embedding
@@ -59,28 +60,6 @@ class ErrorTrajectory:
             raise DataError("error trajectory must be 1-d")
         if not np.isfinite(self.values).all() or (self.values < 0).any():
             raise DataError(f"trajectory for {self.video_id!r} must be finite and >= 0")
-
-
-@dataclass
-class BoundarySet:
-    """Sorted boundary frame indices for one video."""
-
-    video_id: str
-    num_frames: int
-    frames: list[int]
-    scores: list[float] | None = None
-
-    def __post_init__(self):
-        self.frames = [int(f) for f in self.frames]
-        for i, f in enumerate(self.frames):
-            if not 0 <= f < self.num_frames:
-                raise DataError(
-                    f"{self.video_id!r}: boundary {f} outside [0, {self.num_frames})"
-                )
-            if i > 0 and f <= self.frames[i - 1]:
-                raise DataError(f"{self.video_id!r}: boundaries must be strictly increasing")
-        if self.scores is not None and len(self.scores) != len(self.frames):
-            raise DataError(f"{self.video_id!r}: scores must align with boundaries")
 
 
 def error_trajectory(
@@ -164,7 +143,7 @@ def detect_boundaries(
     rec: Reconstructor,
     cfg: DetectorConfig,
     pos: np.ndarray | None = None,
-) -> tuple[BoundarySet, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[Annotation, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Full pipeline: error trajectory -> smoothing -> gradient -> extrema.
 
     Returns the boundaries, scored by the gradient magnitude at each
@@ -176,7 +155,7 @@ def detect_boundaries(
     grad = gradient(smoothed)
     frames = relative_extrema(grad, cfg.extrema_range)
     scores = [float(abs(grad[t])) for t in frames]
-    boundaries = BoundarySet(video.video_id, video.num_frames, list(frames), scores)
+    boundaries = Annotation(video.video_id, video.num_frames, video.fps, frames, scores)
     return boundaries, (trajectory.values, smoothed, grad)
 
 
@@ -185,10 +164,10 @@ def detect_corpus(
     enc: EncoderPair,
     rec: Reconstructor,
     cfg: DetectorConfig,
-) -> tuple[dict[str, BoundarySet], dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+) -> tuple[dict[str, Annotation], dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Detections and signals for every video, keyed in sorted video-id order."""
     pos = positional_embedding(cfg.window, enc.dim)
-    detections: dict[str, BoundarySet] = {}
+    detections: dict[str, Annotation] = {}
     signals: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for video in sorted(corpus, key=lambda s: s.video_id):
         detections[video.video_id], signals[video.video_id] = detect_boundaries(

@@ -1,5 +1,8 @@
 """Boundary and segment scoring.
 
+Detections and ground truth are both ``data.Annotation`` records, which
+``evaluate_corpus`` takes keyed by video id (see ``data.annotations_by_id``).
+
 Boundary detections are scored by relative distance: |detected - truth|
 divided by the video length, correct when at or below a threshold. Matching
 is maximum-cardinality one-to-one, with the smallest total distance among
@@ -22,7 +25,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .data import Annotation
-from .detection import BoundarySet
 from .errors import DataError
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
@@ -46,7 +48,7 @@ class MatchResult:
     unmatched_gt: list[int]
 
 
-def match_boundaries(det: BoundarySet, gt: BoundarySet, threshold: float) -> MatchResult:
+def match_boundaries(det: Annotation, gt: Annotation, threshold: float) -> MatchResult:
     """Maximum-cardinality one-to-one matching among pairs within threshold.
 
     Among maximum matchings the one with the smallest total distance wins;
@@ -57,11 +59,11 @@ def match_boundaries(det: BoundarySet, gt: BoundarySet, threshold: float) -> Mat
             f"matching needs the same video: {det.video_id!r}/{det.num_frames} vs "
             f"{gt.video_id!r}/{gt.num_frames}"
         )
-    n_det, n_gt = len(det.frames), len(gt.frames)
+    n_det, n_gt = len(det.boundaries), len(gt.boundaries)
     if n_det == 0 or n_gt == 0:
         return _match_result([], n_det, n_gt)
     dist = np.abs(
-        np.subtract.outer(np.asarray(det.frames, dtype=np.float64), np.asarray(gt.frames))
+        np.subtract.outer(np.asarray(det.boundaries, dtype=np.float64), gt.boundaries)
     ) / gt.num_frames
     valid = dist <= threshold
     rows, cols = linear_sum_assignment(np.where(valid, dist, _INVALID_COST))
@@ -125,11 +127,11 @@ class SegmentSet:
             )
 
 
-def boundaries_to_segments(boundaries: BoundarySet) -> SegmentSet:
+def boundaries_to_segments(ann: Annotation) -> SegmentSet:
     """Boundaries b1..bn over F frames -> [0,b1), [b1,b2), ..., [bn,F)."""
-    edges = [0] + list(boundaries.frames) + [boundaries.num_frames]
+    edges = [0] + ann.boundaries + [ann.num_frames]
     segments = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    return SegmentSet(boundaries.video_id, boundaries.num_frames, segments)
+    return SegmentSet(ann.video_id, ann.num_frames, segments)
 
 
 def hungarian_match(pred: SegmentSet, gt: SegmentSet) -> MatchResult:
@@ -163,7 +165,7 @@ def mof_iou(pred: SegmentSet, gt: SegmentSet, matching: MatchResult) -> tuple[fl
     return total_inter / gt.num_frames, iou_sum / len(gt.segments)
 
 
-def segment_scores(det: BoundarySet, gt: BoundarySet) -> tuple[float, float]:
+def segment_scores(det: Annotation, gt: Annotation) -> tuple[float, float]:
     """MoF and IoU of the segmentations induced by two boundary sets."""
     pred_segs = boundaries_to_segments(det)
     gt_segs = boundaries_to_segments(gt)
@@ -208,17 +210,9 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def _as_boundary_set(entry, what: str) -> BoundarySet:
-    if isinstance(entry, BoundarySet):
-        return entry
-    if isinstance(entry, Annotation):
-        return BoundarySet(entry.video_id, entry.num_frames, entry.boundaries, entry.scores)
-    raise DataError(f"{what} must be BoundarySet or Annotation, got {type(entry).__name__}")
-
-
 def evaluate_corpus(
-    detections: Mapping[str, BoundarySet],
-    annotations: Mapping[str, Annotation] | Sequence[Annotation],
+    detections: Mapping[str, Annotation],
+    annotations: Mapping[str, Annotation],
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> MetricReport:
     """Score a corpus of detections against its annotations.
@@ -227,8 +221,6 @@ def evaluate_corpus(
     id missing from either side. Precision/recall/F1 are micro-averaged over
     boundary counts per threshold; MoF and IoU are means over videos.
     """
-    if not isinstance(annotations, Mapping):
-        annotations = {a.video_id: a for a in annotations}
     det_ids = set(detections)
     ann_ids = set(annotations)
     if det_ids != ann_ids:
@@ -246,17 +238,16 @@ def evaluate_corpus(
     n_gt_total = 0
     mofs, ious = [], []
     for vid in ids:
-        det = _as_boundary_set(detections[vid], "detection")
-        gt = _as_boundary_set(annotations[vid], "annotation")
-        n_det_total += len(det.frames)
-        n_gt_total += len(gt.frames)
+        det, gt = detections[vid], annotations[vid]
+        n_det_total += len(det.boundaries)
+        n_gt_total += len(gt.boundaries)
         video_f1 = []
         video_p = []
         video_r = []
         for k, theta in enumerate(thresholds):
             matched = len(match_boundaries(det, gt, theta).pairs)
             tp[k] += matched
-            p, r, f = precision_recall_f1(matched, len(det.frames), len(gt.frames))
+            p, r, f = precision_recall_f1(matched, len(det.boundaries), len(gt.boundaries))
             video_p.append(p)
             video_r.append(r)
             video_f1.append(f)

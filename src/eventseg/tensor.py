@@ -17,7 +17,7 @@ One recorded graph belongs to one thread. Separate graphs are independent.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -412,43 +412,3 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     norm_sq = (x * x).sum(axis=-1, keepdims=True)
     inv = norm_sq.clamp_min(eps * eps) ** -0.5
     return x * inv
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    return (a * b).sum()
-
-
-def finite_difference(fn, arrays: Iterable[np.ndarray], epsilon: float = 1e-3):
-    """Central-difference gradients of scalar ``fn()`` w.r.t. entries of ``arrays``.
-
-    ``fn`` must recompute its value from the arrays' current contents. Used by
-    the test-suite oracles; kept here so every layer can check itself the same
-    way.
-    """
-    grads = []
-    for arr in arrays:
-        grad = np.zeros(arr.shape, dtype=np.float64)
-        for i in range(arr.size):
-            original = arr.flat[i]
-            arr.flat[i] = original + epsilon
-            hi = fn()
-            arr.flat[i] = original - epsilon
-            lo = fn()
-            arr.flat[i] = original
-            grad.flat[i] = (hi - lo) / (2.0 * epsilon)
-        grads.append(grad)
-    return grads
-
-
-def gradients_close(
-    analytic: np.ndarray,
-    numeric: np.ndarray,
-    rel_tol: float = 1e-3,
-    abs_tol: float = 1e-5,
-) -> bool:
-    """True when every entry agrees within rel_tol (abs_tol near zero)."""
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
-    diff = np.abs(analytic - numeric)
-    scale = np.maximum(np.abs(analytic), np.abs(numeric))
-    return bool(np.all(diff <= np.maximum(rel_tol * scale, abs_tol)))

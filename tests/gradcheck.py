@@ -1,0 +1,50 @@
+"""Gradient-check helpers shared by the test modules.
+
+``finite_difference`` gives central-difference gradients to compare with
+the autodiff ones, ``gradients_close`` compares the two, and ``dot`` reduces
+two tensors to a scalar loss.
+"""
+
+from typing import Iterable
+
+import numpy as np
+
+from eventseg import Tensor
+
+
+def dot(a: Tensor, b: Tensor) -> Tensor:
+    return (a * b).sum()
+
+
+def finite_difference(fn, arrays: Iterable[np.ndarray], epsilon: float = 1e-3):
+    """Central-difference gradients of scalar ``fn()`` w.r.t. entries of ``arrays``.
+
+    ``fn`` must recompute its value from the arrays' current contents.
+    """
+    grads = []
+    for arr in arrays:
+        grad = np.zeros(arr.shape, dtype=np.float64)
+        for i in range(arr.size):
+            original = arr.flat[i]
+            arr.flat[i] = original + epsilon
+            hi = fn()
+            arr.flat[i] = original - epsilon
+            lo = fn()
+            arr.flat[i] = original
+            grad.flat[i] = (hi - lo) / (2.0 * epsilon)
+        grads.append(grad)
+    return grads
+
+
+def gradients_close(
+    analytic: np.ndarray,
+    numeric: np.ndarray,
+    rel_tol: float = 1e-3,
+    abs_tol: float = 1e-5,
+) -> bool:
+    """True when every entry agrees within rel_tol (abs_tol near zero)."""
+    analytic = np.asarray(analytic, dtype=np.float64)
+    numeric = np.asarray(numeric, dtype=np.float64)
+    diff = np.abs(analytic - numeric)
+    scale = np.maximum(np.abs(analytic), np.abs(numeric))
+    return bool(np.all(diff <= np.maximum(rel_tol * scale, abs_tol)))

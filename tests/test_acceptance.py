@@ -16,7 +16,6 @@ import pytest
 
 from eventseg import (
     Annotation,
-    BoundarySet,
     ContrastiveConfig,
     EncoderPair,
     MemoryQueue,
@@ -32,7 +31,6 @@ from eventseg import (
     detect_corpus,
     evaluate_corpus,
     f1_score,
-    finite_difference,
     hungarian_match,
     info_nce_loss,
     load_feature_file,
@@ -52,6 +50,8 @@ from eventseg.checkpoint import model_records, serialize_records
 from eventseg.detection import fir_smooth, gradient, relative_extrema
 from eventseg.metrics import SegmentSet
 from eventseg.training import model_meta
+
+from gradcheck import finite_difference
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -234,8 +234,8 @@ def test_criterion_4_matching_oracles():
         det_frames = sorted(rng.choice(num_frames, size=n_det, replace=False).tolist())
         gt_frames = sorted(rng.choice(num_frames, size=n_gt, replace=False).tolist())
         threshold = float(rng.uniform(0.02, 0.3))
-        det = BoundarySet("v", num_frames, det_frames)
-        gt = BoundarySet("v", num_frames, gt_frames)
+        det = Annotation("v", num_frames, 25.0, det_frames)
+        gt = Annotation("v", num_frames, 25.0, gt_frames)
         result = match_boundaries(det, gt, threshold)
         size, total = _brute_boundary(det_frames, gt_frames, num_frames, threshold)
         assert len(result.pairs) == size, f"case {case}"
@@ -248,8 +248,8 @@ def test_criterion_4_matching_oracles():
                                    size=int(rng.integers(0, 6)), replace=False).tolist())
         gt_b = sorted(rng.choice(np.arange(1, num_frames),
                                  size=int(rng.integers(0, 6)), replace=False).tolist())
-        pred = boundaries_to_segments(BoundarySet("v", num_frames, pred_b))
-        gt = boundaries_to_segments(BoundarySet("v", num_frames, gt_b))
+        pred = boundaries_to_segments(Annotation("v", num_frames, 25.0, pred_b))
+        gt = boundaries_to_segments(Annotation("v", num_frames, 25.0, gt_b))
         result = hungarian_match(pred, gt)
         overlaps = np.array(
             [[max(0, min(y[1], z[1]) - max(y[0], z[0])) for z in gt.segments]
@@ -308,7 +308,7 @@ def _run_pipeline():
         model_records(result.encoders, result.reconstructor, result.queue, model_meta(cfg))
     )
     detection_payload = json.dumps(
-        {vid: det.frames for vid, det in sorted(detections.items())}
+        {vid: det.boundaries for vid, det in sorted(detections.items())}
     )
     return {
         "cfg": cfg,
@@ -342,7 +342,7 @@ def _random_detector_f1(annotations, detections, threshold):
     total_gt = 0
     for vid, ann in annotations.items():
         F = ann.num_frames
-        n_det = len(detections[vid].frames)
+        n_det = len(detections[vid].boundaries)
         total_det += n_det
         total_gt += len(ann.boundaries)
         w = math.floor(threshold * F)

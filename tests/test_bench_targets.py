@@ -1,27 +1,45 @@
-"""The benchmark's per-layer hooks still name real package attributes.
+"""The benchmark's hooks still fit the package.
 
 ``bench/tracer.py`` wraps the functions listed in its ``TARGETS`` table and
 silently skips a name that no longer resolves, which would leave a per-layer
-metric empty. This test loads the table (without installing anything) and
-resolves every entry, so a rename or move fails here instead.
+metric empty. Its attribute functions read the arguments and results of the
+calls they time, and ``bench/inputs.py`` builds boundary records by
+position. These tests load both files by path (without installing anything)
+and run them on real package objects, so a rename, a move, a dropped
+attribute or a reordered constructor fails here instead of only under
+``bench/run.py --trace 1``.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+import numpy as np
+
+from eventseg import (
+    DetectorConfig,
+    EncoderPair,
+    Reconstructor,
+    SynthConfig,
+    detect_boundaries,
+    error_trajectory,
+    match_boundaries,
+    segment_scores,
+    synth_generate,
+)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_tracer_target_resolves():
-    targets = _load_tracer().TARGETS
+    targets = _load("tracer").TARGETS
     assert targets
     for span, (module_name, qualname, _, _) in targets.items():
         owner = importlib.import_module(module_name)
@@ -29,3 +47,34 @@ def test_every_tracer_target_resolves():
             assert hasattr(owner, part), f"{span}: {module_name}.{qualname}"
             owner = getattr(owner, part)
         assert callable(owner), f"{span}: {module_name}.{qualname}"
+
+
+def test_tracer_attributes_read_detections_and_annotations():
+    tracer = _load("tracer")
+    corpus, annotations = synth_generate(SynthConfig(num_videos=1, feature_dim=6, seed=3))
+    video, truth = corpus[0], annotations[0]
+    rng = np.random.default_rng(0)
+    enc, rec = EncoderPair(6, 8, rng=rng), Reconstructor(8, 4, 2, rng)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    detected, _ = detect_boundaries(video, enc, rec, cfg)
+    n_det, n_gt = len(detected.boundaries), len(truth.boundaries)
+    assert n_det and n_gt
+
+    args = (detected, truth, 0.05)
+    attrs = tracer._match_attrs(args, {}, match_boundaries(*args))
+    assert attrs == {"dets": n_det, "pairs": n_det * n_gt}
+    args = (detected, truth)
+    assert tracer._segment_attrs(args, {}, segment_scores(*args)) == {"gt": n_gt}
+    args = (video, enc, rec, cfg)
+    attrs = tracer._trajectory_attrs(args, {}, error_trajectory(*args))
+    assert attrs == {"frames": video.num_frames}
+
+
+def test_bench_trim_cuts_a_video_and_its_record():
+    inputs = _load("inputs")
+    corpus, annotations = synth_generate(SynthConfig(num_videos=1, seed=3))
+    seq, ann = inputs._trim(corpus[0], annotations[0], 100)
+    assert seq.num_frames == ann.num_frames == 100
+    assert (seq.video_id, ann.video_id, ann.fps) == ("synth0000", "synth0000", corpus[0].fps)
+    assert ann.boundaries == [b for b in annotations[0].boundaries if b < 100]
+    assert ann.boundaries

@@ -286,3 +286,22 @@ def test_non_utf8_detections_json_is_data_error(workspace, capsys):
     code = _run(["eval", "--config", config, "--out", out])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: data:")
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"fps": -5}, "fps"),
+    ({"fps": float("nan")}, "fps"),
+    ({"fps": 10**400}, "fps"),
+    ({"num_frames": 0, "boundaries": []}, "num_frames"),
+], ids=["fps-negative", "fps-nan", "fps-401-digits", "num_frames-zero"])
+def test_bad_fps_or_num_frames_is_data_error(workspace, capsys, overrides, field):
+    _, config, out = workspace
+    _run(["synth", "--config", config, "--out", out])
+    records = json.loads((out / "annotations.json").read_text())
+    records[0].update(overrides)
+    (out / "detections.json").write_text(json.dumps(records))
+    code = _run(["eval", "--config", config, "--out", out])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:")
+    assert f"annotations[0].{field}" in err

@@ -1,6 +1,7 @@
 """Synthetic corpus generation and the file formats."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -10,10 +11,12 @@ from eventseg import (
     Annotation,
     BadMagicError,
     DataError,
+    EventSegError,
     FrameFeatureSequence,
     SynthConfig,
     TruncatedError,
     VersionError,
+    annotations_by_id,
     load_annotations,
     load_feature_file,
     save_annotations,
@@ -200,6 +203,104 @@ def test_annotations_schema_errors_carry_field_path(tmp_path):
     with pytest.raises(DataError) as err:
         load_annotations(path)
     assert "annotations[0].video_id" in str(err.value)
+
+
+def test_annotation_validation():
+    cases = [
+        (("v", 10, 25.0, [3, 3]), "boundaries[1]"),
+        (("v", 10, 25.0, [11]), "boundaries[0]"),
+        (("v", 10, 25.0, [2, 5], [1.0]), "scores"),
+        (("v", 0, 25.0, []), "num_frames"),
+        (("v", 10, 0.0, []), "fps"),
+        (("v", 10, -5.0, []), "fps"),
+        (("v", 10, math.nan, []), "fps"),
+        (("v", 10, math.inf, []), "fps"),
+    ]
+    for args, field in cases:
+        with pytest.raises(DataError) as err:
+            Annotation(*args)
+        assert str(err.value).startswith(field), args
+        assert "'v'" in str(err.value), args
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"fps": -5}, "fps"),
+    ({"fps": 0}, "fps"),
+    ({"fps": math.nan}, "fps"),
+    ({"fps": math.inf}, "fps"),
+    ({"fps": 10**400}, "fps"),
+    ({"num_frames": 0, "boundaries": []}, "num_frames"),
+    ({"scores": [0.5, 10**400]}, "scores[1]"),
+], ids=["fps-negative", "fps-zero", "fps-nan", "fps-inf", "fps-401-digits",
+        "num_frames-zero", "score-401-digits"])
+def test_annotation_json_rejects_bad_fps_num_frames_and_scores(tmp_path, overrides, field):
+    record = {"video_id": "a", "num_frames": 50, "fps": 25.0, "boundaries": [10, 30]}
+    record.update(overrides)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([record]))
+    with pytest.raises(DataError) as err:
+        load_annotations(path)
+    assert f"annotations[0].{field}" in str(err.value)
+
+
+def test_integer_beyond_the_digit_limit_is_data_error(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('[{"video_id": "a", "num_frames": ' + "9" * 5000 + "}]")
+    with pytest.raises(DataError) as err:
+        load_annotations(path)
+    assert "invalid JSON" in str(err.value)
+
+
+def test_annotations_by_id_rejects_duplicate_id():
+    with pytest.raises(DataError) as err:
+        annotations_by_id([
+            Annotation("a", 100, 25.0, [10]),
+            Annotation("b", 100, 25.0, []),
+            Annotation("a", 100, 25.0, [30, 60]),
+        ])
+    assert "'a'" in str(err.value)
+
+
+def _meets_record_invariants(ann) -> bool:
+    """The validator's rules, restated independently of it."""
+    b = ann.boundaries
+    return (
+        isinstance(ann.video_id, str)
+        and isinstance(ann.num_frames, int) and ann.num_frames >= 1
+        and isinstance(ann.fps, float) and math.isfinite(ann.fps) and ann.fps > 0
+        and all(isinstance(f, int) and 0 <= f < ann.num_frames for f in b)
+        and all(x < y for x, y in zip(b, b[1:]))
+        and (ann.scores is None
+             or (len(ann.scores) == len(b) and all(isinstance(s, float) for s in ann.scores)))
+    )
+
+
+def test_byte_flips_load_valid_records_or_raise(tmp_path):
+    # Annotation-style and detection-style (scored) records in one file.
+    path = tmp_path / "records.json"
+    save_annotations([
+        Annotation("synth0000", 190, 25.0, [41, 87, 133]),
+        Annotation("synth0001", 120, 12.5, []),
+        Annotation("synth0000", 190, 25.0, [39, 90], scores=[0.0625, 1.5]),
+        Annotation("synth0002", 60, 30.0, [7], scores=[3.0]),
+    ], path)
+    blob = path.read_bytes()
+    rng = np.random.default_rng(2024)
+    loaded = failed = 0
+    for _ in range(2000):
+        flipped = bytearray(blob)
+        offset = int(rng.integers(len(blob)))
+        flipped[offset] ^= 1 << int(rng.integers(8))
+        path.write_bytes(bytes(flipped))
+        try:
+            records = load_annotations(path)
+        except EventSegError:
+            failed += 1
+            continue
+        loaded += 1
+        assert all(_meets_record_invariants(a) for a in records), (offset, bytes(flipped))
+    # Both outcomes occur: some flips keep the JSON valid, others do not.
+    assert loaded >= 50 and failed >= 50
 
 
 def test_feature_sequence_rejects_non_finite():

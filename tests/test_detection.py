@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from eventseg import (
-    BoundarySet,
     DataError,
     DetectorConfig,
     EncoderPair,
@@ -199,7 +198,7 @@ def test_detect_boundaries_zero_trajectory_detects_nothing():
     )
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     result, _ = detect_boundaries(video, enc, rec, cfg)
-    assert result.frames == []
+    assert result.boundaries == []
 
 
 def test_detect_boundaries_deterministic_and_scored():
@@ -209,16 +208,8 @@ def test_detect_boundaries_deterministic_and_scored():
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     a, (raw_a, smooth_a, grad_a) = detect_boundaries(video, enc, rec, cfg)
     b, _ = detect_boundaries(video, enc, rec, cfg)
-    assert a.frames == b.frames and a.scores == b.scores
+    assert a.boundaries == b.boundaries and a.scores == b.scores
+    assert (a.num_frames, a.fps) == (80, 25.0)
     assert len(raw_a) == len(smooth_a) == len(grad_a) == 80
-    for frame, score in zip(a.frames, a.scores):
+    for frame, score in zip(a.boundaries, a.scores):
         assert score == pytest.approx(abs(grad_a[frame]))
-
-
-def test_boundary_set_validation():
-    with pytest.raises(DataError):
-        BoundarySet("v", 10, [3, 3])
-    with pytest.raises(DataError):
-        BoundarySet("v", 10, [11])
-    with pytest.raises(DataError):
-        BoundarySet("v", 10, [2, 5], scores=[1.0])

@@ -24,8 +24,6 @@ from eventseg import (
     encode_key,
     encode_query,
     enqueue_memory,
-    finite_difference,
-    gradients_close,
     info_nce_loss,
     load_model,
     momentum_update,
@@ -33,6 +31,8 @@ from eventseg import (
     sample_batch,
     save_model,
 )
+
+from gradcheck import finite_difference, gradients_close
 
 
 def brute_force_loss(h, z, snippet_ids, queue, tau, window):

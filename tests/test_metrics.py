@@ -8,8 +8,8 @@ from scipy.optimize import linear_sum_assignment
 
 from eventseg import (
     Annotation,
-    BoundarySet,
     DataError,
+    annotations_by_id,
     boundaries_to_segments,
     evaluate_corpus,
     f1_score,
@@ -100,23 +100,23 @@ def test_rel_dis_cases():
 
 
 def test_match_identical_sets():
-    det = BoundarySet("v", 100, [10, 40, 80])
-    gt = BoundarySet("v", 100, [10, 40, 80])
+    det = Annotation("v", 100, 25.0, [10, 40, 80])
+    gt = Annotation("v", 100, 25.0, [10, 40, 80])
     result = match_boundaries(det, gt, 0.05)
     assert result.pairs == [(0, 0), (1, 1), (2, 2)]
     assert result.unmatched_det == [] and result.unmatched_gt == []
 
 
 def test_match_out_of_range():
-    det = BoundarySet("v", 100, [10])
-    gt = BoundarySet("v", 100, [90])
+    det = Annotation("v", 100, 25.0, [10])
+    gt = Annotation("v", 100, 25.0, [90])
     result = match_boundaries(det, gt, 0.05)
     assert result.pairs == []
 
 
 def test_match_one_to_one():
-    det = BoundarySet("v", 100, [48, 52])
-    gt = BoundarySet("v", 100, [50])
+    det = Annotation("v", 100, 25.0, [48, 52])
+    gt = Annotation("v", 100, 25.0, [50])
     result = match_boundaries(det, gt, 0.05)
     assert len(result.pairs) == 1
     assert len(result.unmatched_det) == 1
@@ -131,8 +131,8 @@ def test_match_against_brute_force():
         det_frames = sorted(rng.choice(num_frames, size=n_det, replace=False).tolist())
         gt_frames = sorted(rng.choice(num_frames, size=n_gt, replace=False).tolist())
         threshold = float(rng.uniform(0.02, 0.3))
-        det = BoundarySet("v", num_frames, det_frames)
-        gt = BoundarySet("v", num_frames, gt_frames)
+        det = Annotation("v", num_frames, 25.0, det_frames)
+        gt = Annotation("v", num_frames, 25.0, gt_frames)
         result = match_boundaries(det, gt, threshold)
         cardinality, total = brute_force_boundary_match(
             det_frames, gt_frames, num_frames, threshold
@@ -161,8 +161,8 @@ def test_match_pairs_equal_fixpoint_oracle():
                                       replace=False).tolist())
         threshold = float(rng.uniform(0.005, 0.3))
         result = match_boundaries(
-            BoundarySet("v", num_frames, det_frames),
-            BoundarySet("v", num_frames, gt_frames),
+            Annotation("v", num_frames, 25.0, det_frames),
+            Annotation("v", num_frames, 25.0, gt_frames),
             threshold,
         )
         assert result.pairs == fixpoint_match_pairs(
@@ -175,8 +175,8 @@ def test_match_pairs_equal_fixpoint_oracle():
 
 
 def test_match_swapping_sides_swaps_precision_recall():
-    det = BoundarySet("v", 100, [10, 30, 70])
-    gt = BoundarySet("v", 100, [12, 69])
+    det = Annotation("v", 100, 25.0, [10, 30, 70])
+    gt = Annotation("v", 100, 25.0, [12, 69])
     forward = match_boundaries(det, gt, 0.05)
     backward = match_boundaries(gt, det, 0.05)
     p1, r1, _ = precision_recall_f1(len(forward.pairs), 3, 2)
@@ -197,10 +197,10 @@ def test_precision_recall_f1_reference_rows():
 
 
 def test_boundaries_to_segments():
-    empty = boundaries_to_segments(BoundarySet("v", 100, []))
+    empty = boundaries_to_segments(Annotation("v", 100, 25.0, []))
     assert empty.segments == [(0, 100)]
 
-    segs = boundaries_to_segments(BoundarySet("v", 100, [30, 70]))
+    segs = boundaries_to_segments(Annotation("v", 100, 25.0, [30, 70]))
     assert segs.segments == [(0, 30), (30, 70), (70, 100)]
     assert sum(e - s for s, e in segs.segments) == 100
 
@@ -220,8 +220,8 @@ def test_hungarian_against_factorial_oracle():
                                    replace=False).tolist())
         gt_b = sorted(rng.choice(np.arange(1, num_frames), size=int(rng.integers(0, 6)),
                                  replace=False).tolist())
-        pred = boundaries_to_segments(BoundarySet("v", num_frames, pred_b))
-        gt = boundaries_to_segments(BoundarySet("v", num_frames, gt_b))
+        pred = boundaries_to_segments(Annotation("v", num_frames, 25.0, pred_b))
+        gt = boundaries_to_segments(Annotation("v", num_frames, 25.0, gt_b))
         result = hungarian_match(pred, gt)
         overlaps = np.array(
             [[max(0, min(y[1], z[1]) - max(y[0], z[0])) for z in gt.segments]
@@ -235,7 +235,7 @@ def test_hungarian_against_factorial_oracle():
 
 
 def test_mof_iou_identity():
-    segs = boundaries_to_segments(BoundarySet("v", 100, [30, 70]))
+    segs = boundaries_to_segments(Annotation("v", 100, 25.0, [30, 70]))
     mof, iou = mof_iou(segs, segs, hungarian_match(segs, segs))
     assert mof == 1.0 and iou == 1.0
 
@@ -284,8 +284,8 @@ def test_mof_iou_bounds_random():
                                   size=int(rng.integers(0, 5)), replace=False).tolist())
         gt_b = sorted(rng.choice(np.arange(1, num_frames),
                                  size=int(rng.integers(0, 5)), replace=False).tolist())
-        det = BoundarySet("v", num_frames, det_b)
-        gt = BoundarySet("v", num_frames, gt_b)
+        det = Annotation("v", num_frames, 25.0, det_b)
+        gt = Annotation("v", num_frames, 25.0, gt_b)
         mof, iou = segment_scores(det, gt)
         assert 0.0 <= mof <= 1.0
         assert 0.0 <= iou <= 1.0
@@ -303,8 +303,8 @@ def test_f1_monotone_in_threshold():
                                   size=int(rng.integers(1, 8)), replace=False).tolist())
         gt_b = sorted(rng.choice(np.arange(num_frames),
                                  size=int(rng.integers(1, 8)), replace=False).tolist())
-        det = BoundarySet("v", num_frames, det_b)
-        gt = BoundarySet("v", num_frames, gt_b)
+        det = Annotation("v", num_frames, 25.0, det_b)
+        gt = Annotation("v", num_frames, 25.0, gt_b)
         last = -1.0
         for theta in np.arange(0.05, 0.55, 0.05):
             _, _, f1 = precision_recall_f1(
@@ -316,13 +316,13 @@ def test_f1_monotone_in_threshold():
 
 def _perfect_corpus():
     detections = {
-        "a": BoundarySet("a", 100, [30, 60]),
-        "b": BoundarySet("b", 80, [40]),
+        "a": Annotation("a", 100, 25.0, [30, 60]),
+        "b": Annotation("b", 80, 25.0, [40]),
     }
-    annotations = [
+    annotations = annotations_by_id([
         Annotation("a", 100, 25.0, [30, 60]),
         Annotation("b", 80, 25.0, [40]),
-    ]
+    ])
     return detections, annotations
 
 
@@ -339,13 +339,13 @@ def test_evaluate_corpus_micro_aggregation_hand_case():
     # Two videos: video a matches 1 of its 2 detections against 2 truths,
     # video b matches its single detection. Micro: TP=2, det=3, gt=3.
     detections = {
-        "a": BoundarySet("a", 100, [30, 90]),
-        "b": BoundarySet("b", 100, [50]),
+        "a": Annotation("a", 100, 25.0, [30, 90]),
+        "b": Annotation("b", 100, 25.0, [50]),
     }
-    annotations = [
+    annotations = annotations_by_id([
         Annotation("a", 100, 25.0, [30, 60]),
         Annotation("b", 100, 25.0, [51]),
-    ]
+    ])
     report = evaluate_corpus(detections, annotations, thresholds=[0.05])
     assert report.precision[0] == pytest.approx(2 / 3)
     assert report.recall[0] == pytest.approx(2 / 3)

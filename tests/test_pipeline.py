@@ -75,6 +75,6 @@ def test_end_to_end_detection_on_clean_three_event_stream():
     for seq in corpus:
         truth = ann_map[seq.video_id].boundaries
         detected, _ = detect_boundaries(seq, result.encoders, result.reconstructor, det_cfg)
-        assert len(detected.frames) == 2, seq.video_id
-        for frame in detected.frames:
+        assert len(detected.boundaries) == 2, seq.video_id
+        for frame in detected.boundaries:
             assert min(rel_dis(frame, b, seq.num_frames) for b in truth) <= 0.05

@@ -18,13 +18,13 @@ from eventseg import (
     assemble_masked_input,
     compute_losses,
     encode_query,
-    finite_difference,
-    gradients_close,
     masked_reconstruct,
     positional_embedding,
     sample_mask_rows,
     train_step,
 )
+
+from gradcheck import finite_difference, gradients_close
 
 
 def test_positional_row_zero_alternates_zero_one():

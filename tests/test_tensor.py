@@ -8,14 +8,13 @@ from eventseg import (
     Parameter,
     ShapeError,
     Tensor,
-    dot,
-    finite_difference,
-    gradients_close,
     l2_normalize,
     layer_norm,
     no_grad,
     softmax,
 )
+
+from gradcheck import dot, finite_difference, gradients_close
 
 
 def test_matmul_identity():

@@ -13,9 +13,10 @@ u32 num_frames, f32 fps, then num_frames x dim float32 values row-major.
 Annotation JSON: a list of ``{"video_id": str, "num_frames": int,
 "fps": number, "boundaries": [int, ...]}`` objects; detection files use the
 same schema plus ``"scores"`` aligned with ``"boundaries"``. Both load into
-``Annotation``, the one boundary record, which needs ``num_frames`` >= 1, a
-finite ``fps`` > 0 (as a feature sequence does) and boundaries strictly
-increasing inside [0, num_frames).
+``Annotation``, the one boundary record, which needs ``num_frames`` in
+[1, 2**32 - 1] (the CSGF header's range), a finite ``fps`` > 0 (as a feature
+sequence does), boundaries strictly increasing inside [0, num_frames) and
+finite scores.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .errors import BadMagicError, ConfigError, DataError, TruncatedError, Versi
 CSGF_MAGIC = b"CSGF"
 CSGF_VERSION = 1
 _CSGF_HEAD = struct.Struct("<4sHIIf")
+# The header's u32 frame count; also the most frames an annotation may name.
+_MAX_FRAMES = 2**32 - 1
 
 
 @dataclass
@@ -81,6 +84,8 @@ class Annotation:
         video = f"(video {self.video_id!r})"
         if self.num_frames < 1:
             raise DataError(f"num_frames = {self.num_frames} is below 1 {video}")
+        if self.num_frames > _MAX_FRAMES:
+            raise DataError(f"num_frames is above the CSGF limit {_MAX_FRAMES} {video}")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise DataError(f"fps = {self.fps} is not finite and positive {video}")
         self.boundaries = [int(b) for b in self.boundaries]
@@ -91,11 +96,16 @@ class Annotation:
                 )
             if i > 0 and b <= self.boundaries[i - 1]:
                 raise DataError(f"boundaries[{i}] = {b} not strictly increasing {video}")
-        if self.scores is not None and len(self.scores) != len(self.boundaries):
+        if self.scores is None:
+            return
+        if len(self.scores) != len(self.boundaries):
             raise DataError(
                 f"scores has length {len(self.scores)}, boundaries "
                 f"{len(self.boundaries)} {video}"
             )
+        for i, score in enumerate(self.scores):
+            if not math.isfinite(score):
+                raise DataError(f"scores[{i}] = {score} is not finite {video}")
 
     @property
     def frames(self) -> list[int]:

@@ -11,6 +11,11 @@ with fewer than ``extrema_range`` neighbours on either side are ineligible,
 so no detection lies within that range of the trajectory ends. A video
 shorter than the window has no trajectory and is a ``DataError``.
 
+``error_trajectory`` walks the windows in blocks of ``BLOCK_WINDOWS``: each
+block encodes only the frames its windows cover and writes its errors into
+the preallocated trajectory. Working memory is bounded by the block, and
+only the O(frames) float32 trajectory grows with the video.
+
 ``detect_boundaries`` returns each video's boundaries, a ``data.Annotation``
 with one gradient-magnitude score per boundary, together with the raw,
 smoothed, and gradient signals they came from; ``detect_corpus`` does the
@@ -30,6 +35,12 @@ from .embedding import EncoderPair, encode_query
 from .errors import ConfigError, DataError
 from .reconstruction import Reconstructor, masked_reconstruct, positional_embedding
 from .tensor import no_grad
+
+# Windows per block of ``error_trajectory``: working memory is O(block) and
+# only the trajectory grows with the video. On 20k frames (default model, one
+# BLAS thread) 256 and 512 were fastest, within 2% of each other, against
+# +31% at 64, +5% at 1024 and +29% at 4096; the smaller keeps memory lower.
+BLOCK_WINDOWS = 256
 
 
 @dataclass
@@ -72,7 +83,8 @@ def error_trajectory(
     """Reconstruction error of every frame, masked at the window center.
 
     Centers range over every position with a full window; edge frames copy
-    the nearest computed value.
+    the nearest computed value. Windows are processed ``BLOCK_WINDOWS`` at a
+    time, so working memory does not grow with the video.
     """
     T = cfg.window
     n = video.num_frames
@@ -81,19 +93,19 @@ def error_trajectory(
     if pos is None:
         pos = positional_embedding(T, enc.dim)
     mid = T // 2
-    first = mid
-    last = n - 1 - (T - 1 - mid)
-    with no_grad():
-        embeddings = encode_query(video.features, enc).data
-        starts = np.arange(first - mid, last - mid + 1)
-        windows = embeddings[starts[:, None] + np.arange(T)[None, :]]
-        recon_mid = masked_reconstruct(windows, np.full((len(starts), 1), mid), pos, rec).data
-    originals = embeddings[first : last + 1]
-    core = ((recon_mid - originals) ** 2).sum(axis=1)
+    # Window s covers frames [s, s + T) and is centred on frame s + mid.
+    count = n - T + 1
     values = np.empty(n, dtype=np.float32)
-    values[first : last + 1] = core
-    values[:first] = core[0]
-    values[last + 1 :] = core[-1]
+    with no_grad():
+        for s in range(0, count, BLOCK_WINDOWS):
+            b = min(BLOCK_WINDOWS, count - s)
+            embeddings = encode_query(video.features[s : s + b + T - 1], enc).data
+            windows = sliding_window_view(embeddings, T, axis=0).transpose(0, 2, 1)
+            recon_mid = masked_reconstruct(windows, np.full((b, 1), mid), pos, rec).data
+            originals = embeddings[mid : mid + b]
+            values[mid + s : mid + s + b] = ((recon_mid - originals) ** 2).sum(axis=1)
+    values[:mid] = values[mid]
+    values[mid + count :] = values[mid + count - 1]
     return ErrorTrajectory(video.video_id, values)
 
 

@@ -16,6 +16,11 @@ forward path: it masks the given rows of every snippet, runs the
 reconstructor, and returns the reconstructed rows. Training
 (``compute_losses``) scores them against the detached embeddings; detection
 (``detection.error_trajectory``) masks the middle frame of every window.
+Only the masked rows are ever read, so ``masked_reconstruct`` passes them to
+``Reconstructor.forward``: the last block computes keys and values for every
+row, but queries, attention, the output projection, the second layer norm,
+the MLP and the head only for the masked rows. ``forward`` without rows
+gives every row.
 """
 
 from __future__ import annotations
@@ -108,21 +113,29 @@ class AttentionBlock:
             self.w1, self.b1, self.w2, self.b2,
         ]
 
-    def __call__(self, x: Tensor, collect_attention: list | None = None) -> Tensor:
-        batch, seq, dim = x.data.shape
+    def __call__(self, x: Tensor, collect_attention: list | None = None,
+                 rows: np.ndarray | None = None) -> Tensor:
+        """The block's (L x T x D) output; with ``rows`` (L x m indices) only
+        those rows of each snippet, (L x m x D). Keys and values always come
+        from all T rows."""
+        batch, _, dim = x.data.shape
         y = layer_norm(x, self.ln1_gamma, self.ln1_beta)
+        y_query = y
+        if rows is not None:
+            picked = (np.arange(batch)[:, None], rows)
+            x, y_query = x[picked], y[picked]
 
         def split(t: Tensor) -> Tensor:
-            return t.reshape((batch, seq, self.heads, self.head_dim)).transpose((0, 2, 1, 3))
+            return t.reshape((batch, -1, self.heads, self.head_dim)).transpose((0, 2, 1, 3))
 
-        q = split(y @ self.wq + self.bq)
+        q = split(y_query @ self.wq + self.bq)
         k = split(y @ self.wk + self.bk)
         v = split(y @ self.wv + self.bv)
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
         attention = softmax(scores, axis=-1)
         if collect_attention is not None:
             collect_attention.append(attention.data.copy())
-        context = (attention @ v).transpose((0, 2, 1, 3)).reshape((batch, seq, dim))
+        context = (attention @ v).transpose((0, 2, 1, 3)).reshape((batch, -1, dim))
         x = x + (context @ self.wo + self.bo)
         y2 = layer_norm(x, self.ln2_gamma, self.ln2_beta)
         hidden = (y2 @ self.w1 + self.b1).relu()
@@ -136,6 +149,8 @@ class Reconstructor:
                  rng: np.random.Generator | None = None, dtype=np.float32):
         if dim % heads != 0:
             raise ShapeError(f"dim {dim} must be divisible by heads {heads}")
+        if layers < 1:
+            raise ConfigError(f"layers must be >= 1, got {layers}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = dim
         self.heads = heads
@@ -158,10 +173,14 @@ class Reconstructor:
         params.extend([self.head_w, self.head_b])
         return params
 
-    def forward(self, assembled: Tensor, collect_attention: list | None = None) -> Tensor:
+    def forward(self, assembled: Tensor, collect_attention: list | None = None,
+                rows: np.ndarray | None = None) -> Tensor:
+        """The (L x T x D) reconstruction; with ``rows`` (L x m indices) only
+        those rows, (L x m x D), which the last block alone computes."""
         x = assembled
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block(x, collect_attention)
+        x = self.blocks[-1](x, collect_attention, rows)
         return x @ self.head_w + self.head_b
 
 
@@ -193,9 +212,9 @@ def assemble_masked_input(h3, mask_rows, pos: np.ndarray, rec: Reconstructor) ->
 def masked_reconstruct(h3, mask_rows, pos: np.ndarray, rec: Reconstructor) -> Tensor:
     """Mask ``mask_rows`` of every snippet, run the reconstructor, and return
     the reconstructed rows: (L*m x D), snippet-major."""
-    out = rec.forward(assemble_masked_input(h3, mask_rows, pos, rec))
     rows = np.asarray(mask_rows, dtype=np.int64)
-    return out[(np.repeat(np.arange(rows.shape[0]), rows.shape[1]), rows.reshape(-1))]
+    out = rec.forward(assemble_masked_input(h3, rows, pos, rec), rows=rows)
+    return out.reshape((-1, rec.dim))
 
 
 def compute_losses(

@@ -293,7 +293,8 @@ def test_non_utf8_detections_json_is_data_error(workspace, capsys):
     ({"fps": float("nan")}, "fps"),
     ({"fps": 10**400}, "fps"),
     ({"num_frames": 0, "boundaries": []}, "num_frames"),
-], ids=["fps-negative", "fps-nan", "fps-401-digits", "num_frames-zero"])
+    ({"boundaries": [10], "scores": [float("nan")]}, "scores[0]"),
+], ids=["fps-negative", "fps-nan", "fps-401-digits", "num_frames-zero", "scores-nan"])
 def test_bad_fps_or_num_frames_is_data_error(workspace, capsys, overrides, field):
     _, config, out = workspace
     _run(["synth", "--config", config, "--out", out])
@@ -305,3 +306,19 @@ def test_bad_fps_or_num_frames_is_data_error(workspace, capsys, overrides, field
     err = capsys.readouterr().err
     assert err.startswith("error: data:")
     assert f"annotations[0].{field}" in err
+
+
+def test_num_frames_beyond_the_csgf_range_is_data_error(workspace, capsys):
+    # Ground truth and detections agree on a video too long for a float
+    # frame index; matching would overflow converting it.
+    _, config, out = workspace
+    _run(["synth", "--config", config, "--out", out])
+    records = json.loads((out / "annotations.json").read_text())
+    records[0].update({"num_frames": 10**400, "boundaries": [10**399]})
+    (out / "annotations.json").write_text(json.dumps(records))
+    (out / "detections.json").write_text(json.dumps(records))
+    code = _run(["eval", "--config", config, "--out", out])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:")
+    assert "annotations[0].num_frames" in err

@@ -210,7 +210,10 @@ def test_annotation_validation():
         (("v", 10, 25.0, [3, 3]), "boundaries[1]"),
         (("v", 10, 25.0, [11]), "boundaries[0]"),
         (("v", 10, 25.0, [2, 5], [1.0]), "scores"),
+        (("v", 10, 25.0, [2, 5], [1.0, math.nan]), "scores[1]"),
+        (("v", 10, 25.0, [2], [-math.inf]), "scores[0]"),
         (("v", 0, 25.0, []), "num_frames"),
+        (("v", 2**32, 25.0, []), "num_frames"),
         (("v", 10, 0.0, []), "fps"),
         (("v", 10, -5.0, []), "fps"),
         (("v", 10, math.nan, []), "fps"),
@@ -230,9 +233,11 @@ def test_annotation_validation():
     ({"fps": math.inf}, "fps"),
     ({"fps": 10**400}, "fps"),
     ({"num_frames": 0, "boundaries": []}, "num_frames"),
+    ({"num_frames": 10**400, "boundaries": [10**399]}, "num_frames"),
     ({"scores": [0.5, 10**400]}, "scores[1]"),
+    ({"scores": [math.nan, 0.5]}, "scores[0]"),
 ], ids=["fps-negative", "fps-zero", "fps-nan", "fps-inf", "fps-401-digits",
-        "num_frames-zero", "score-401-digits"])
+        "num_frames-zero", "num_frames-401-digits", "score-401-digits", "score-nan"])
 def test_annotation_json_rejects_bad_fps_num_frames_and_scores(tmp_path, overrides, field):
     record = {"video_id": "a", "num_frames": 50, "fps": 25.0, "boundaries": [10, 30]}
     record.update(overrides)
@@ -266,12 +271,13 @@ def _meets_record_invariants(ann) -> bool:
     b = ann.boundaries
     return (
         isinstance(ann.video_id, str)
-        and isinstance(ann.num_frames, int) and ann.num_frames >= 1
+        and isinstance(ann.num_frames, int) and 1 <= ann.num_frames < 2**32
         and isinstance(ann.fps, float) and math.isfinite(ann.fps) and ann.fps > 0
         and all(isinstance(f, int) and 0 <= f < ann.num_frames for f in b)
         and all(x < y for x, y in zip(b, b[1:]))
         and (ann.scores is None
-             or (len(ann.scores) == len(b) and all(isinstance(s, float) for s in ann.scores)))
+             or (len(ann.scores) == len(b)
+                 and all(isinstance(s, float) and math.isfinite(s) for s in ann.scores)))
     )
 
 

@@ -1,6 +1,8 @@
 """Signal pipeline units (smoothing, gradient, relative extrema) and the
 error-trajectory contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,16 @@ from eventseg import (
     FrameFeatureSequence,
     Reconstructor,
     detect_boundaries,
+    encode_query,
     error_trajectory,
     fir_smooth,
     gradient,
+    masked_reconstruct,
+    no_grad,
+    positional_embedding,
     relative_extrema,
 )
+from eventseg.detection import BLOCK_WINDOWS
 
 
 def test_fir_smooth_constant_unchanged():
@@ -167,6 +174,58 @@ def test_error_trajectory_matches_window_slices():
         np.testing.assert_allclose(full[f], value, rtol=1e-4)
     # Distinct values per computed frame, so a misordered trajectory fails.
     assert np.unique(full).size == last - first + 1
+
+
+def _trajectory_oracle(video, enc, rec, cfg):
+    """Every window of the video at once, in one reconstructor call."""
+    T, n = cfg.window, video.num_frames
+    pos = positional_embedding(T, enc.dim)
+    mid = T // 2
+    first = mid
+    last = n - 1 - (T - 1 - mid)
+    with no_grad():
+        embeddings = encode_query(video.features, enc).data
+        starts = np.arange(first - mid, last - mid + 1)
+        windows = embeddings[starts[:, None] + np.arange(T)[None, :]]
+        recon_mid = masked_reconstruct(windows, np.full((len(starts), 1), mid), pos, rec).data
+    originals = embeddings[first : last + 1]
+    core = ((recon_mid - originals) ** 2).sum(axis=1)
+    values = np.empty(n, dtype=np.float32)
+    values[first : last + 1] = core
+    values[:first] = core[0]
+    values[last + 1 :] = core[-1]
+    return values
+
+
+@pytest.mark.parametrize("windows", [
+    BLOCK_WINDOWS - 1, BLOCK_WINDOWS, BLOCK_WINDOWS + 1, 2 * BLOCK_WINDOWS + 3,
+])
+def test_error_trajectory_blocks_equal_one_shot_oracle(windows):
+    enc, rec = _frozen_models(seed=12)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    rng = np.random.default_rng(windows)
+    frames = windows + cfg.window - 1
+    video = FrameFeatureSequence("v", 25.0, rng.normal(size=(frames, 6)).astype(np.float32))
+    np.testing.assert_array_equal(
+        error_trajectory(video, enc, rec, cfg).values, _trajectory_oracle(video, enc, rec, cfg)
+    )
+
+
+def test_error_trajectory_memory_does_not_grow_with_the_video():
+    # The one-shot oracle peaks at about 858 MB here.
+    rng = np.random.default_rng(13)
+    enc = EncoderPair(32, 16, rng=rng)
+    rec = Reconstructor(16, 8, 2, rng)
+    video = FrameFeatureSequence(
+        "v", 25.0, rng.normal(size=(50_000, 32)).astype(np.float32)
+    )
+    tracemalloc.start()
+    try:
+        error_trajectory(video, enc, rec, DetectorConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_error_trajectory_zero_for_perfect_reconstruction():

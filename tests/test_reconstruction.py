@@ -142,6 +142,54 @@ def test_masked_reconstruct_returns_masked_rows_snippet_major():
         np.testing.assert_allclose(recon[2 * i : 2 * i + 2], full.data[0, rows[i]], atol=1e-5)
 
 
+def test_forward_rows_match_full_forward():
+    # The row-limited last block gives the full forward's rows, for any
+    # shape, number of rows, row order and depth.
+    rng = np.random.default_rng(15)
+    for trial in range(40):
+        heads = int(rng.choice([1, 2, 4]))
+        dim = heads * int(rng.integers(1, 5)) * 2
+        layers = 1 + trial % 2
+        L, T = int(rng.integers(1, 5)), int(rng.integers(2, 10))
+        m = int(rng.integers(1, T))
+        rec = Reconstructor(dim, heads, layers, np.random.default_rng(trial))
+        x = Tensor(rng.normal(size=(L, T, dim)).astype(np.float32))
+        rows = np.stack([rng.permutation(T)[:m] for _ in range(L)])
+        full = rec.forward(x).data
+        limited = rec.forward(x, rows=rows).data
+        assert limited.shape == (L, m, dim)
+        np.testing.assert_allclose(
+            limited, full[np.arange(L)[:, None], rows], atol=1e-5, err_msg=str(trial)
+        )
+
+
+def test_reconstructor_needs_a_block():
+    with pytest.raises(ConfigError):
+        Reconstructor(8, 4, 0)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_row_limited_forward_gradient_matches_finite_differences(layers):
+    dim, window = 8, 5
+    rng = np.random.default_rng(16 + layers)
+    rec = Reconstructor(dim, 4, layers, np.random.default_rng(layers))
+    for p in rec.parameters():
+        p.data = p.data.astype(np.float64)
+        p.grad = np.zeros_like(p.data)
+    x = Tensor(rng.normal(size=(2, window, dim)), requires_grad=True)
+    rows = np.array([[3, 1], [0, 4]])
+    weights = Tensor(rng.normal(size=(2, 2, dim)))
+
+    def forward():
+        return (rec.forward(x, rows=rows) * weights).sum()
+
+    forward().backward()
+    params = rec.parameters()[1:] + [x]   # the mask token is not used here
+    fds = finite_difference(lambda: float(forward().data), [p.data for p in params])
+    for p, fd in zip(params, fds):
+        assert gradients_close(p.grad, fd), getattr(p, "name", "input")
+
+
 def test_position_sensitivity_and_permutation_covariance():
     rec = _reconstructor(seed=4)
     rng = np.random.default_rng(5)

@@ -9,9 +9,7 @@ boundary F1 at relative-distance thresholds plus segment-level MoF/IoU.
 
 from .checkpoint import (
     deserialize_records,
-    load_checkpoint,
     load_model,
-    save_checkpoint,
     save_model,
     serialize_records,
 )

@@ -12,7 +12,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .embedding import EncoderPair, MemoryQueue
 from .errors import BadMagicError, FormatError, TruncatedError, VersionError
+from .reconstruction import Reconstructor
 
 MAGIC = b"CSGC"
 VERSION = 1
@@ -75,18 +77,6 @@ def deserialize_records(blob: bytes) -> dict[str, np.ndarray]:
     return records
 
 
-def save_checkpoint(path, records: Sequence[tuple[str, np.ndarray]] | Mapping[str, np.ndarray]) -> None:
-    if isinstance(records, Mapping):
-        records = list(records.items())
-    with open(path, "wb") as fh:
-        fh.write(serialize_records(records))
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        return deserialize_records(fh.read())
-
-
 # -- full model state ---------------------------------------------------------
 
 
@@ -96,25 +86,25 @@ def model_records(enc, rec, queue, meta: Mapping[str, float]) -> list[tuple[str,
     records: list[tuple[str, np.ndarray]] = []
     for p in enc.parameters() + rec.parameters():
         records.append((p.name, p.data))
-    records.append(("ctfe.queue", queue.as_array(enc.dim)))
+    records.append(("ctfe.queue", queue.as_array()))
     for key in sorted(meta):
         records.append((f"meta.{key}", np.asarray(float(meta[key]), dtype=np.float32)))
     return records
 
 
 def save_model(path, enc, rec, queue, meta: Mapping[str, float]) -> None:
-    save_checkpoint(path, model_records(enc, rec, queue, meta))
+    with open(path, "wb") as fh:
+        fh.write(serialize_records(model_records(enc, rec, queue, meta)))
 
 
 def load_model(path):
     """Rebuild (encoders, reconstructor, queue, meta) from a checkpoint.
 
-    A record holding NaN or Inf is a ``FormatError`` naming the record.
+    A record holding NaN or Inf, or a parameter or queue whose shape does
+    not fit the model, is a ``FormatError`` naming the record.
     """
-    from .embedding import EncoderPair, MemoryQueue
-    from .reconstruction import Reconstructor
-
-    records = load_checkpoint(path)
+    with open(path, "rb") as fh:
+        records = deserialize_records(fh.read())
     for name, value in records.items():
         if not np.isfinite(value).all():
             raise FormatError(f"checkpoint record {name!r} holds non-finite values")
@@ -127,13 +117,10 @@ def load_model(path):
                 "queue_capacity", "alpha"):
         if key not in meta:
             raise FormatError(f"checkpoint lacks required meta record {key!r}")
+    dim = int(meta["embedding_dim"])
     rng = np.random.default_rng(0)
-    enc = EncoderPair(
-        int(meta["input_dim"]), int(meta["embedding_dim"]), meta["alpha"], rng
-    )
-    rec = Reconstructor(
-        int(meta["embedding_dim"]), int(meta["heads"]), int(meta["layers"]), rng
-    )
+    enc = EncoderPair(int(meta["input_dim"]), dim, meta["alpha"], rng)
+    rec = Reconstructor(dim, int(meta["heads"]), int(meta["layers"]), rng)
     for p in enc.parameters() + rec.parameters():
         if p.name not in records:
             raise FormatError(f"checkpoint lacks parameter {p.name!r}")
@@ -144,8 +131,13 @@ def load_model(path):
                 f"model expects {p.data.shape}"
             )
         p.data[...] = value
-    queue = MemoryQueue(int(meta["queue_capacity"]))
+    queue = MemoryQueue(int(meta["queue_capacity"]), dim)
     stored = records.get("ctfe.queue")
-    if stored is not None and stored.size:
+    if stored is not None:
+        if stored.ndim != 2 or stored.shape[1] != dim:
+            raise FormatError(
+                f"checkpoint queue 'ctfe.queue' has shape {stored.shape}, "
+                f"model expects rows of width {dim}"
+            )
         queue.load(stored)
     return enc, rec, queue, meta

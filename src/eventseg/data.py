@@ -15,14 +15,19 @@ Annotation JSON: a list of ``{"video_id": str, "num_frames": int,
 same schema plus ``"scores"`` aligned with ``"boundaries"``. Both load into
 ``Annotation``, the one boundary record, which needs ``num_frames`` in
 [1, 2**32 - 1] (the CSGF header's range), a finite ``fps`` > 0 (as a feature
-sequence does), boundaries strictly increasing inside [0, num_frames) and
-finite scores.
+sequence does), boundaries strictly increasing inside [1, num_frames) and
+finite scores. Frame 0 starts the first event, so it is never a boundary.
+
+``load_feature_file`` checks the declared size against the file's before it
+reads, and reads the payload straight into the feature matrix, so a video is
+held in memory once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,9 +95,9 @@ class Annotation:
             raise DataError(f"fps = {self.fps} is not finite and positive {video}")
         self.boundaries = [int(b) for b in self.boundaries]
         for i, b in enumerate(self.boundaries):
-            if not 0 <= b < self.num_frames:
+            if not 1 <= b < self.num_frames:
                 raise DataError(
-                    f"boundaries[{i}] = {b} outside [0, {self.num_frames}) {video}"
+                    f"boundaries[{i}] = {b} outside [1, {self.num_frames}) {video}"
                 )
             if i > 0 and b <= self.boundaries[i - 1]:
                 raise DataError(f"boundaries[{i}] = {b} not strictly increasing {video}")
@@ -193,24 +198,25 @@ def save_feature_file(seq: FrameFeatureSequence, path) -> None:
 
 def load_feature_file(path, video_id: str | None = None) -> FrameFeatureSequence:
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _CSGF_HEAD.size:
-        raise TruncatedError(f"{path.name}: file shorter than the CSGF header")
-    magic, version, dim, num_frames, fps = _CSGF_HEAD.unpack(blob[: _CSGF_HEAD.size])
-    if magic != CSGF_MAGIC:
-        raise BadMagicError(f"{path.name}: bad magic {magic!r}, expected {CSGF_MAGIC!r}")
-    if version != CSGF_VERSION:
-        raise VersionError(f"{path.name}: unsupported version {version}")
-    expected = _CSGF_HEAD.size + 4 * dim * num_frames
-    if len(blob) != expected:
-        raise TruncatedError(
-            f"{path.name}: payload size mismatch, declared {num_frames}x{dim} "
-            f"needs {expected} bytes, file has {len(blob)}"
-        )
-    features = np.frombuffer(blob, dtype="<f4", offset=_CSGF_HEAD.size)
-    features = features.reshape(num_frames, dim).copy()
-    if not np.isfinite(features).all():
-        raise DataError(f"{path.name}: non-finite feature values")
+    with open(path, "rb") as fh:
+        head = fh.read(_CSGF_HEAD.size)
+        if len(head) < _CSGF_HEAD.size:
+            raise TruncatedError(f"{path.name}: file shorter than the CSGF header")
+        magic, version, dim, num_frames, fps = _CSGF_HEAD.unpack(head)
+        if magic != CSGF_MAGIC:
+            raise BadMagicError(f"{path.name}: bad magic {magic!r}, expected {CSGF_MAGIC!r}")
+        if version != CSGF_VERSION:
+            raise VersionError(f"{path.name}: unsupported version {version}")
+        expected = _CSGF_HEAD.size + 4 * dim * num_frames
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise TruncatedError(
+                f"{path.name}: payload size mismatch, declared {num_frames}x{dim} "
+                f"needs {expected} bytes, file has {size}"
+            )
+        features = np.empty((num_frames, dim), dtype="<f4")
+        if fh.readinto(features.data) != features.nbytes:
+            raise TruncatedError(f"{path.name}: file shrank while it was read")
     return FrameFeatureSequence(video_id or path.stem, float(fps), features)
 
 

@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .data import Annotation, FrameFeatureSequence
 from .embedding import EncoderPair, encode_query
 from .errors import ConfigError, DataError
-from .reconstruction import Reconstructor, masked_reconstruct, positional_embedding
+from .reconstruction import Reconstructor, masked_reconstruct
 from .tensor import no_grad
 
 # Windows per block of ``error_trajectory``: working memory is O(block) and
@@ -78,7 +78,6 @@ def error_trajectory(
     enc: EncoderPair,
     rec: Reconstructor,
     cfg: DetectorConfig,
-    pos: np.ndarray | None = None,
 ) -> ErrorTrajectory:
     """Reconstruction error of every frame, masked at the window center.
 
@@ -90,8 +89,6 @@ def error_trajectory(
     n = video.num_frames
     if n < T:
         raise DataError(f"video {video.video_id!r} has {n} frames, needs >= {T}")
-    if pos is None:
-        pos = positional_embedding(T, enc.dim)
     mid = T // 2
     # Window s covers frames [s, s + T) and is centred on frame s + mid.
     count = n - T + 1
@@ -101,7 +98,7 @@ def error_trajectory(
             b = min(BLOCK_WINDOWS, count - s)
             embeddings = encode_query(video.features[s : s + b + T - 1], enc).data
             windows = sliding_window_view(embeddings, T, axis=0).transpose(0, 2, 1)
-            recon_mid = masked_reconstruct(windows, np.full((b, 1), mid), pos, rec).data
+            recon_mid = masked_reconstruct(windows, np.full((b, 1), mid), rec).data
             originals = embeddings[mid : mid + b]
             values[mid + s : mid + s + b] = ((recon_mid - originals) ** 2).sum(axis=1)
     values[:mid] = values[mid]
@@ -154,7 +151,6 @@ def detect_boundaries(
     enc: EncoderPair,
     rec: Reconstructor,
     cfg: DetectorConfig,
-    pos: np.ndarray | None = None,
 ) -> tuple[Annotation, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Full pipeline: error trajectory -> smoothing -> gradient -> extrema.
 
@@ -162,7 +158,7 @@ def detect_boundaries(
     detected frame, and the raw, smoothed, and gradient trajectories they
     came from (for CSV dumps and plotting).
     """
-    trajectory = error_trajectory(video, enc, rec, cfg, pos)
+    trajectory = error_trajectory(video, enc, rec, cfg)
     smoothed = fir_smooth(trajectory.values, cfg.fir_half_width)
     grad = gradient(smoothed)
     frames = relative_extrema(grad, cfg.extrema_range)
@@ -178,11 +174,10 @@ def detect_corpus(
     cfg: DetectorConfig,
 ) -> tuple[dict[str, Annotation], dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Detections and signals for every video, keyed in sorted video-id order."""
-    pos = positional_embedding(cfg.window, enc.dim)
     detections: dict[str, Annotation] = {}
     signals: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for video in sorted(corpus, key=lambda s: s.video_id):
         detections[video.video_id], signals[video.video_id] = detect_boundaries(
-            video, enc, rec, cfg, pos
+            video, enc, rec, cfg
         )
     return detections, signals

@@ -15,8 +15,9 @@ backward pass uses the closed-form softmax gradient (van den Oord et al.,
 2018): ``p - 1`` on each positive logit and the negative's share of each
 positive's denominator on each negative logit, mapped back to the queries
 with one matmul against the same pool. The keys and the queue get no
-gradient. ``MemoryQueue`` is a preallocated ring buffer; ``as_array``
-returns its rows oldest first, which is the checkpoint layout.
+gradient. ``MemoryQueue(capacity, dim)`` is a ring buffer allocated when it
+is built; ``as_array`` returns its rows oldest first, which is the checkpoint
+layout.
 
 ``info_nce_loss`` and the encoders are pure given parameters; the training
 loss on a snippet batch is put together in ``reconstruction.compute_losses``.
@@ -129,16 +130,15 @@ def encode_key(frames, enc: EncoderPair) -> Tensor:
 class MemoryQueue:
     """FIFO buffer of up to ``capacity`` unit-norm key embeddings.
 
-    A preallocated ``(capacity, dim)`` ring: ``_head`` is the row of the
-    oldest entry and a push overwrites it once the ring is full. The first
-    push (or ``load``) fixes ``dim``.
+    A ``(capacity, dim)`` ring allocated here: ``_head`` is the row of the
+    oldest entry and a push overwrites it once the ring is full.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, dim: int):
         if capacity < 1:
             raise ConfigError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._rows: np.ndarray | None = None
+        self._rows = np.empty((capacity, dim), dtype=np.float32)
         self._head = 0
         self._len = 0
 
@@ -147,11 +147,7 @@ class MemoryQueue:
 
     def push(self, vector: np.ndarray) -> None:
         row = np.asarray(vector, dtype=np.float32)
-        if self._rows is None:
-            if row.ndim != 1:
-                raise ShapeError(f"queue entries must be vectors, got shape {row.shape}")
-            self._rows = np.empty((self.capacity, row.shape[0]), dtype=np.float32)
-        elif row.shape != self._rows.shape[1:]:
+        if row.shape != self._rows.shape[1:]:
             raise ShapeError(
                 f"queue holds rows of width {self._rows.shape[1]}, got shape {row.shape}"
             )
@@ -161,20 +157,19 @@ class MemoryQueue:
         else:
             self._head = (self._head + 1) % self.capacity
 
-    def as_array(self, dim: int | None = None) -> np.ndarray:
+    def as_array(self) -> np.ndarray:
         """A fresh (len, dim) copy, oldest entry first."""
-        if not self._len:
-            return np.zeros((0, dim if dim is not None else 0), dtype=np.float32)
         order = np.arange(self._head, self._head + self._len)
         return self._rows.take(order, axis=0, mode="wrap")
 
     def load(self, matrix: np.ndarray) -> None:
         """Replace the contents with the newest ``capacity`` rows of ``matrix``."""
         rows = np.asarray(matrix, dtype=np.float32)
-        if rows.ndim != 2:
-            raise ShapeError(f"queue rows must form a matrix, got shape {rows.shape}")
+        if rows.ndim != 2 or rows.shape[1] != self._rows.shape[1]:
+            raise ShapeError(
+                f"queue holds rows of width {self._rows.shape[1]}, got shape {rows.shape}"
+            )
         kept = rows[max(0, len(rows) - self.capacity):]
-        self._rows = np.empty((self.capacity, rows.shape[1]), dtype=np.float32)
         self._rows[: len(kept)] = kept
         self._head = 0
         self._len = len(kept)
@@ -257,7 +252,6 @@ def info_nce_loss(
     snippet_ids: np.ndarray,
     queue_entries: np.ndarray | None,
     temperature: float,
-    window: int,
 ) -> Tensor:
     """Loss over flattened per-frame embeddings, as one autodiff node.
 
@@ -268,10 +262,8 @@ def info_nce_loss(
     ``l = q . k / temperature`` and ``N_i`` the summed exponentials of row
     i's negatives, the loss is the mean over positives (i, j) of
     ``-(l_ij - log(exp(l_ij) + N_i))``. The gradient flows into ``queries``
-    only.
+    only. Without a positive pair the loss is undefined: ``ConfigError``.
     """
-    if window < 2:
-        raise ConfigError("contrastive loss needs window >= 2 to form positives")
     q = queries.data
     n = q.shape[0]
     keys = np.asarray(keys)
@@ -286,6 +278,8 @@ def info_nce_loss(
         pool = np.concatenate((keys, queue_entries))
     same = ids[:, None] == ids[None, :]
     rows, cols = np.nonzero(same & ~np.eye(n, dtype=bool))
+    if not rows.size:
+        raise ConfigError("contrastive loss needs a snippet of >= 2 frames to form positives")
 
     # One n x (n + Q) buffer: logits, then their exponentials, then (with the
     # same-snippet block zeroed) exactly the negatives' exponentials.
@@ -297,7 +291,7 @@ def info_nce_loss(
     negatives = e.sum(axis=1, dtype=np.float64)
     exp_pos = np.exp(l_pos)
     denom = exp_pos + negatives[rows]
-    scale = 1.0 / (n * (window - 1))
+    scale = 1.0 / rows.size
     loss = -scale * np.sum(l_pos - np.log(denom))
 
     def backward(g):

@@ -1,15 +1,18 @@
 """Masked frame feature reconstruction.
 
 Frames of a snippet are embedded by the query encoder, summed with a fixed
-sin/cos positional table, and the masked rows are replaced wholesale by a
-learnable mask token (the positional term is masked too, so the network must
-infer the missing location from its neighbours' positions). Two pre-norm
-residual blocks of multi-head self-attention and an MLP process the sequence
-with full bidirectional attention, and an affine output head maps the
-residual stream back to the embedding space. The objective is the mean
-squared distance between reconstructed and original rows at the masked
-positions; the target rows are detached so the reconstruction loss cannot
-shrink the embedding geometry itself.
+sin/cos positional table (Vaswani et al., 2017), and the masked rows are
+replaced wholesale by a learnable mask token (the positional term is masked
+too, so the network must infer the missing location from its neighbours'
+positions). ``assemble_masked_input`` builds the table on every call from
+the embeddings' own window, width and dtype; it costs microseconds, so no
+caller precomputes it. Two pre-norm residual blocks of multi-head
+self-attention and an MLP process the sequence with full bidirectional
+attention, and an affine output head maps the residual stream back to the
+embedding space. The objective is the mean squared distance between
+reconstructed and original rows at the masked positions; the target rows are
+detached so the reconstruction loss cannot shrink the embedding geometry
+itself.
 
 Everything works on batches of snippets. ``masked_reconstruct`` is the one
 forward path: it masks the given rows of every snippet, runs the
@@ -113,8 +116,7 @@ class AttentionBlock:
             self.w1, self.b1, self.w2, self.b2,
         ]
 
-    def __call__(self, x: Tensor, collect_attention: list | None = None,
-                 rows: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, rows: np.ndarray | None = None) -> Tensor:
         """The block's (L x T x D) output; with ``rows`` (L x m indices) only
         those rows of each snippet, (L x m x D). Keys and values always come
         from all T rows."""
@@ -133,8 +135,6 @@ class AttentionBlock:
         v = split(y @ self.wv + self.bv)
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
         attention = softmax(scores, axis=-1)
-        if collect_attention is not None:
-            collect_attention.append(attention.data.copy())
         context = (attention @ v).transpose((0, 2, 1, 3)).reshape((batch, -1, dim))
         x = x + (context @ self.wo + self.bo)
         y2 = layer_norm(x, self.ln2_gamma, self.ln2_beta)
@@ -147,13 +147,10 @@ class Reconstructor:
 
     def __init__(self, dim: int, heads: int = 8, layers: int = 2,
                  rng: np.random.Generator | None = None, dtype=np.float32):
-        if dim % heads != 0:
-            raise ShapeError(f"dim {dim} must be divisible by heads {heads}")
         if layers < 1:
             raise ConfigError(f"layers must be >= 1, got {layers}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = dim
-        self.heads = heads
         self.mask_token = Parameter(
             rng.uniform(-0.02, 0.02, size=dim).astype(dtype), "ffr.mask_token"
         )
@@ -173,29 +170,27 @@ class Reconstructor:
         params.extend([self.head_w, self.head_b])
         return params
 
-    def forward(self, assembled: Tensor, collect_attention: list | None = None,
-                rows: np.ndarray | None = None) -> Tensor:
+    def forward(self, assembled: Tensor, rows: np.ndarray | None = None) -> Tensor:
         """The (L x T x D) reconstruction; with ``rows`` (L x m indices) only
         those rows, (L x m x D), which the last block alone computes."""
         x = assembled
         for block in self.blocks[:-1]:
-            x = block(x, collect_attention)
-        x = self.blocks[-1](x, collect_attention, rows)
+            x = block(x)
+        x = self.blocks[-1](x, rows)
         return x @ self.head_w + self.head_b
 
 
-def assemble_masked_input(h3, mask_rows, pos: np.ndarray, rec: Reconstructor) -> Tensor:
+def assemble_masked_input(h3, mask_rows, rec: Reconstructor) -> Tensor:
     """The (L x T x D) reconstructor input for L snippets of embeddings.
 
     Row ``mask_rows[i, j]`` of snippet ``i`` becomes the mask token; every
-    other row is embedding + positional row. ``mask_rows`` is (L x m).
+    other row is embedding + row of the (T x D) positional table, at the
+    embeddings' dtype. ``mask_rows`` is (L x m).
     """
     h3 = h3 if isinstance(h3, Tensor) else Tensor(np.asarray(h3))
     if h3.data.ndim != 3:
         raise ShapeError(f"expected (snippets x window x dim) input, got {h3.data.shape}")
-    L, T, _ = h3.data.shape
-    if pos.shape != h3.data.shape[1:]:
-        raise ShapeError(f"positional table {pos.shape} does not match input {h3.data.shape}")
+    L, T, D = h3.data.shape
     rows = np.asarray(mask_rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[0] != L:
         raise ShapeError(f"mask rows {rows.shape} do not give one row per snippet ({L})")
@@ -205,15 +200,15 @@ def assemble_masked_input(h3, mask_rows, pos: np.ndarray, rec: Reconstructor) ->
     mask = np.zeros((L, T, 1), dtype=h3.data.dtype)
     mask[np.arange(L)[:, None], rows, 0] = 1.0
     keep = Tensor(1.0 - mask)
-    positional = Tensor(np.asarray(pos, dtype=h3.data.dtype))
+    positional = Tensor(positional_embedding(T, D).astype(h3.data.dtype, copy=False))
     return (h3 + positional) * keep + rec.mask_token * Tensor(mask)
 
 
-def masked_reconstruct(h3, mask_rows, pos: np.ndarray, rec: Reconstructor) -> Tensor:
+def masked_reconstruct(h3, mask_rows, rec: Reconstructor) -> Tensor:
     """Mask ``mask_rows`` of every snippet, run the reconstructor, and return
     the reconstructed rows: (L*m x D), snippet-major."""
     rows = np.asarray(mask_rows, dtype=np.int64)
-    out = rec.forward(assemble_masked_input(h3, rows, pos, rec), rows=rows)
+    out = rec.forward(assemble_masked_input(h3, rows, rec), rows=rows)
     return out.reshape((-1, rec.dim))
 
 
@@ -224,7 +219,6 @@ def compute_losses(
     rec: Reconstructor,
     contrastive_cfg: ContrastiveConfig,
     recon_cfg: ReconstructionConfig,
-    pos: np.ndarray,
     mask_rows: np.ndarray,
     recon_targets: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
@@ -251,12 +245,10 @@ def compute_losses(
     h = encode_query(flat, enc)
     z = encode_key(flat, enc)
     snippet_ids = np.repeat(np.arange(L), T)
-    lc = info_nce_loss(
-        h, z.data, snippet_ids, queue.as_array(enc.dim), contrastive_cfg.temperature, T
-    )
+    lc = info_nce_loss(h, z.data, snippet_ids, queue.as_array(), contrastive_cfg.temperature)
 
     h3 = h.reshape((L, T, enc.dim))
-    recon_rows = masked_reconstruct(h3, mask_rows, pos, rec)
+    recon_rows = masked_reconstruct(h3, mask_rows, rec)
     if recon_targets is None:
         recon_targets = h3.data[np.arange(L)[:, None], mask_rows].reshape(-1, enc.dim)
     diff = recon_rows - Tensor(recon_targets)
@@ -283,7 +275,6 @@ def train_step(
     recon_cfg: ReconstructionConfig,
     opt: Optimizer,
     rng: np.random.Generator,
-    pos: np.ndarray | None = None,
 ) -> dict[str, float]:
     """One joint optimization step.
 
@@ -293,11 +284,9 @@ def train_step(
     the queue. A non-finite loss aborts before any state changes.
     """
     L, T, _ = batch.frames.shape
-    if pos is None:
-        pos = positional_embedding(T, enc.dim)
     mask_rows = sample_mask_rows(rng, L, T, recon_cfg.mask_size)
     lc, lr, total = compute_losses(
-        batch, enc, queue, rec, contrastive_cfg, recon_cfg, pos, mask_rows
+        batch, enc, queue, rec, contrastive_cfg, recon_cfg, mask_rows
     )
     if not np.isfinite(total.data).all():
         raise NumericsError(

@@ -10,7 +10,7 @@ from .config import RunConfig
 from .data import FrameFeatureSequence
 from .embedding import EncoderPair, MemoryQueue, sample_batch
 from .errors import NumericsError
-from .reconstruction import Reconstructor, positional_embedding, train_step
+from .reconstruction import Reconstructor, train_step
 
 
 @dataclass
@@ -34,7 +34,7 @@ class TrainingResult:
 def build_models(cfg: RunConfig, rng: np.random.Generator) -> tuple[EncoderPair, Reconstructor, MemoryQueue]:
     enc = EncoderPair(cfg.model.input_dim, cfg.model.embedding_dim, cfg.model.alpha, rng)
     rec = Reconstructor(cfg.model.embedding_dim, cfg.model.heads, cfg.model.layers, rng)
-    queue = MemoryQueue(cfg.model.queue_capacity)
+    queue = MemoryQueue(cfg.model.queue_capacity, cfg.model.embedding_dim)
     return enc, rec, queue
 
 
@@ -65,7 +65,6 @@ def run_training(
     cfg.validate()
     rng = np.random.default_rng(cfg.training.seed)
     enc, rec, queue = build_models(cfg, rng)
-    pos = positional_embedding(cfg.contrastive.window, cfg.model.embedding_dim)
     history: list[dict[str, float]] = []
     diverged = False
     steps_done = 0
@@ -80,7 +79,7 @@ def run_training(
         try:
             losses = train_step(
                 batch, enc, queue, rec, cfg.contrastive, cfg.reconstruction,
-                cfg.optimizer, rng, pos,
+                cfg.optimizer, rng,
             )
         except NumericsError:
             diverged = True

@@ -36,7 +36,6 @@ from eventseg import (
     load_feature_file,
     match_boundaries,
     mof_iou,
-    positional_embedding,
     rel_dis,
     run_training,
     sample_batch,
@@ -79,13 +78,12 @@ def test_criterion_1_full_model_gradient_check():
 
     frames = master.normal(size=(snippets, window, dim)).astype(np.float64)
     batch = SnippetBatch(frames, ["a", "b"], [0, 0])
-    queue = MemoryQueue(8)
+    queue = MemoryQueue(8, dim)
     for _ in range(4):
         v = master.normal(size=dim)
         queue.push((v / np.linalg.norm(v)).astype(np.float32))
     ccfg = ContrastiveConfig(temperature=0.2, window=window)
     rcfg = ReconstructionConfig(window=window, mask_size=1, beta=1.0)
-    pos = positional_embedding(window, dim).astype(np.float64)
     mask_rows = np.array([[2], [1]])
 
     # Freeze the reconstruction target at the unperturbed point: the target
@@ -98,7 +96,7 @@ def test_criterion_1_full_model_gradient_check():
 
     def total():
         return compute_losses(
-            batch, enc, queue, rec, ccfg, rcfg, pos, mask_rows, recon_targets=targets
+            batch, enc, queue, rec, ccfg, rcfg, mask_rows, recon_targets=targets
         )[2]
 
     total().backward()
@@ -155,7 +153,7 @@ def test_criterion_2_contrastive_oracle():
         queue = unit(queue_len) if queue_len else None
         ids = np.repeat(np.arange(L), T)
         tau = float(rng.uniform(0.1, 1.0))
-        fast = info_nce_loss(h, z, ids, queue, tau, T).item()
+        fast = info_nce_loss(h, z, ids, queue, tau).item()
         slow = _brute_contrastive(h.data, z, ids, queue if queue is not None else [], tau, T)
         worst = max(worst, abs(fast - slow))
     assert worst < 1e-5
@@ -165,7 +163,7 @@ def test_criterion_2_contrastive_oracle():
     h = Tensor(np.eye(L * T, 16, dtype=np.float32))
     z = np.eye(L * T, 16, dtype=np.float32)
     queue = np.eye(queue_len, 16, dtype=np.float32)
-    limit = info_nce_loss(h, z, np.repeat(np.arange(L), T), queue, 1e6, T).item()
+    limit = info_nce_loss(h, z, np.repeat(np.arange(L), T), queue, 1e6).item()
     expected = math.log(1 + (L - 1) * T + queue_len)
     limit_err = abs(limit - expected)
     ok = worst < 1e-5 and limit_err < 1e-3
@@ -231,8 +229,10 @@ def test_criterion_4_matching_oracles():
         num_frames = int(rng.integers(20, 200))
         n_det = int(rng.integers(0, 7))
         n_gt = int(rng.integers(0, 7))
-        det_frames = sorted(rng.choice(num_frames, size=n_det, replace=False).tolist())
-        gt_frames = sorted(rng.choice(num_frames, size=n_gt, replace=False).tolist())
+        det_frames = sorted(rng.choice(np.arange(1, num_frames), size=n_det,
+                                       replace=False).tolist())
+        gt_frames = sorted(rng.choice(np.arange(1, num_frames), size=n_gt,
+                                      replace=False).tolist())
         threshold = float(rng.uniform(0.02, 0.3))
         det = Annotation("v", num_frames, 25.0, det_frames)
         gt = Annotation("v", num_frames, 25.0, gt_frames)
@@ -370,12 +370,11 @@ def test_criterion_7a_loss_halves(pipeline):
     )
     num_snippets, window, _ = batch.frames.shape
     mask_rows = sample_mask_rows(rng, num_snippets, window, cfg.reconstruction.mask_size)
-    pos = positional_embedding(window, cfg.model.embedding_dim)
 
     def total(enc, rec):
         return compute_losses(
-            batch, enc, MemoryQueue(cfg.model.queue_capacity), rec,
-            cfg.contrastive, cfg.reconstruction, pos, mask_rows,
+            batch, enc, MemoryQueue(cfg.model.queue_capacity, cfg.model.embedding_dim), rec,
+            cfg.contrastive, cfg.reconstruction, mask_rows,
         )[2].item()
 
     start = total(enc0, rec0)

@@ -21,8 +21,10 @@ from eventseg import (
     EncoderPair,
     Reconstructor,
     SynthConfig,
+    Tensor,
     detect_boundaries,
     error_trajectory,
+    info_nce_loss,
     match_boundaries,
     segment_scores,
     synth_generate,
@@ -68,6 +70,21 @@ def test_tracer_attributes_read_detections_and_annotations():
     args = (video, enc, rec, cfg)
     attrs = tracer._trajectory_attrs(args, {}, error_trajectory(*args))
     assert attrs == {"frames": video.num_frames}
+
+
+def test_tracer_attributes_read_the_info_nce_queue():
+    # The loss is called the way compute_losses calls it: queue fourth.
+    tracer = _load("tracer")
+    rng = np.random.default_rng(1)
+
+    def unit(n):
+        rows = rng.normal(size=(n, 8)).astype(np.float32)
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+    queue = unit(7)
+    args = (Tensor(unit(6)), unit(6), np.repeat(np.arange(2), 3), queue, 0.2)
+    attrs = tracer._info_nce_attrs(args, {}, info_nce_loss(*args))
+    assert attrs == {"queue": len(queue)}
 
 
 def test_bench_trim_cuts_a_video_and_its_record():

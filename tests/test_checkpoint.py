@@ -69,7 +69,7 @@ def test_model_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     enc = EncoderPair(6, 8, 0.99, rng)
     rec = Reconstructor(8, 4, 2, rng)
-    queue = MemoryQueue(16)
+    queue = MemoryQueue(16, 8)
     for _ in range(5):
         v = rng.normal(size=8).astype(np.float32)
         queue.push(v / np.linalg.norm(v))
@@ -86,7 +86,7 @@ def test_model_round_trip(tmp_path):
                     enc2.parameters() + rec2.parameters()):
         assert p.name == q.name
         np.testing.assert_array_equal(p.data, q.data)
-    np.testing.assert_array_equal(queue.as_array(8), queue2.as_array(8))
+    np.testing.assert_array_equal(queue.as_array(), queue2.as_array())
     assert int(meta2["window"]) == 5
 
     save_model(path, enc2, rec2, queue2, {k: meta2[k] for k in meta})
@@ -135,13 +135,25 @@ def _tiny_model_records():
     rng = np.random.default_rng(3)
     enc = EncoderPair(4, 8, 0.99, rng)
     rec = Reconstructor(8, 4, 1, rng)
-    queue = MemoryQueue(8)
+    queue = MemoryQueue(8, 8)
     queue.push(np.full(8, 8**-0.5, dtype=np.float32))
     meta = {
         "input_dim": 4, "embedding_dim": 8, "heads": 4, "layers": 1,
         "window": 5, "queue_capacity": 8, "alpha": 0.99,
     }
     return enc, rec, queue, meta
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (2, 9), (8,)])
+def test_load_model_rejects_queue_of_other_width(tmp_path, shape):
+    path = tmp_path / "model.bin"
+    save_model(path, *_tiny_model_records())
+    records = deserialize_records(path.read_bytes())
+    records["ctfe.queue"] = np.zeros(shape, dtype=np.float32)
+    path.write_bytes(serialize_records(list(records.items())))
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert "'ctfe.queue'" in str(err.value)
 
 
 @pytest.mark.parametrize("record", ["ctfe.query.w1", "ffr.head.b", "ctfe.queue"])

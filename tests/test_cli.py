@@ -322,3 +322,19 @@ def test_num_frames_beyond_the_csgf_range_is_data_error(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: data:")
     assert "annotations[0].num_frames" in err
+
+
+def test_boundary_at_frame_zero_is_data_error(workspace, capsys):
+    # Frame 0 starts the first event; as a boundary it would open an empty
+    # first segment.
+    _, config, out = workspace
+    _run(["synth", "--config", config, "--out", out])
+    records = json.loads((out / "annotations.json").read_text())
+    (out / "detections.json").write_text(json.dumps(records))
+    records[0]["boundaries"] = [0, 50]
+    (out / "annotations.json").write_text(json.dumps(records))
+    code = _run(["eval", "--config", config, "--out", out])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:")
+    assert "annotations[0].boundaries[0]" in err

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,24 @@ def test_feature_file_error_taxonomy(tmp_path):
         load_feature_file(padded)
 
 
+def test_feature_file_is_held_once_while_loading(tmp_path):
+    # The payload goes straight into the feature matrix; the only other
+    # allocation of its size order is the finite check's boolean mask.
+    seq = FrameFeatureSequence("clip", 25.0, np.ones((200_000, 32), dtype=np.float32))
+    path = tmp_path / "clip.csgf"
+    save_feature_file(seq, path)
+    matrix_bytes = seq.features.nbytes
+    del seq
+    tracemalloc.start()
+    try:
+        loaded = load_feature_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.features.shape == (200_000, 32)
+    assert peak <= 1.3 * matrix_bytes, peak / matrix_bytes
+
+
 def test_feature_file_truncated_at_every_offset(tmp_path):
     seq = FrameFeatureSequence("clip", 30.0, np.arange(6, dtype=np.float32).reshape(3, 2))
     path = tmp_path / "clip.csgf"
@@ -209,6 +228,7 @@ def test_annotation_validation():
     cases = [
         (("v", 10, 25.0, [3, 3]), "boundaries[1]"),
         (("v", 10, 25.0, [11]), "boundaries[0]"),
+        (("v", 10, 25.0, [0, 5]), "boundaries[0]"),
         (("v", 10, 25.0, [2, 5], [1.0]), "scores"),
         (("v", 10, 25.0, [2, 5], [1.0, math.nan]), "scores[1]"),
         (("v", 10, 25.0, [2], [-math.inf]), "scores[0]"),
@@ -273,7 +293,7 @@ def _meets_record_invariants(ann) -> bool:
         isinstance(ann.video_id, str)
         and isinstance(ann.num_frames, int) and 1 <= ann.num_frames < 2**32
         and isinstance(ann.fps, float) and math.isfinite(ann.fps) and ann.fps > 0
-        and all(isinstance(f, int) and 0 <= f < ann.num_frames for f in b)
+        and all(isinstance(f, int) and 1 <= f < ann.num_frames for f in b)
         and all(x < y for x, y in zip(b, b[1:]))
         and (ann.scores is None
              or (len(ann.scores) == len(b)

@@ -19,7 +19,6 @@ from eventseg import (
     gradient,
     masked_reconstruct,
     no_grad,
-    positional_embedding,
     relative_extrema,
 )
 from eventseg.detection import BLOCK_WINDOWS
@@ -179,7 +178,6 @@ def test_error_trajectory_matches_window_slices():
 def _trajectory_oracle(video, enc, rec, cfg):
     """Every window of the video at once, in one reconstructor call."""
     T, n = cfg.window, video.num_frames
-    pos = positional_embedding(T, enc.dim)
     mid = T // 2
     first = mid
     last = n - 1 - (T - 1 - mid)
@@ -187,7 +185,7 @@ def _trajectory_oracle(video, enc, rec, cfg):
         embeddings = encode_query(video.features, enc).data
         starts = np.arange(first - mid, last - mid + 1)
         windows = embeddings[starts[:, None] + np.arange(T)[None, :]]
-        recon_mid = masked_reconstruct(windows, np.full((len(starts), 1), mid), pos, rec).data
+        recon_mid = masked_reconstruct(windows, np.full((len(starts), 1), mid), rec).data
     originals = embeddings[first : last + 1]
     core = ((recon_mid - originals) ** 2).sum(axis=1)
     values = np.empty(n, dtype=np.float32)

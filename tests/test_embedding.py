@@ -27,7 +27,6 @@ from eventseg import (
     info_nce_loss,
     load_model,
     momentum_update,
-    positional_embedding,
     sample_batch,
     save_model,
 )
@@ -170,53 +169,53 @@ def test_momentum_update_is_contraction():
 
 
 def test_queue_fifo_and_capacity():
-    queue = MemoryQueue(4)
+    queue = MemoryQueue(4, 3)
     for i in range(6):
         queue.push(np.full(3, float(i), dtype=np.float32))
     assert len(queue) == 4
-    np.testing.assert_array_equal(queue.as_array(3)[:, 0], [2.0, 3.0, 4.0, 5.0])
+    np.testing.assert_array_equal(queue.as_array()[:, 0], [2.0, 3.0, 4.0, 5.0])
 
 
 def test_queue_fifo_after_wrapping_twice():
-    queue = MemoryQueue(5)
+    queue = MemoryQueue(5, 2)
     for i in range(13):
         queue.push(np.full(2, float(i), dtype=np.float32))
         expected = np.arange(max(0, i - 4), i + 1, dtype=np.float32)
         assert len(queue) == len(expected)
-        np.testing.assert_array_equal(queue.as_array(2)[:, 0], expected)
+        np.testing.assert_array_equal(queue.as_array()[:, 0], expected)
 
 
 def test_queue_load_keeps_newest_rows_oldest_first():
     rows = np.arange(14, dtype=np.float32).reshape(7, 2)
-    queue = MemoryQueue(4)
+    queue = MemoryQueue(4, 2)
     queue.load(rows)
     assert len(queue) == 4
-    np.testing.assert_array_equal(queue.as_array(2), rows[3:])
+    np.testing.assert_array_equal(queue.as_array(), rows[3:])
     queue.push(np.array([99.0, 99.0], dtype=np.float32))
-    np.testing.assert_array_equal(queue.as_array(2)[:, 0], [8.0, 10.0, 12.0, 99.0])
+    np.testing.assert_array_equal(queue.as_array()[:, 0], [8.0, 10.0, 12.0, 99.0])
 
     queue.load(rows[:2])
-    np.testing.assert_array_equal(queue.as_array(2), rows[:2])
+    np.testing.assert_array_equal(queue.as_array(), rows[:2])
 
 
 def test_queue_as_array_is_a_copy():
-    queue = MemoryQueue(3)
+    queue = MemoryQueue(3, 2)
     for i in range(4):
         queue.push(np.full(2, float(i), dtype=np.float32))
-    snapshot = queue.as_array(2)
+    snapshot = queue.as_array()
     snapshot[...] = -1.0
-    np.testing.assert_array_equal(queue.as_array(2)[:, 0], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(queue.as_array()[:, 0], [1.0, 2.0, 3.0])
 
 
 def test_queue_rejects_row_of_other_width():
-    queue = MemoryQueue(3)
+    queue = MemoryQueue(3, 4)
     queue.push(np.zeros(4, dtype=np.float32))
     with pytest.raises(ShapeError):
         queue.push(np.zeros(5, dtype=np.float32))
     with pytest.raises(ShapeError):
         queue.push(np.zeros((1, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
-        MemoryQueue(3).push(np.zeros((1, 4), dtype=np.float32))
+        MemoryQueue(3, 4).push(np.zeros((1, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
         queue.load(np.zeros(4, dtype=np.float32))
     assert len(queue) == 1
@@ -226,7 +225,7 @@ def test_wrapped_queue_round_trips_through_checkpoint(tmp_path):
     rng = np.random.default_rng(16)
     enc = EncoderPair(6, 8, 0.99, rng)
     rec = Reconstructor(8, 4, 1, rng)
-    queue = MemoryQueue(5)
+    queue = MemoryQueue(5, 8)
     for _ in range(12):
         queue.push(_unit_rows(rng, 1, 8)[0])
     meta = {
@@ -236,7 +235,7 @@ def test_wrapped_queue_round_trips_through_checkpoint(tmp_path):
     save_model(tmp_path / "model.bin", enc, rec, queue, meta)
     _, _, loaded, _ = load_model(tmp_path / "model.bin")
     assert len(loaded) == 5
-    np.testing.assert_array_equal(loaded.as_array(8), queue.as_array(8))
+    np.testing.assert_array_equal(loaded.as_array(), queue.as_array())
 
 
 def test_enqueue_memory_contract():
@@ -244,19 +243,19 @@ def test_enqueue_memory_contract():
     enc = EncoderPair(6, 8, rng=rng)
     frames = rng.normal(size=(3, 4, 6)).astype(np.float32)
     batch = SnippetBatch(frames, ["a", "b", "c"], [0, 0, 0])
-    queue = MemoryQueue(64)
+    queue = MemoryQueue(64, 8)
     enqueue_memory(batch, enc, queue, np.random.default_rng(6))
     assert len(queue) == 3
-    norms = np.linalg.norm(queue.as_array(8), axis=1)
+    norms = np.linalg.norm(queue.as_array(), axis=1)
     np.testing.assert_allclose(norms, np.ones(3), atol=1e-5)
 
-    small = MemoryQueue(4)
+    small = MemoryQueue(4, 8)
     for i in range(4):
         small.push(np.full(8, float(i), dtype=np.float32))
     enqueue_memory(batch, enc, small, np.random.default_rng(7))
     assert len(small) == 4
     # The three oldest seeded rows were evicted.
-    assert small.as_array(8)[0, 0] == 3.0
+    assert small.as_array()[0, 0] == 3.0
 
 
 def test_contrastive_perfect_alignment_floor():
@@ -265,7 +264,7 @@ def test_contrastive_perfect_alignment_floor():
     h = Tensor(_unit_rows(rng, 2, 8))
     z = _unit_rows(rng, 2, 8)
     ids = np.zeros(2, dtype=np.int64)
-    loss = info_nce_loss(h, z, ids, None, 0.2, 2)
+    loss = info_nce_loss(h, z, ids, None, 0.2)
     assert abs(loss.item()) < 1e-6
 
 
@@ -277,7 +276,7 @@ def test_contrastive_scalar_hand_case():
     h = Tensor(np.stack([e1, e1]))
     z = np.stack([e1, e1])
     queue = np.stack([e2])
-    loss = info_nce_loss(h, z, np.zeros(2, dtype=np.int64), queue, 0.2, 2)
+    loss = info_nce_loss(h, z, np.zeros(2, dtype=np.int64), queue, 0.2)
     expected = -math.log(math.exp(5.0) / (math.exp(5.0) + 1.0))
     assert abs(loss.item() - expected) < 1e-6
     assert abs(expected - 0.006715) < 5e-7
@@ -295,7 +294,7 @@ def test_contrastive_matches_brute_force():
         queue = _unit_rows(rng, queue_len, dim) if queue_len else None
         ids = np.repeat(np.arange(L), T)
         tau = float(rng.uniform(0.1, 1.0))
-        fast = info_nce_loss(h, z, ids, queue, tau, T).item()
+        fast = info_nce_loss(h, z, ids, queue, tau).item()
         slow = brute_force_loss(
             h.data, z, ids, queue if queue is not None else [], tau, T
         )
@@ -304,7 +303,7 @@ def test_contrastive_matches_brute_force():
 
 def _assert_matches_composed(h, z, ids, queue, tau, window):
     fused_q = Tensor(h.copy(), requires_grad=True)
-    fused = info_nce_loss(fused_q, z, ids, queue, tau, window)
+    fused = info_nce_loss(fused_q, z, ids, queue, tau)
     fused.backward()
     oracle_q = Tensor(h.copy(), requires_grad=True)
     oracle = composed_info_nce(oracle_q, z, ids, queue, tau, window)
@@ -361,9 +360,9 @@ def test_info_nce_rejects_keys_or_ids_not_matching_queries():
     ids = np.repeat(np.arange(3), 2)
     queue = _unit_rows(rng, 5, 4)
     with pytest.raises(ShapeError):
-        info_nce_loss(h, _unit_rows(rng, 4, 4), ids, queue, 0.2, 2)
+        info_nce_loss(h, _unit_rows(rng, 4, 4), ids, queue, 0.2)
     with pytest.raises(ShapeError):
-        info_nce_loss(h, _unit_rows(rng, 6, 4), ids[:4], queue, 0.2, 2)
+        info_nce_loss(h, _unit_rows(rng, 6, 4), ids[:4], queue, 0.2)
 
 
 def test_info_nce_query_gradient_finite_difference():
@@ -374,9 +373,9 @@ def test_info_nce_query_gradient_finite_difference():
     queue = _unit_rows(rng, 4, dim).astype(np.float64)
     ids = np.repeat(np.arange(L), T)
     q = Tensor(h, requires_grad=True)
-    info_nce_loss(q, z, ids, queue, 0.5, T).backward()
+    info_nce_loss(q, z, ids, queue, 0.5).backward()
     (numeric,) = finite_difference(
-        lambda: float(info_nce_loss(Tensor(h), z, ids, queue, 0.5, T).data), [h], 1e-6
+        lambda: float(info_nce_loss(Tensor(h), z, ids, queue, 0.5).data), [h], 1e-6
     )
     assert gradients_close(q.grad, numeric, rel_tol=1e-6, abs_tol=1e-9)
 
@@ -388,7 +387,7 @@ def test_contrastive_high_temperature_limit():
     z = _unit_rows(rng, L * T, dim)
     queue = _unit_rows(rng, queue_len, dim)
     ids = np.repeat(np.arange(L), T)
-    loss = info_nce_loss(h, z, ids, queue, 1e6, T).item()
+    loss = info_nce_loss(h, z, ids, queue, 1e6).item()
     n_negatives = (L - 1) * T + queue_len
     assert abs(loss - math.log(1 + n_negatives)) < 1e-3
 
@@ -398,19 +397,19 @@ def test_contrastive_loss_is_nonnegative_and_needs_positives():
     enc = EncoderPair(6, 8, rng=rng)
     frames = rng.normal(size=(4, 3, 6)).astype(np.float32)
     batch = SnippetBatch(frames, ["a", "a", "b", "c"], [0, 3, 0, 0])
-    queue = MemoryQueue(16)
+    queue = MemoryQueue(16, 8)
     cfg = ContrastiveConfig(temperature=0.2, window=3)
     rec = Reconstructor(8, 4, 1, rng)
     loss, _, _ = compute_losses(
         batch, enc, queue, rec, cfg, ReconstructionConfig(window=3),
-        positional_embedding(3, 8), np.ones((4, 1), dtype=np.int64),
+        np.ones((4, 1), dtype=np.int64),
     )
     assert loss.item() >= 0.0
 
     with pytest.raises(ConfigError):
         info_nce_loss(
             Tensor(_unit_rows(rng, 2, 4)), _unit_rows(rng, 2, 4),
-            np.array([0, 1]), None, 0.2, 1,
+            np.array([0, 1]), None, 0.2,
         )
 
 
@@ -420,7 +419,7 @@ def test_queue_entries_receive_no_gradient():
     queue = Parameter(_unit_rows(rng, 3, 6), "queue_probe")
     # The loss consumes the queue as raw values only.
     loss = info_nce_loss(h, _unit_rows(rng, 4, 6), np.repeat(np.arange(2), 2),
-                         queue.data, 0.2, 2)
+                         queue.data, 0.2)
     loss.backward()
     np.testing.assert_array_equal(queue.grad, np.zeros_like(queue.data))
 

@@ -128,8 +128,10 @@ def test_match_against_brute_force():
         num_frames = int(rng.integers(20, 200))
         n_det = int(rng.integers(0, 7))
         n_gt = int(rng.integers(0, 7))
-        det_frames = sorted(rng.choice(num_frames, size=n_det, replace=False).tolist())
-        gt_frames = sorted(rng.choice(num_frames, size=n_gt, replace=False).tolist())
+        det_frames = sorted(rng.choice(np.arange(1, num_frames), size=n_det,
+                                       replace=False).tolist())
+        gt_frames = sorted(rng.choice(np.arange(1, num_frames), size=n_gt,
+                                      replace=False).tolist())
         threshold = float(rng.uniform(0.02, 0.3))
         det = Annotation("v", num_frames, 25.0, det_frames)
         gt = Annotation("v", num_frames, 25.0, gt_frames)
@@ -155,9 +157,9 @@ def test_match_pairs_equal_fixpoint_oracle():
     crossed = 0
     for _ in range(2000):
         num_frames = int(rng.integers(40, 3001))
-        det_frames = sorted(rng.choice(num_frames, size=int(rng.integers(0, 41)),
+        det_frames = sorted(rng.choice(np.arange(1, num_frames), size=int(rng.integers(0, 41)),
                                        replace=False).tolist())
-        gt_frames = sorted(rng.choice(num_frames, size=int(rng.integers(0, 41)),
+        gt_frames = sorted(rng.choice(np.arange(1, num_frames), size=int(rng.integers(0, 41)),
                                       replace=False).tolist())
         threshold = float(rng.uniform(0.005, 0.3))
         result = match_boundaries(
@@ -299,9 +301,9 @@ def test_f1_monotone_in_threshold():
     rng = np.random.default_rng(3)
     for _ in range(50):
         num_frames = int(rng.integers(40, 200))
-        det_b = sorted(rng.choice(np.arange(num_frames),
+        det_b = sorted(rng.choice(np.arange(1, num_frames),
                                   size=int(rng.integers(1, 8)), replace=False).tolist())
-        gt_b = sorted(rng.choice(np.arange(num_frames),
+        gt_b = sorted(rng.choice(np.arange(1, num_frames),
                                  size=int(rng.integers(1, 8)), replace=False).tolist())
         det = Annotation("v", num_frames, 25.0, det_b)
         gt = Annotation("v", num_frames, 25.0, gt_b)

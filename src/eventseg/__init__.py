@@ -96,6 +96,6 @@ from .tensor import (
     no_grad,
     softmax,
 )
-from .training import TrainingResult, build_models, model_meta, run_training, write_loss_csv
+from .training import TrainingResult, build_models, run_training, write_loss_csv
 
 __version__ = "0.1.0"

@@ -7,14 +7,16 @@ the float32 payload in row-major order. Save -> load -> save is byte-exact.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .embedding import EncoderPair, MemoryQueue
-from .errors import BadMagicError, FormatError, TruncatedError, VersionError
-from .reconstruction import Reconstructor
+from .config import ModelConfig
+from .detection import DetectorConfig
+from .errors import BadMagicError, ConfigError, FormatError, TruncatedError, VersionError
+from .training import build_models
 
 MAGIC = b"CSGC"
 VERSION = 1
@@ -80,47 +82,57 @@ def deserialize_records(blob: bytes) -> dict[str, np.ndarray]:
 # -- full model state ---------------------------------------------------------
 
 
-def model_records(enc, rec, queue, meta: Mapping[str, float]) -> list[tuple[str, np.ndarray]]:
+def model_records(enc, rec, queue, window: int) -> list[tuple[str, np.ndarray]]:
     """Canonical record list: encoder pair, reconstructor, queue, then
-    scalar ``meta.*`` entries describing the architecture."""
+    scalar ``meta.*`` entries: the models' ``ModelConfig`` and the window."""
     records: list[tuple[str, np.ndarray]] = []
     for p in enc.parameters() + rec.parameters():
         records.append((p.name, p.data))
     records.append(("ctfe.queue", queue.as_array()))
+    model = ModelConfig(
+        input_dim=enc.in_dim, embedding_dim=enc.dim, heads=rec.blocks[0].heads,
+        layers=len(rec.blocks), alpha=enc.alpha, queue_capacity=queue.capacity,
+    )
+    meta = {**dataclasses.asdict(model), "window": window}
     for key in sorted(meta):
         records.append((f"meta.{key}", np.asarray(float(meta[key]), dtype=np.float32)))
     return records
 
 
-def save_model(path, enc, rec, queue, meta: Mapping[str, float]) -> None:
+def save_model(path, enc, rec, queue, window: int) -> None:
     with open(path, "wb") as fh:
-        fh.write(serialize_records(model_records(enc, rec, queue, meta)))
+        fh.write(serialize_records(model_records(enc, rec, queue, window)))
 
 
 def load_model(path):
     """Rebuild (encoders, reconstructor, queue, meta) from a checkpoint.
 
-    A record holding NaN or Inf, or a parameter or queue whose shape does
-    not fit the model, is a ``FormatError`` naming the record.
+    ``meta`` maps each ``ModelConfig`` field and ``window`` to its value. A
+    record holding NaN or Inf, ``meta.*`` records that break ``ModelConfig``'s
+    rules or the detector's window rule, or a parameter or queue whose shape
+    does not fit the model, is a ``FormatError`` naming the record.
     """
     with open(path, "rb") as fh:
         records = deserialize_records(fh.read())
     for name, value in records.items():
         if not np.isfinite(value).all():
             raise FormatError(f"checkpoint record {name!r} holds non-finite values")
-    meta = {
-        name[len("meta."):]: float(value)
-        for name, value in records.items()
-        if name.startswith("meta.")
-    }
-    for key in ("input_dim", "embedding_dim", "heads", "layers", "window",
-                "queue_capacity", "alpha"):
-        if key not in meta:
-            raise FormatError(f"checkpoint lacks required meta record {key!r}")
-    dim = int(meta["embedding_dim"])
-    rng = np.random.default_rng(0)
-    enc = EncoderPair(int(meta["input_dim"]), dim, meta["alpha"], rng)
-    rec = Reconstructor(dim, int(meta["heads"]), int(meta["layers"]), rng)
+    kinds = {f.name: f.type for f in dataclasses.fields(ModelConfig)} | {"window": "int"}
+    meta = {}
+    for key, kind in kinds.items():
+        record = records.get(f"meta.{key}")
+        if record is None or record.ndim != 0:
+            raise FormatError(f"checkpoint lacks a scalar meta record {key!r}")
+        value = float(record)
+        if kind == "int" and not value.is_integer():
+            raise FormatError(f"checkpoint record 'meta.{key}' = {value} is not an integer")
+        meta[key] = int(value) if kind == "int" else value
+    try:
+        model = ModelConfig(**{k: v for k, v in meta.items() if k != "window"})
+        DetectorConfig(window=meta["window"])
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint meta.* records describe no valid model: {exc}") from exc
+    enc, rec, queue = build_models(model, np.random.default_rng(0))
     for p in enc.parameters() + rec.parameters():
         if p.name not in records:
             raise FormatError(f"checkpoint lacks parameter {p.name!r}")
@@ -131,13 +143,12 @@ def load_model(path):
                 f"model expects {p.data.shape}"
             )
         p.data[...] = value
-    queue = MemoryQueue(int(meta["queue_capacity"]), dim)
     stored = records.get("ctfe.queue")
     if stored is not None:
-        if stored.ndim != 2 or stored.shape[1] != dim:
+        if stored.ndim != 2 or stored.shape[1] != enc.dim:
             raise FormatError(
                 f"checkpoint queue 'ctfe.queue' has shape {stored.shape}, "
-                f"model expects rows of width {dim}"
+                f"model expects rows of width {enc.dim}"
             )
         queue.load(stored)
     return enc, rec, queue, meta

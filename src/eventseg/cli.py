@@ -25,7 +25,7 @@ from .data import (
 from .detection import detect_corpus
 from .errors import ConfigError, DataError, EventSegError, ShapeError
 from .metrics import evaluate_corpus
-from .training import model_meta, run_training, write_loss_csv
+from .training import run_training, write_loss_csv
 
 _EXIT_CODES = {"config": 2, "data": 3, "format": 4, "numerics": 5, "shape": 6, "io": 7}
 
@@ -62,7 +62,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     write_loss_csv(result.history, out / "training_log.csv")
     ckpt.save_model(
         checkpoint_path, result.encoders, result.reconstructor, result.queue,
-        model_meta(cfg),
+        cfg.detector.window,
     )
     if result.diverged:
         print(
@@ -82,9 +82,9 @@ def cmd_detect(cfg: RunConfig, args) -> int:
     if not checkpoint_path:
         raise ConfigError("detect needs --checkpoint or [paths] checkpoint")
     enc, rec, _, meta = ckpt.load_model(checkpoint_path)
-    if int(meta["window"]) != cfg.detector.window:
+    if meta["window"] != cfg.detector.window:
         raise ConfigError(
-            f"checkpoint was trained with window {int(meta['window'])}, "
+            f"checkpoint was trained with window {meta['window']}, "
             f"detector config uses {cfg.detector.window}"
         )
     # A corpus with no videos yields an empty detections file, not an error.
@@ -92,10 +92,10 @@ def cmd_detect(cfg: RunConfig, args) -> int:
     # Every video is checked before any detection work: a mismatched width
     # or a video shorter than the window aborts the whole command.
     for seq in corpus:
-        if seq.dim != int(meta["input_dim"]):
+        if seq.dim != enc.in_dim:
             raise ShapeError(
                 f"video {seq.video_id!r} has {seq.dim}-wide features, "
-                f"checkpoint expects input_dim {int(meta['input_dim'])}"
+                f"checkpoint expects input_dim {enc.in_dim}"
             )
         if seq.num_frames < cfg.detector.window:
             raise DataError(
@@ -142,22 +142,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-supervised event boundary detection on feature sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, help_text in (
         ("synth", "generate a synthetic feature corpus with known boundaries"),
         ("train", "train the embedding and reconstruction models"),
         ("detect", "detect boundaries for every corpus video"),
         ("eval", "score detections against annotations"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="INI config file")
         p.add_argument("--seed", type=int, metavar="N", help="override the seed")
         p.add_argument("--out", metavar="DIR", help="output directory")
-        p.add_argument("--checkpoint", metavar="PATH", help="checkpoint file")
-        p.add_argument("--thresholds", metavar="LIST", help="comma-separated Rel.Dis thresholds")
-        p.add_argument(
-            "--dump-trajectory", action="store_true",
-            help="write per-frame error/smoothed/gradient CSVs (detect only)",
-        )
+    for name in ("train", "detect"):
+        commands[name].add_argument("--checkpoint", metavar="PATH", help="checkpoint file")
+    commands["detect"].add_argument(
+        "--dump-trajectory", action="store_true",
+        help="write per-frame error/smoothed/gradient CSVs",
+    )
+    commands["eval"].add_argument(
+        "--thresholds", metavar="LIST", help="comma-separated Rel.Dis thresholds"
+    )
     return parser
 
 

@@ -4,10 +4,11 @@ Every hyperparameter is a named key with its standard default. ``RunConfig``
 overrides two detector fields because the synthetic events are 30-60 frames
 long rather than full-length activities: ``extrema_range`` (29 instead of
 70; the prior is stated at ``RunConfig``) and ``fir_half_width`` (3 instead
-of 5). The memory queue keeps its standard capacity of 4096. Cross-field
-consistency (all three window lengths equal, embedding dim divisible by
-heads, synthetic events long enough for the window) is validated whenever a
-config is built.
+of 5). The memory queue keeps its standard capacity of 4096. The one
+snippet length is ``[detector] window``: training samples snippets of it for
+both losses, and detection slides a window of it. Cross-field consistency
+(embedding dim divisible by heads, a mask shorter than the window, synthetic
+events long enough for the window) is validated whenever a config is built.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .data import SynthConfig
 from .detection import DetectorConfig
 from .embedding import ContrastiveConfig
 from .errors import ConfigError
+from .metrics import DEFAULT_THRESHOLDS
 from .optim import Optimizer
 from .reconstruction import ReconstructionConfig
 
@@ -35,6 +37,13 @@ class ModelConfig:
     queue_capacity: int = 4096
 
     def __post_init__(self):
+        if self.input_dim < 1:
+            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
+        # The positional sin/cos table pairs the embedding's columns.
+        if self.embedding_dim < 2 or self.embedding_dim % 2 != 0:
+            raise ConfigError(f"embedding_dim must be even and >= 2, got {self.embedding_dim}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.embedding_dim % self.heads != 0:
             raise ConfigError(
                 f"embedding_dim {self.embedding_dim} must be divisible by heads {self.heads}"
@@ -86,20 +95,19 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
-    thresholds: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 11))
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def validate(self) -> None:
-        windows = {
-            "contrastive": self.contrastive.window,
-            "reconstruction": self.reconstruction.window,
-            "detector": self.detector.window,
-        }
-        if len(set(windows.values())) != 1:
-            raise ConfigError(f"window lengths must agree across sections, got {windows}")
-        if self.synth.event_length[0] < self.contrastive.window:
+        window = self.detector.window
+        if self.synth.event_length[0] < window:
             raise ConfigError(
                 f"synthetic event_length minimum {self.synth.event_length[0]} is "
-                f"shorter than the window {self.contrastive.window}"
+                f"shorter than the window {window}"
+            )
+        if self.reconstruction.mask_size >= window:
+            raise ConfigError(
+                f"mask_size {self.reconstruction.mask_size} must be smaller than "
+                f"the window {window}"
             )
         if not self.thresholds or any(not 0 < t <= 1 for t in self.thresholds):
             raise ConfigError(f"thresholds must lie in (0, 1], got {self.thresholds}")

@@ -39,13 +39,10 @@ from .tensor import Parameter, Tensor, _accumulate, l2_normalize, no_grad
 @dataclass
 class ContrastiveConfig:
     temperature: float = 0.2
-    window: int = 10
 
     def __post_init__(self):
         if not self.temperature > 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if self.window < 3:
-            raise ConfigError(f"window must be >= 3, got {self.window}")
 
 
 class MlpEncoder:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ModelConfig, RunConfig
 from .data import FrameFeatureSequence
 from .embedding import EncoderPair, MemoryQueue, sample_batch
 from .errors import NumericsError
@@ -31,23 +31,11 @@ class TrainingResult:
         return self.history[-1]["total"]
 
 
-def build_models(cfg: RunConfig, rng: np.random.Generator) -> tuple[EncoderPair, Reconstructor, MemoryQueue]:
-    enc = EncoderPair(cfg.model.input_dim, cfg.model.embedding_dim, cfg.model.alpha, rng)
-    rec = Reconstructor(cfg.model.embedding_dim, cfg.model.heads, cfg.model.layers, rng)
-    queue = MemoryQueue(cfg.model.queue_capacity, cfg.model.embedding_dim)
+def build_models(model: ModelConfig, rng: np.random.Generator) -> tuple[EncoderPair, Reconstructor, MemoryQueue]:
+    enc = EncoderPair(model.input_dim, model.embedding_dim, model.alpha, rng)
+    rec = Reconstructor(model.embedding_dim, model.heads, model.layers, rng)
+    queue = MemoryQueue(model.queue_capacity, model.embedding_dim)
     return enc, rec, queue
-
-
-def model_meta(cfg: RunConfig) -> dict[str, float]:
-    return {
-        "input_dim": cfg.model.input_dim,
-        "embedding_dim": cfg.model.embedding_dim,
-        "heads": cfg.model.heads,
-        "layers": cfg.model.layers,
-        "window": cfg.contrastive.window,
-        "queue_capacity": cfg.model.queue_capacity,
-        "alpha": cfg.model.alpha,
-    }
 
 
 def run_training(
@@ -64,7 +52,7 @@ def run_training(
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.training.seed)
-    enc, rec, queue = build_models(cfg, rng)
+    enc, rec, queue = build_models(cfg.model, rng)
     history: list[dict[str, float]] = []
     diverged = False
     steps_done = 0
@@ -73,7 +61,7 @@ def run_training(
             corpus,
             cfg.training.batch_videos,
             cfg.training.snippets_per_video,
-            cfg.contrastive.window,
+            cfg.detector.window,
             rng,
         )
         try:

@@ -48,7 +48,6 @@ from eventseg import (
 from eventseg.checkpoint import model_records, serialize_records
 from eventseg.detection import fir_smooth, gradient, relative_extrema
 from eventseg.metrics import SegmentSet
-from eventseg.training import model_meta
 
 from gradcheck import finite_difference
 
@@ -82,8 +81,8 @@ def test_criterion_1_full_model_gradient_check():
     for _ in range(4):
         v = master.normal(size=dim)
         queue.push((v / np.linalg.norm(v)).astype(np.float32))
-    ccfg = ContrastiveConfig(temperature=0.2, window=window)
-    rcfg = ReconstructionConfig(window=window, mask_size=1, beta=1.0)
+    ccfg = ContrastiveConfig(temperature=0.2)
+    rcfg = ReconstructionConfig(mask_size=1, beta=1.0)
     mask_rows = np.array([[2], [1]])
 
     # Freeze the reconstruction target at the unperturbed point: the target
@@ -305,7 +304,7 @@ def _run_pipeline():
     detections, _ = detect_corpus(corpus, result.encoders, result.reconstructor, cfg.detector)
     report = evaluate_corpus(detections, ann_map, cfg.thresholds)
     checkpoint_bytes = serialize_records(
-        model_records(result.encoders, result.reconstructor, result.queue, model_meta(cfg))
+        model_records(result.encoders, result.reconstructor, result.queue, cfg.detector.window)
     )
     detection_payload = json.dumps(
         {vid: det.boundaries for vid, det in sorted(detections.items())}
@@ -363,10 +362,10 @@ def test_criterion_7a_loss_halves(pipeline):
     cfg = pipeline["cfg"]
     result = pipeline["result"]
     rng = np.random.default_rng(cfg.training.seed)
-    enc0, rec0, _ = build_models(cfg, rng)
+    enc0, rec0, _ = build_models(cfg.model, rng)
     batch = sample_batch(
         pipeline["corpus"], cfg.training.batch_videos,
-        cfg.training.snippets_per_video, cfg.contrastive.window, rng,
+        cfg.training.snippets_per_video, cfg.detector.window, rng,
     )
     num_snippets, window, _ = batch.frames.shape
     mask_rows = sample_mask_rows(rng, num_snippets, window, cfg.reconstruction.mask_size)

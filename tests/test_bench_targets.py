@@ -7,7 +7,9 @@ calls they time, and ``bench/inputs.py`` builds boundary records by
 position. These tests load both files by path (without installing anything)
 and run them on real package objects, so a rename, a move, a dropped
 attribute or a reordered constructor fails here instead of only under
-``bench/run.py --trace 1``.
+``bench/run.py --trace 1``. The worker's window-slice oracle reads the
+detector window from an INI file and the models from a checkpoint; it runs
+here on a tiny one-video corpus.
 """
 
 import importlib
@@ -22,10 +24,14 @@ from eventseg import (
     Reconstructor,
     SynthConfig,
     Tensor,
+    build_models,
     detect_boundaries,
     error_trajectory,
     info_nce_loss,
+    load_config,
     match_boundaries,
+    save_corpus,
+    save_model,
     segment_scores,
     synth_generate,
 )
@@ -95,3 +101,23 @@ def test_bench_trim_cuts_a_video_and_its_record():
     assert (seq.video_id, ann.video_id, ann.fps) == ("synth0000", "synth0000", corpus[0].fps)
     assert ann.boundaries == [b for b in annotations[0].boundaries if b < 100]
     assert ann.boundaries
+
+
+def test_bench_slice_oracle_reads_the_config_window_and_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # the worker imports ``inputs``
+    worker = _load("worker")
+    corpus, _ = synth_generate(SynthConfig(num_videos=1, feature_dim=6, seed=3))
+    save_corpus(corpus, tmp_path / "features")
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[model]\ninput_dim = 6\nembedding_dim = 8\nheads = 4\nqueue_capacity = 8\n\n"
+        f"[detector]\nwindow = 6\n\n[paths]\ndata_dir = {tmp_path / 'features'}\n"
+    )
+    enc, rec, queue = build_models(load_config(config).model, np.random.default_rng(0))
+    save_model(tmp_path / "model.bin", enc, rec, queue, 6)
+    result = worker.slice_oracle({
+        "config": str(config), "checkpoint": str(tmp_path / "model.bin"),
+        "seed": 0, "frames": 6,
+    })
+    assert result["frames"] == 6
+    assert result["worst_rel_err"] < 1e-4

@@ -1,5 +1,7 @@
 """Checkpoint wire format: byte-exact round trips and error taxonomy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from eventseg import (
     EncoderPair,
     FormatError,
     MemoryQueue,
+    ModelConfig,
     Reconstructor,
     TruncatedError,
     VersionError,
+    build_models,
     deserialize_records,
     load_model,
     save_model,
@@ -73,12 +77,8 @@ def test_model_round_trip(tmp_path):
     for _ in range(5):
         v = rng.normal(size=8).astype(np.float32)
         queue.push(v / np.linalg.norm(v))
-    meta = {
-        "input_dim": 6, "embedding_dim": 8, "heads": 4, "layers": 2,
-        "window": 5, "queue_capacity": 16, "alpha": 0.99,
-    }
     path = tmp_path / "model.bin"
-    save_model(path, enc, rec, queue, meta)
+    save_model(path, enc, rec, queue, 5)
     first_bytes = path.read_bytes()
 
     enc2, rec2, queue2, meta2 = load_model(path)
@@ -87,10 +87,24 @@ def test_model_round_trip(tmp_path):
         assert p.name == q.name
         np.testing.assert_array_equal(p.data, q.data)
     np.testing.assert_array_equal(queue.as_array(), queue2.as_array())
-    assert int(meta2["window"]) == 5
+    assert meta2["window"] == 5
 
-    save_model(path, enc2, rec2, queue2, {k: meta2[k] for k in meta})
+    save_model(path, enc2, rec2, queue2, meta2["window"])
     assert path.read_bytes() == first_bytes
+
+
+def test_saved_meta_is_the_models_config(tmp_path):
+    model = ModelConfig(input_dim=6, embedding_dim=12, heads=3, layers=1,
+                        alpha=0.5, queue_capacity=7)
+    enc, rec, queue = build_models(model, np.random.default_rng(4))
+    path = tmp_path / "model.bin"
+    save_model(path, enc, rec, queue, 9)
+    expected = {**dataclasses.asdict(model), "window": 9}
+    records = deserialize_records(path.read_bytes())
+    saved = {name[len("meta."):]: float(value)
+             for name, value in records.items() if name.startswith("meta.")}
+    assert saved == expected
+    assert load_model(path)[3] == expected
 
 
 def test_checkpoint_names_follow_scheme():
@@ -137,11 +151,7 @@ def _tiny_model_records():
     rec = Reconstructor(8, 4, 1, rng)
     queue = MemoryQueue(8, 8)
     queue.push(np.full(8, 8**-0.5, dtype=np.float32))
-    meta = {
-        "input_dim": 4, "embedding_dim": 8, "heads": 4, "layers": 1,
-        "window": 5, "queue_capacity": 8, "alpha": 0.99,
-    }
-    return enc, rec, queue, meta
+    return enc, rec, queue, 5
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (2, 9), (8,)])

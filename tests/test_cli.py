@@ -24,12 +24,6 @@ embedding_dim = 8
 heads = 4
 queue_capacity = 64
 
-[contrastive]
-window = 6
-
-[reconstruction]
-window = 6
-
 [detector]
 window = 6
 fir_half_width = 1
@@ -338,3 +332,63 @@ def test_boundary_at_frame_zero_is_data_error(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: data:")
     assert "annotations[0].boundaries[0]" in err
+
+
+@pytest.mark.parametrize("model", [
+    "embedding_dim = 15\nheads = 5",
+    "embedding_dim = 0",
+    "input_dim = 0",
+    "embedding_dim = -4\nheads = 4",
+    "heads = 0",
+], ids=["odd-dim", "zero-dim", "zero-input-dim", "negative-dim", "zero-heads"])
+def test_unbuildable_model_is_config_error(tmp_path, capsys, model):
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[model]\n{model}\n")
+    code = _run(["train", "--config", config, "--out", tmp_path / "out"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("queue_capacity", 0),
+    ("heads", 3),
+    ("input_dim", 2.5),
+    ("layers", 0),
+    ("embedding_dim", 0),
+    ("alpha", 1.5),
+    ("window", 2),
+    ("heads", [4, 4]),
+])
+def test_checkpoint_meta_outside_model_rules_is_format_error(workspace, capsys, key, value):
+    from eventseg import deserialize_records, serialize_records
+
+    _, config, out = workspace
+    _run(["synth", "--config", config, "--out", out])
+    _run(["train", "--config", config, "--out", out])
+    path = out / "checkpoint.bin"
+    records = deserialize_records(path.read_bytes())
+    records[f"meta.{key}"] = np.asarray(value, dtype=np.float32)
+    path.write_bytes(serialize_records(list(records.items())))
+    capsys.readouterr()
+    code = _run(["detect", "--config", config, "--out", out, "--checkpoint", path])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: format:")
+    assert "meta" in err and key in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--checkpoint", "x"],
+    ["synth", "--thresholds", "9,9"],
+    ["synth", "--dump-trajectory"],
+    ["train", "--thresholds", "0"],
+    ["train", "--dump-trajectory"],
+    ["detect", "--thresholds", "0.05"],
+    ["eval", "--checkpoint", "x"],
+    ["eval", "--dump-trajectory"],
+])
+def test_flag_a_subcommand_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from eventseg.config import _PARSERS, _SECTIONS, write_config_template
 def test_defaults_carry_standard_hyperparameters():
     cfg = RunConfig()
     assert cfg.contrastive.temperature == 0.2
-    assert cfg.contrastive.window == 10
+    assert cfg.detector.window == 10
     assert cfg.model.alpha == 0.999
     assert cfg.model.queue_capacity == 4096
     assert cfg.reconstruction.mask_size == 1
@@ -42,10 +42,18 @@ def test_seed_override(tmp_path):
     assert cfg.synth.seed == 99
 
 
-def test_window_consistency_enforced(tmp_path):
+@pytest.mark.parametrize("section", ["contrastive", "reconstruction"])
+def test_window_is_a_detector_key_only(tmp_path, section):
     path = tmp_path / "bad.ini"
-    path.write_text("[contrastive]\nwindow = 12\n")
-    with pytest.raises(ConfigError):
+    path.write_text(f"[{section}]\nwindow = 10\n")
+    with pytest.raises(ConfigError, match="unknown key 'window'"):
+        load_config(path)
+
+
+def test_mask_must_be_shorter_than_window(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[reconstruction]\nmask_size = 10\n\n[detector]\nwindow = 10\n")
+    with pytest.raises(ConfigError, match="mask_size"):
         load_config(path)
 
 

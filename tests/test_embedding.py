@@ -228,11 +228,7 @@ def test_wrapped_queue_round_trips_through_checkpoint(tmp_path):
     queue = MemoryQueue(5, 8)
     for _ in range(12):
         queue.push(_unit_rows(rng, 1, 8)[0])
-    meta = {
-        "input_dim": 6, "embedding_dim": 8, "heads": 4, "layers": 1,
-        "window": 5, "queue_capacity": 5, "alpha": 0.99,
-    }
-    save_model(tmp_path / "model.bin", enc, rec, queue, meta)
+    save_model(tmp_path / "model.bin", enc, rec, queue, 5)
     _, _, loaded, _ = load_model(tmp_path / "model.bin")
     assert len(loaded) == 5
     np.testing.assert_array_equal(loaded.as_array(), queue.as_array())
@@ -398,10 +394,10 @@ def test_contrastive_loss_is_nonnegative_and_needs_positives():
     frames = rng.normal(size=(4, 3, 6)).astype(np.float32)
     batch = SnippetBatch(frames, ["a", "a", "b", "c"], [0, 3, 0, 0])
     queue = MemoryQueue(16, 8)
-    cfg = ContrastiveConfig(temperature=0.2, window=3)
+    cfg = ContrastiveConfig(temperature=0.2)
     rec = Reconstructor(8, 4, 1, rng)
     loss, _, _ = compute_losses(
-        batch, enc, queue, rec, cfg, ReconstructionConfig(window=3),
+        batch, enc, queue, rec, cfg, ReconstructionConfig(),
         np.ones((4, 1), dtype=np.int64),
     )
     assert loss.item() >= 0.0

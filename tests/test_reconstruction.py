@@ -215,7 +215,7 @@ def test_reconstruction_loss_cases():
     _pass_through(rec)
 
     def recon_loss(mask_rows, targets):
-        rcfg = ReconstructionConfig(window=5, mask_size=np.shape(mask_rows)[1])
+        rcfg = ReconstructionConfig(mask_size=np.shape(mask_rows)[1])
         return compute_losses(batch, enc, queue, rec, ccfg, rcfg,
                               np.asarray(mask_rows), targets)[1].item()
 
@@ -231,7 +231,7 @@ def test_reconstruction_loss_cases():
     assert abs(recon_loss([[1, 3], [1, 3]], targets) - 2.0) < 1e-5
 
     with pytest.raises(ConfigError):
-        compute_losses(batch, enc, queue, rec, ccfg, ReconstructionConfig(window=5),
+        compute_losses(batch, enc, queue, rec, ccfg, ReconstructionConfig(),
                        np.zeros((2, 0), dtype=np.int64))
 
 
@@ -240,7 +240,7 @@ def test_joint_loss_cases():
     enc, rec, queue, batch, ccfg, _ = _training_setup(seed=9)
     mask_rows = sample_mask_rows(np.random.default_rng(0), batch.num_snippets, 5, 1)
     for beta in (1.0, 0.0, 2.0):
-        rcfg = ReconstructionConfig(window=5, mask_size=1, beta=beta)
+        rcfg = ReconstructionConfig(mask_size=1, beta=beta)
         lc, lr, total = compute_losses(batch, enc, queue, rec, ccfg, rcfg, mask_rows)
         assert lr.item() > 0
         assert abs(total.item() - (lc.item() + beta * lr.item())) < 1e-6
@@ -277,8 +277,8 @@ def _training_setup(seed=0, dim=8, window=5, videos=6):
     queue = MemoryQueue(32, dim)
     frames = master.normal(size=(videos, window, dim)).astype(np.float32)
     batch = SnippetBatch(frames, [f"v{i}" for i in range(videos)], [0] * videos)
-    ccfg = ContrastiveConfig(temperature=0.2, window=window)
-    rcfg = ReconstructionConfig(window=window, mask_size=1, beta=1.0)
+    ccfg = ContrastiveConfig(temperature=0.2)
+    rcfg = ReconstructionConfig(mask_size=1, beta=1.0)
     return enc, rec, queue, batch, ccfg, rcfg
 
 

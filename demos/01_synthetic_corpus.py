@@ -7,6 +7,9 @@ The generator also returns the ground-truth boundaries (the first frame of
 every new event), which is what makes desk-scale verification possible.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from eventseg import SynthConfig, load_feature_file, save_feature_file, synth_generate
@@ -29,7 +32,9 @@ print(f"cosine(frame {b-1}, frame {b})    across boundary: "
       f"{features[b-1] @ features[b]:.3f}")
 
 # Feature files round-trip byte-exactly through the binary format.
-save_feature_file(seq, "/tmp/demo_video.csgf")
-again = load_feature_file("/tmp/demo_video.csgf")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_video.csgf"
+    save_feature_file(seq, path)
+    again = load_feature_file(path)
 print(f"\nsaved and reloaded {again.video_id}: "
       f"identical={np.array_equal(again.features, seq.features)}")

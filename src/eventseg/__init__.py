@@ -62,17 +62,11 @@ from .errors import (
     VersionError,
 )
 from .metrics import (
-    MatchResult,
     MetricReport,
-    SegmentSet,
-    boundaries_to_segments,
     evaluate_corpus,
     f1_score,
-    hungarian_match,
     match_boundaries,
-    mof_iou,
     precision_recall_f1,
-    rel_dis,
     segment_scores,
 )
 from .optim import Optimizer, sgd_step

@@ -48,15 +48,14 @@ class ContrastiveConfig:
 class MlpEncoder:
     """One hidden layer of width 2*out_dim with ReLU, then a linear map."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 prefix: str, dtype=np.float32):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, prefix: str):
         hidden = 2 * out_dim
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.w1 = Parameter(_uniform_init(rng, (in_dim, hidden), dtype), f"{prefix}.w1")
-        self.b1 = Parameter(np.zeros(hidden, dtype=dtype), f"{prefix}.b1")
-        self.w2 = Parameter(_uniform_init(rng, (hidden, out_dim), dtype), f"{prefix}.w2")
-        self.b2 = Parameter(np.zeros(out_dim, dtype=dtype), f"{prefix}.b2")
+        self.w1 = Parameter(_uniform_init(rng, (in_dim, hidden)), f"{prefix}.w1")
+        self.b1 = Parameter(np.zeros(hidden, dtype=np.float32), f"{prefix}.b1")
+        self.w2 = Parameter(_uniform_init(rng, (hidden, out_dim)), f"{prefix}.w2")
+        self.b2 = Parameter(np.zeros(out_dim, dtype=np.float32), f"{prefix}.b2")
 
     def __call__(self, x: Tensor) -> Tensor:
         return (x @ self.w1 + self.b1).relu() @ self.w2 + self.b2
@@ -69,24 +68,24 @@ class MlpEncoder:
             dst.data[...] = src.data
 
 
-def _uniform_init(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+def _uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
     scale = 1.0 / np.sqrt(shape[0])
-    return rng.uniform(-scale, scale, size=shape).astype(dtype)
+    return rng.uniform(-scale, scale, size=shape).astype(np.float32)
 
 
 class EncoderPair:
     """Query encoder plus its momentum-updated key twin."""
 
     def __init__(self, in_dim: int, dim: int, alpha: float = 0.999,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+                 rng: np.random.Generator | None = None):
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_dim = in_dim
         self.dim = dim
         self.alpha = alpha
-        self.query = MlpEncoder(in_dim, dim, rng, "ctfe.query", dtype)
-        self.key = MlpEncoder(in_dim, dim, rng, "ctfe.key", dtype)
+        self.query = MlpEncoder(in_dim, dim, rng, "ctfe.query")
+        self.key = MlpEncoder(in_dim, dim, rng, "ctfe.key")
         self.key.copy_values_from(self.query)
 
     def trainable_parameters(self) -> list[Parameter]:

@@ -6,13 +6,14 @@ Detections and ground truth are both ``data.Annotation`` records, which
 Boundary detections are scored by relative distance: |detected - truth|
 divided by the video length, correct when at or below a threshold. Matching
 is maximum-cardinality one-to-one, with the smallest total distance among
-maximum matchings; the matched detections and truths are paired in temporal
-order, so no two pairs cross, even where distances tie. Segment metrics
-(MoF, IoU) derive segments from boundaries, match them per video by maximum
-frame overlap through the Hungarian algorithm, and score matched
-intersections against the ground-truth segment sizes. Corpus precision,
-recall, and F1 are micro-averaged over boundary counts; per-video numbers
-are kept alongside for inspection.
+maximum matchings; ``match_boundaries`` lists the matched (detection, truth)
+index pairs in temporal order, so no two pairs cross, even where distances
+tie. Segment metrics (MoF, IoU) split each video at its boundaries, match
+detected to true segments by maximum frame overlap through the Hungarian
+algorithm, and score the matched intersections against the ground-truth
+segments. Corpus precision, recall, and F1 are micro-averaged over boundary
+counts; per-video numbers are kept alongside for inspection. A corpus with
+no videos scores 0.0 throughout.
 """
 
 from __future__ import annotations
@@ -32,36 +33,20 @@ DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
 _INVALID_COST = 1e9
 
 
-def rel_dis(det_frame: int, gt_frame: int, num_frames: int) -> float:
-    """|detected - truth| / video length."""
-    if num_frames <= 0:
-        raise DataError(f"num_frames must be positive, got {num_frames}")
-    return abs(int(det_frame) - int(gt_frame)) / num_frames
-
-
-@dataclass
-class MatchResult:
-    """One-to-one pairing between detections and ground truth."""
-
-    pairs: list[tuple[int, int]]
-    unmatched_det: list[int]
-    unmatched_gt: list[int]
-
-
-def match_boundaries(det: Annotation, gt: Annotation, threshold: float) -> MatchResult:
+def match_boundaries(det: Annotation, gt: Annotation, threshold: float) -> list[tuple[int, int]]:
     """Maximum-cardinality one-to-one matching among pairs within threshold.
 
     Among maximum matchings the one with the smallest total distance wins;
-    its pairs are listed in temporal order and never cross.
+    its (detection, truth) index pairs are listed in temporal order and
+    never cross.
     """
     if det.video_id != gt.video_id or det.num_frames != gt.num_frames:
         raise DataError(
             f"matching needs the same video: {det.video_id!r}/{det.num_frames} vs "
             f"{gt.video_id!r}/{gt.num_frames}"
         )
-    n_det, n_gt = len(det.boundaries), len(gt.boundaries)
-    if n_det == 0 or n_gt == 0:
-        return _match_result([], n_det, n_gt)
+    if not det.boundaries or not gt.boundaries:
+        return []
     dist = np.abs(
         np.subtract.outer(np.asarray(det.boundaries, dtype=np.float64), gt.boundaries)
     ) / gt.num_frames
@@ -72,18 +57,7 @@ def match_boundaries(det: Annotation, gt: Annotation, threshold: float) -> Match
     # the total and the largest distance, so re-pairing the matched points
     # in order keeps every pair within threshold and the total optimal, and
     # resolves distance ties toward the non-crossing matching.
-    pairs = zip(sorted(rows[kept].tolist()), sorted(cols[kept].tolist()))
-    return _match_result(list(pairs), n_det, n_gt)
-
-
-def _match_result(pairs: list[tuple[int, int]], n_a: int, n_b: int) -> MatchResult:
-    matched_a = {i for i, _ in pairs}
-    matched_b = {j for _, j in pairs}
-    return MatchResult(
-        pairs,
-        [i for i in range(n_a) if i not in matched_a],
-        [j for j in range(n_b) if j not in matched_b],
-    )
+    return list(zip(sorted(rows[kept].tolist()), sorted(cols[kept].tolist())))
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -104,72 +78,34 @@ def precision_recall_f1(tp: int, n_det: int, n_gt: int) -> tuple[float, float, f
     return precision, recall, f1_score(precision, recall)
 
 
-@dataclass
-class SegmentSet:
-    """Ordered half-open frame intervals covering [0, num_frames) exactly."""
+def segment_scores(det: Annotation, gt: Annotation) -> tuple[float, float]:
+    """MoF and IoU of the segmentations induced by two boundary lists.
 
-    video_id: str
-    num_frames: int
-    segments: list[tuple[int, int]]
-
-    def __post_init__(self):
-        cursor = 0
-        for i, (start, end) in enumerate(self.segments):
-            if start != cursor or end <= start:
-                raise DataError(
-                    f"{self.video_id!r}: segment {i} = [{start}, {end}) breaks coverage"
-                )
-            cursor = end
-        if cursor != self.num_frames:
-            raise DataError(
-                f"{self.video_id!r}: segments cover [0, {cursor}), video has "
-                f"{self.num_frames} frames"
-            )
-
-
-def boundaries_to_segments(ann: Annotation) -> SegmentSet:
-    """Boundaries b1..bn over F frames -> [0,b1), [b1,b2), ..., [bn,F)."""
-    edges = [0] + ann.boundaries + [ann.num_frames]
-    segments = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    return SegmentSet(ann.video_id, ann.num_frames, segments)
-
-
-def hungarian_match(pred: SegmentSet, gt: SegmentSet) -> MatchResult:
-    """One-to-one segment assignment maximizing total frame overlap."""
-    if pred.num_frames != gt.num_frames:
+    Boundaries b1..bn over F frames split the video into [0,b1), [b1,b2),
+    ..., [bn,F). Detected and true segments are paired one-to-one for the
+    largest total frame overlap. MoF is the paired overlap over F; IoU is
+    the mean over true segments of intersection over union, where an
+    unpaired true segment scores 0.
+    """
+    if det.num_frames != gt.num_frames:
         raise DataError("segment matching needs equal video lengths")
-    pred_starts, pred_ends = np.array(pred.segments).T
-    gt_starts, gt_ends = np.array(gt.segments).T
+    det_edges = np.array([0, *det.boundaries, det.num_frames])
+    gt_edges = np.array([0, *gt.boundaries, gt.num_frames])
     overlaps = np.clip(
-        np.minimum.outer(pred_ends, gt_ends) - np.maximum.outer(pred_starts, gt_starts), 0, None
+        np.minimum.outer(det_edges[1:], gt_edges[1:])
+        - np.maximum.outer(det_edges[:-1], gt_edges[:-1]),
+        0,
+        None,
     ).astype(np.float64)
     rows, cols = linear_sum_assignment(-overlaps)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    return _match_result(pairs, len(pred.segments), len(gt.segments))
-
-
-def mof_iou(pred: SegmentSet, gt: SegmentSet, matching: MatchResult) -> tuple[float, float]:
-    """Mean-over-frames and mean intersection-over-union across ground truth.
-
-    Unmatched ground-truth segments contribute zero intersection (and their
-    own size to the union), so they pull both metrics down.
-    """
-    total_inter = 0
+    inter = overlaps[rows, cols]
+    union = np.diff(det_edges)[rows] + np.diff(gt_edges)[cols] - inter
+    # Added one at a time in ground-truth order; numpy's pairwise sum would
+    # round differently.
     iou_sum = 0.0
-    for i, j in sorted(matching.pairs, key=lambda pair: pair[1]):
-        pred_start, pred_end = pred.segments[i]
-        gt_start, gt_end = gt.segments[j]
-        inter = max(0, min(pred_end, gt_end) - max(pred_start, gt_start))
-        total_inter += inter
-        iou_sum += inter / ((pred_end - pred_start) + (gt_end - gt_start) - inter)
-    return total_inter / gt.num_frames, iou_sum / len(gt.segments)
-
-
-def segment_scores(det: Annotation, gt: Annotation) -> tuple[float, float]:
-    """MoF and IoU of the segmentations induced by two boundary sets."""
-    pred_segs = boundaries_to_segments(det)
-    gt_segs = boundaries_to_segments(gt)
-    return mof_iou(pred_segs, gt_segs, hungarian_match(pred_segs, gt_segs))
+    for ratio in (inter / union)[np.argsort(cols)].tolist():
+        iou_sum += ratio
+    return float(inter.sum()) / gt.num_frames, iou_sum / (len(gt.boundaries) + 1)
 
 
 @dataclass
@@ -245,7 +181,7 @@ def evaluate_corpus(
         video_p = []
         video_r = []
         for k, theta in enumerate(thresholds):
-            matched = len(match_boundaries(det, gt, theta).pairs)
+            matched = len(match_boundaries(det, gt, theta))
             tp[k] += matched
             p, r, f = precision_recall_f1(matched, len(det.boundaries), len(gt.boundaries))
             video_p.append(p)
@@ -275,7 +211,7 @@ def evaluate_corpus(
         avg_precision=float(np.mean(precision)),
         avg_recall=float(np.mean(recall)),
         avg_f1=float(np.mean(f1)),
-        mof=float(np.mean(mofs)),
-        iou=float(np.mean(ious)),
+        mof=float(np.mean(mofs)) if ids else 0.0,
+        iou=float(np.mean(ious)) if ids else 0.0,
         per_video=per_video,
     )

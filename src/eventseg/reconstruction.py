@@ -75,34 +75,33 @@ def positional_embedding(window: int, dim: int) -> np.ndarray:
 class AttentionBlock:
     """Pre-norm residual block: x + MSA(LN(x)), then x + MLP(LN(x))."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 prefix: str, dtype=np.float32):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator, prefix: str):
         if dim % heads != 0:
             raise ShapeError(f"dim {dim} not divisible by {heads} heads")
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
-        self.ln1_gamma = Parameter(np.ones(dim, dtype=dtype), f"{prefix}.ln1.gamma")
-        self.ln1_beta = Parameter(np.zeros(dim, dtype=dtype), f"{prefix}.ln1.beta")
-        self.wq = self._linear(dim, dim, rng, f"{prefix}.msa.wq", dtype)
-        self.bq = Parameter(np.zeros(dim, dtype=dtype), f"{prefix}.msa.bq")
-        self.wk = self._linear(dim, dim, rng, f"{prefix}.msa.wk", dtype)
-        self.bk = Parameter(np.zeros(dim, dtype=dtype), f"{prefix}.msa.bk")
-        self.wv = self._linear(dim, dim, rng, f"{prefix}.msa.wv", dtype)
-        self.bv = Parameter(np.zeros(dim, dtype=dtype), f"{prefix}.msa.bv")
-        self.wo = self._linear(dim, dim, rng, f"{prefix}.msa.wo", dtype)
-        self.bo = Parameter(np.zeros(dim, dtype=dtype), f"{prefix}.msa.bo")
-        self.ln2_gamma = Parameter(np.ones(dim, dtype=dtype), f"{prefix}.ln2.gamma")
-        self.ln2_beta = Parameter(np.zeros(dim, dtype=dtype), f"{prefix}.ln2.beta")
-        self.w1 = self._linear(dim, 4 * dim, rng, f"{prefix}.mlp.w1", dtype)
-        self.b1 = Parameter(np.zeros(4 * dim, dtype=dtype), f"{prefix}.mlp.b1")
-        self.w2 = self._linear(4 * dim, dim, rng, f"{prefix}.mlp.w2", dtype)
-        self.b2 = Parameter(np.zeros(dim, dtype=dtype), f"{prefix}.mlp.b2")
+        self.ln1_gamma = Parameter(np.ones(dim, dtype=np.float32), f"{prefix}.ln1.gamma")
+        self.ln1_beta = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.ln1.beta")
+        self.wq = self._linear(dim, dim, rng, f"{prefix}.msa.wq")
+        self.bq = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.msa.bq")
+        self.wk = self._linear(dim, dim, rng, f"{prefix}.msa.wk")
+        self.bk = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.msa.bk")
+        self.wv = self._linear(dim, dim, rng, f"{prefix}.msa.wv")
+        self.bv = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.msa.bv")
+        self.wo = self._linear(dim, dim, rng, f"{prefix}.msa.wo")
+        self.bo = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.msa.bo")
+        self.ln2_gamma = Parameter(np.ones(dim, dtype=np.float32), f"{prefix}.ln2.gamma")
+        self.ln2_beta = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.ln2.beta")
+        self.w1 = self._linear(dim, 4 * dim, rng, f"{prefix}.mlp.w1")
+        self.b1 = Parameter(np.zeros(4 * dim, dtype=np.float32), f"{prefix}.mlp.b1")
+        self.w2 = self._linear(4 * dim, dim, rng, f"{prefix}.mlp.w2")
+        self.b2 = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.mlp.b2")
 
     @staticmethod
-    def _linear(n_in, n_out, rng, name, dtype) -> Parameter:
+    def _linear(n_in, n_out, rng, name) -> Parameter:
         scale = 1.0 / np.sqrt(n_in)
-        return Parameter(rng.uniform(-scale, scale, size=(n_in, n_out)).astype(dtype), name)
+        return Parameter(rng.uniform(-scale, scale, size=(n_in, n_out)).astype(np.float32), name)
 
     def parameters(self) -> list[Parameter]:
         return [
@@ -142,22 +141,22 @@ class Reconstructor:
     """Mask token, stacked attention blocks, and the affine output head."""
 
     def __init__(self, dim: int, heads: int = 8, layers: int = 2,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+                 rng: np.random.Generator | None = None):
         if layers < 1:
             raise ConfigError(f"layers must be >= 1, got {layers}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = dim
         self.mask_token = Parameter(
-            rng.uniform(-0.02, 0.02, size=dim).astype(dtype), "ffr.mask_token"
+            rng.uniform(-0.02, 0.02, size=dim).astype(np.float32), "ffr.mask_token"
         )
         self.blocks = [
-            AttentionBlock(dim, heads, rng, f"ffr.layer{i}", dtype) for i in range(layers)
+            AttentionBlock(dim, heads, rng, f"ffr.layer{i}") for i in range(layers)
         ]
         scale = 1.0 / np.sqrt(dim)
         self.head_w = Parameter(
-            rng.uniform(-scale, scale, size=(dim, dim)).astype(dtype), "ffr.head.w"
+            rng.uniform(-scale, scale, size=(dim, dim)).astype(np.float32), "ffr.head.w"
         )
-        self.head_b = Parameter(np.zeros(dim, dtype=dtype), "ffr.head.b")
+        self.head_b = Parameter(np.zeros(dim, dtype=np.float32), "ffr.head.b")
 
     def parameters(self) -> list[Parameter]:
         params = [self.mask_token]

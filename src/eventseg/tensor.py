@@ -81,12 +81,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward_fn = None
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, dtype=np.float32) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype))
-
     # -- basic introspection ---------------------------------------------------
 
     @property
@@ -110,10 +104,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        """A view of the same values, cut off from the recorded graph."""
-        return Tensor(self.data)
 
     # -- graph machinery -------------------------------------------------------
 
@@ -177,20 +167,11 @@ class Tensor:
     def __add__(self, other):
         return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         return self._binary(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         return self._binary(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __truediv__(self, other):
         return self._binary(
@@ -199,12 +180,6 @@ class Tensor:
             lambda g, a, b: g / b,
             lambda g, a, b: -g * a / (b * b),
         )
-
-    def __neg__(self):
-        def backward(g):
-            _accumulate(self, -g)
-
-        return self._result(-self.data, (self,), backward)
 
     def __pow__(self, exponent: float):
         p = float(exponent)
@@ -286,22 +261,6 @@ class Tensor:
 
         def backward(g):
             _accumulate(self, g * data)
-
-        return self._result(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(g):
-            _accumulate(self, g / self.data)
-
-        return self._result(data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        data = np.sqrt(self.data)
-
-        def backward(g):
-            _accumulate(self, g * 0.5 / data)
 
         return self._result(data, (self,), backward)
 

@@ -1,8 +1,9 @@
 """Gradient-check helpers shared by the test modules.
 
 ``finite_difference`` gives central-difference gradients to compare with
-the autodiff ones, ``gradients_close`` compares the two, and ``dot`` reduces
-two tensors to a scalar loss.
+the autodiff ones, ``gradients_close`` compares the two, ``dot`` reduces
+two tensors to a scalar loss, and ``log`` is the natural-log node that the
+composed loss oracles need and no package path uses.
 """
 
 from typing import Iterable
@@ -10,10 +11,18 @@ from typing import Iterable
 import numpy as np
 
 from eventseg import Tensor
+from eventseg.tensor import _accumulate
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
     return (a * b).sum()
+
+
+def log(t: Tensor) -> Tensor:
+    def backward(g):
+        _accumulate(t, g / t.data)
+
+    return t._result(np.log(t.data), (t,), backward)
 
 
 def finite_difference(fn, arrays: Iterable[np.ndarray], epsilon: float = 1e-3):

@@ -25,29 +25,25 @@ from eventseg import (
     SnippetBatch,
     Tensor,
     annotations_by_id,
-    boundaries_to_segments,
     build_models,
     compute_losses,
     detect_corpus,
     evaluate_corpus,
     f1_score,
-    hungarian_match,
     info_nce_loss,
     load_feature_file,
     match_boundaries,
-    mof_iou,
-    rel_dis,
     run_training,
     sample_batch,
     sample_mask_rows,
     save_annotations,
     load_annotations,
     save_feature_file,
+    segment_scores,
     synth_generate,
 )
 from eventseg.checkpoint import model_records, serialize_records
 from eventseg.detection import fir_smooth, gradient, relative_extrema
-from eventseg.metrics import SegmentSet
 
 from gradcheck import finite_difference
 
@@ -235,10 +231,10 @@ def test_criterion_4_matching_oracles():
         threshold = float(rng.uniform(0.02, 0.3))
         det = Annotation("v", num_frames, 25.0, det_frames)
         gt = Annotation("v", num_frames, 25.0, gt_frames)
-        result = match_boundaries(det, gt, threshold)
+        pairs = match_boundaries(det, gt, threshold)
         size, total = _brute_boundary(det_frames, gt_frames, num_frames, threshold)
-        assert len(result.pairs) == size, f"case {case}"
-        got = sum(rel_dis(det_frames[i], gt_frames[j], num_frames) for i, j in result.pairs)
+        assert len(pairs) == size, f"case {case}"
+        got = sum(abs(det_frames[i] - gt_frames[j]) / num_frames for i, j in pairs)
         assert abs(got - total) < 1e-9, f"case {case}"
 
     for case in range(1000):
@@ -247,14 +243,14 @@ def test_criterion_4_matching_oracles():
                                    size=int(rng.integers(0, 6)), replace=False).tolist())
         gt_b = sorted(rng.choice(np.arange(1, num_frames),
                                  size=int(rng.integers(0, 6)), replace=False).tolist())
-        pred = boundaries_to_segments(Annotation("v", num_frames, 25.0, pred_b))
-        gt = boundaries_to_segments(Annotation("v", num_frames, 25.0, gt_b))
-        result = hungarian_match(pred, gt)
+        mof, _ = segment_scores(Annotation("v", num_frames, 25.0, pred_b),
+                                Annotation("v", num_frames, 25.0, gt_b))
+        pred_edges = [0, *pred_b, num_frames]
+        gt_edges = [0, *gt_b, num_frames]
         overlaps = np.array(
-            [[max(0, min(y[1], z[1]) - max(y[0], z[0])) for z in gt.segments]
-             for y in pred.segments], dtype=np.float64)
-        got = sum(overlaps[i, j] for i, j in result.pairs)
-        assert got == _brute_overlap(overlaps), f"case {case}"
+            [[max(0, min(pe, ge) - max(ps, gs)) for gs, ge in zip(gt_edges, gt_edges[1:])]
+             for ps, pe in zip(pred_edges, pred_edges[1:])], dtype=np.float64)
+        assert mof == _brute_overlap(overlaps) / num_frames, f"case {case}"
     _report("4 matching-oracles", True, "2x1000 random instances exact")
 
 
@@ -262,9 +258,9 @@ def test_criterion_4_matching_oracles():
 
 
 def test_criterion_5_segment_hand_case():
-    gt = SegmentSet("v", 100, [(0, 50), (50, 100)])
-    pred = SegmentSet("v", 100, [(0, 40), (40, 100)])
-    mof, iou = mof_iou(pred, gt, hungarian_match(pred, gt))
+    mof, iou = segment_scores(
+        Annotation("v", 100, 25.0, [40]), Annotation("v", 100, 25.0, [50])
+    )
     mof_err = abs(mof - 0.900)
     iou_err = abs(iou - 0.8167)
     ok = mof_err <= 1e-9 and iou_err <= 1e-4

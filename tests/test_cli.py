@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a tiny corpus."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,24 @@ def test_empty_corpus_detect_writes_empty_output(workspace, tmp_path):
                  "--checkpoint", out / "checkpoint.bin"])
     assert code == 0
     assert json.loads((out / "detections.json").read_text()) == []
+
+
+def test_empty_corpus_eval_writes_strict_json(tmp_path):
+    # What `detect` writes for an empty corpus, scored against no annotations.
+    (tmp_path / "detections.json").write_text("[]")
+    (tmp_path / "annotations.json").write_text("[]")
+    config = tmp_path / "run.ini"
+    config.write_text(f"[paths]\nannotations = {tmp_path / 'annotations.json'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["eval", "--config", config, "--out", tmp_path]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    metrics = json.loads((tmp_path / "metrics.json").read_text(), parse_constant=reject)
+    assert metrics["mof"] == 0.0 and metrics["iou"] == 0.0
+    assert metrics["f1"] == [0.0] * 10 and metrics["per_video"] == {}
 
 
 def test_detect_rejects_corpus_width_mismatch(workspace, capsys):

@@ -31,7 +31,7 @@ from eventseg import (
     save_model,
 )
 
-from gradcheck import finite_difference, gradients_close
+from gradcheck import finite_difference, gradients_close, log
 
 
 def brute_force_loss(h, z, snippet_ids, queue, tau, window):
@@ -74,9 +74,9 @@ def composed_info_nce(queries, keys, snippet_ids, queue_entries, temperature, wi
         denom = exp_logits + q1 + q2
     else:
         denom = exp_logits + q1
-    log_p = logits - denom.log()
+    log_p = logits - log(denom)
     total = (positives_mask * log_p).sum()
-    return -total * (1.0 / (n * (window - 1)))
+    return total * (-1.0 / (n * (window - 1)))
 
 
 def _unit_rows(rng, n, dim):

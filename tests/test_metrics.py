@@ -10,17 +10,12 @@ from eventseg import (
     Annotation,
     DataError,
     annotations_by_id,
-    boundaries_to_segments,
     evaluate_corpus,
     f1_score,
-    hungarian_match,
     match_boundaries,
-    mof_iou,
     precision_recall_f1,
-    rel_dis,
     segment_scores,
 )
-from eventseg.metrics import SegmentSet
 
 
 def brute_force_boundary_match(det, gt, num_frames, threshold):
@@ -91,35 +86,24 @@ def brute_force_segment_match(overlaps):
     return best
 
 
-def test_rel_dis_cases():
-    assert rel_dis(50, 50, 100) == 0.0
-    assert rel_dis(48, 50, 100) == pytest.approx(0.02)
-    assert rel_dis(0, 100, 100) == 1.0
-    with pytest.raises(DataError):
-        rel_dis(0, 0, 0)
-
-
 def test_match_identical_sets():
     det = Annotation("v", 100, 25.0, [10, 40, 80])
     gt = Annotation("v", 100, 25.0, [10, 40, 80])
-    result = match_boundaries(det, gt, 0.05)
-    assert result.pairs == [(0, 0), (1, 1), (2, 2)]
-    assert result.unmatched_det == [] and result.unmatched_gt == []
+    assert match_boundaries(det, gt, 0.05) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_match_out_of_range():
     det = Annotation("v", 100, 25.0, [10])
     gt = Annotation("v", 100, 25.0, [90])
-    result = match_boundaries(det, gt, 0.05)
-    assert result.pairs == []
+    assert match_boundaries(det, gt, 0.05) == []
 
 
 def test_match_one_to_one():
     det = Annotation("v", 100, 25.0, [48, 52])
     gt = Annotation("v", 100, 25.0, [50])
-    result = match_boundaries(det, gt, 0.05)
-    assert len(result.pairs) == 1
-    assert len(result.unmatched_det) == 1
+    pairs = match_boundaries(det, gt, 0.05)
+    assert len(pairs) == 1
+    assert len(det.boundaries) - len(pairs) == 1
 
 
 def test_match_against_brute_force():
@@ -135,17 +119,15 @@ def test_match_against_brute_force():
         threshold = float(rng.uniform(0.02, 0.3))
         det = Annotation("v", num_frames, 25.0, det_frames)
         gt = Annotation("v", num_frames, 25.0, gt_frames)
-        result = match_boundaries(det, gt, threshold)
+        pairs = match_boundaries(det, gt, threshold)
         cardinality, total = brute_force_boundary_match(
             det_frames, gt_frames, num_frames, threshold
         )
-        assert len(result.pairs) == cardinality
-        got_total = sum(
-            rel_dis(det_frames[i], gt_frames[j], num_frames) for i, j in result.pairs
-        )
+        assert len(pairs) == cardinality
+        got_total = sum(abs(det_frames[i] - gt_frames[j]) / num_frames for i, j in pairs)
         assert got_total == pytest.approx(total, abs=1e-9)
-        seen_det = [i for i, _ in result.pairs]
-        seen_gt = [j for _, j in result.pairs]
+        seen_det = [i for i, _ in pairs]
+        seen_gt = [j for _, j in pairs]
         assert len(set(seen_det)) == len(seen_det)
         assert len(set(seen_gt)) == len(seen_gt)
         # Crossing-free: ordered by detection, the truths are ordered too.
@@ -162,12 +144,12 @@ def test_match_pairs_equal_fixpoint_oracle():
         gt_frames = sorted(rng.choice(np.arange(1, num_frames), size=int(rng.integers(0, 41)),
                                       replace=False).tolist())
         threshold = float(rng.uniform(0.005, 0.3))
-        result = match_boundaries(
+        pairs = match_boundaries(
             Annotation("v", num_frames, 25.0, det_frames),
             Annotation("v", num_frames, 25.0, gt_frames),
             threshold,
         )
-        assert result.pairs == fixpoint_match_pairs(
+        assert pairs == fixpoint_match_pairs(
             det_frames, gt_frames, num_frames, threshold
         )
         raw, _, _ = assignment_pairs(det_frames, gt_frames, num_frames, threshold)
@@ -181,8 +163,8 @@ def test_match_swapping_sides_swaps_precision_recall():
     gt = Annotation("v", 100, 25.0, [12, 69])
     forward = match_boundaries(det, gt, 0.05)
     backward = match_boundaries(gt, det, 0.05)
-    p1, r1, _ = precision_recall_f1(len(forward.pairs), 3, 2)
-    p2, r2, _ = precision_recall_f1(len(backward.pairs), 2, 3)
+    p1, r1, _ = precision_recall_f1(len(forward), 3, 2)
+    p2, r2, _ = precision_recall_f1(len(backward), 2, 3)
     assert p1 == pytest.approx(r2)
     assert r1 == pytest.approx(p2)
 
@@ -198,20 +180,37 @@ def test_precision_recall_f1_reference_rows():
     assert precision_recall_f1(0, 0, 0) == (0.0, 0.0, 0.0)
 
 
-def test_boundaries_to_segments():
-    empty = boundaries_to_segments(Annotation("v", 100, 25.0, []))
-    assert empty.segments == [(0, 100)]
+def segments(ann):
+    """[0,b1), [b1,b2), ..., [bn,F) as (start, end) pairs."""
+    edges = [0, *ann.boundaries, ann.num_frames]
+    return list(zip(edges[:-1], edges[1:]))
 
-    segs = boundaries_to_segments(Annotation("v", 100, 25.0, [30, 70]))
-    assert segs.segments == [(0, 30), (30, 70), (70, 100)]
-    assert sum(e - s for s, e in segs.segments) == 100
+
+def segment_overlaps(pred, gt):
+    """Frame overlap of every predicted with every true segment."""
+    return np.array(
+        [[max(0, min(y[1], z[1]) - max(y[0], z[0])) for z in gt] for y in pred],
+        dtype=np.float64,
+    )
+
+
+def test_boundaries_to_segments():
+    # No boundaries: one segment covering the whole video.
+    empty = Annotation("v", 100, 25.0, [])
+    assert segment_scores(empty, empty) == (1.0, 1.0)
+    # [30, 70] splits the video into [0,30), [30,70), [70,100); the single
+    # detected segment pairs with the 40-frame middle one.
+    mof, iou = segment_scores(empty, Annotation("v", 100, 25.0, [30, 70]))
+    assert mof == 0.4
+    assert iou == pytest.approx(0.4 / 3)
 
 
 def test_hungarian_small_case():
-    pred = SegmentSet("v", 100, [(0, 40), (40, 100)])
-    gt = SegmentSet("v", 100, [(0, 50), (50, 100)])
-    result = hungarian_match(pred, gt)
-    assert result.pairs == [(0, 0), (1, 1)]
+    # [0,40), [40,100) against [0,50), [50,100): pairing in order overlaps
+    # 90 frames, the crossed pairing only 10.
+    det = Annotation("v", 100, 25.0, [40])
+    gt = Annotation("v", 100, 25.0, [50])
+    assert segment_scores(det, gt)[0] == pytest.approx(0.9, abs=1e-9)
 
 
 def test_hungarian_against_factorial_oracle():
@@ -222,60 +221,56 @@ def test_hungarian_against_factorial_oracle():
                                    replace=False).tolist())
         gt_b = sorted(rng.choice(np.arange(1, num_frames), size=int(rng.integers(0, 6)),
                                  replace=False).tolist())
-        pred = boundaries_to_segments(Annotation("v", num_frames, 25.0, pred_b))
-        gt = boundaries_to_segments(Annotation("v", num_frames, 25.0, gt_b))
-        result = hungarian_match(pred, gt)
-        overlaps = np.array(
-            [[max(0, min(y[1], z[1]) - max(y[0], z[0])) for z in gt.segments]
-             for y in pred.segments],
-            dtype=np.float64,
-        )
-        got = sum(overlaps[i, j] for i, j in result.pairs)
-        assert got == brute_force_segment_match(overlaps)
-        rows, cols = linear_sum_assignment(-overlaps)
-        assert result.pairs == list(zip(rows.tolist(), cols.tolist()))
+        pred = Annotation("v", num_frames, 25.0, pred_b)
+        gt = Annotation("v", num_frames, 25.0, gt_b)
+        mof, _ = segment_scores(pred, gt)
+        overlaps = segment_overlaps(segments(pred), segments(gt))
+        assert mof == brute_force_segment_match(overlaps) / num_frames
 
 
 def test_mof_iou_identity():
-    segs = boundaries_to_segments(Annotation("v", 100, 25.0, [30, 70]))
-    mof, iou = mof_iou(segs, segs, hungarian_match(segs, segs))
-    assert mof == 1.0 and iou == 1.0
+    ann = Annotation("v", 100, 25.0, [30, 70])
+    assert segment_scores(ann, ann) == (1.0, 1.0)
 
 
 def test_mof_iou_hand_case():
-    gt = SegmentSet("v", 100, [(0, 50), (50, 100)])
-    pred = SegmentSet("v", 100, [(0, 40), (40, 100)])
-    mof, iou = mof_iou(pred, gt, hungarian_match(pred, gt))
+    gt = Annotation("v", 100, 25.0, [50])
+    pred = Annotation("v", 100, 25.0, [40])
+    mof, iou = segment_scores(pred, gt)
     assert mof == pytest.approx(0.9, abs=1e-9)
     assert iou == pytest.approx((0.8 + 50 / 60) / 2, abs=1e-9)
     assert iou == pytest.approx(0.8167, abs=1e-4)
 
 
 def test_mof_iou_single_prediction_over_two_events():
-    gt = SegmentSet("v", 100, [(0, 50), (50, 100)])
-    pred = SegmentSet("v", 100, [(0, 100)])
-    matching = hungarian_match(pred, gt)
-    mof, iou = mof_iou(pred, gt, matching)
+    gt = Annotation("v", 100, 25.0, [50])
+    pred = Annotation("v", 100, 25.0, [])
+    mof, iou = segment_scores(pred, gt)
     assert mof == pytest.approx(0.5)
     # Factorial oracle: single pairing choices are (0,0) or (0,1), both give
     # intersection 50 and union 100; the unmatched gt contributes zero.
     assert iou == pytest.approx(0.25)
 
 
-def former_mof_iou(pred, gt, matching):
-    """The former dictionary-and-scan MoF/IoU, kept as the exact oracle."""
+def former_mof_iou(det, gt):
+    """The former dictionary-and-scan MoF/IoU over explicit segment lists and
+    their Hungarian pairs, kept as the exact oracle."""
+    pred, truth = segments(det), segments(gt)
+    rows, cols = linear_sum_assignment(-segment_overlaps(pred, truth))
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+
     def overlap(a, b):
         return max(0, min(a[1], b[1]) - max(a[0], b[0]))
 
-    inter_by_gt = {j: overlap(pred.segments[i], gt.segments[j]) for i, j in matching.pairs}
-    mof = sum(inter_by_gt.values()) / sum(end - start for start, end in gt.segments)
+    inter_by_gt = {j: overlap(pred[i], truth[j]) for i, j in pairs}
+    mof = sum(inter_by_gt.values()) / sum(end - start for start, end in truth)
     iou_sum = 0.0
-    for j, (start, end) in enumerate(gt.segments):
+    for j, (start, end) in enumerate(truth):
         if j in inter_by_gt:
-            i = next(i for i, jj in matching.pairs if jj == j)
-            pred_size = pred.segments[i][1] - pred.segments[i][0]
+            i = next(i for i, jj in pairs if jj == j)
+            pred_size = pred[i][1] - pred[i][0]
             iou_sum += inter_by_gt[j] / (pred_size + (end - start) - inter_by_gt[j])
-    return mof, iou_sum / len(gt.segments)
+    return mof, iou_sum / len(truth)
 
 
 def test_mof_iou_bounds_random():
@@ -291,10 +286,16 @@ def test_mof_iou_bounds_random():
         mof, iou = segment_scores(det, gt)
         assert 0.0 <= mof <= 1.0
         assert 0.0 <= iou <= 1.0
-        pred_segs, gt_segs = boundaries_to_segments(det), boundaries_to_segments(gt)
-        assert (mof, iou) == former_mof_iou(
-            pred_segs, gt_segs, hungarian_match(pred_segs, gt_segs)
-        )
+        assert (mof, iou) == former_mof_iou(det, gt)
+
+
+def test_scoring_rejects_videos_of_different_lengths():
+    det = Annotation("v", 100, 25.0, [40])
+    gt = Annotation("v", 120, 25.0, [40])
+    with pytest.raises(DataError):
+        match_boundaries(det, gt, 0.05)
+    with pytest.raises(DataError):
+        segment_scores(det, gt)
 
 
 def test_f1_monotone_in_threshold():
@@ -310,7 +311,7 @@ def test_f1_monotone_in_threshold():
         last = -1.0
         for theta in np.arange(0.05, 0.55, 0.05):
             _, _, f1 = precision_recall_f1(
-                len(match_boundaries(det, gt, float(theta)).pairs), len(det_b), len(gt_b)
+                len(match_boundaries(det, gt, float(theta))), len(det_b), len(gt_b)
             )
             assert f1 >= last - 1e-12
             last = f1

@@ -17,7 +17,6 @@ from eventseg import (
     annotations_by_id,
     detect_boundaries,
     error_trajectory,
-    rel_dis,
     run_training,
     synth_generate,
 )
@@ -77,4 +76,4 @@ def test_end_to_end_detection_on_clean_three_event_stream():
         detected, _ = detect_boundaries(seq, result.encoders, result.reconstructor, det_cfg)
         assert len(detected.boundaries) == 2, seq.video_id
         for frame in detected.boundaries:
-            assert min(rel_dis(frame, b, seq.num_frames) for b in truth) <= 0.05
+            assert min(abs(frame - b) / seq.num_frames for b in truth) <= 0.05

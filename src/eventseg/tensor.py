@@ -11,6 +11,16 @@ that can produce one (losses, optimizer steps) check explicitly.
 Gradient accumulation is additive across uses of a tensor; ``sgd_step``
 resets parameter gradients after each update.
 
+``layer_norm``, ``softmax`` and ``l2_normalize`` are fused: each is one
+graph node instead of the eleven, four and five nodes that composing them
+from the generic ops would record. Their forward passes make the composition's numpy calls in the
+same order and dtypes (softmax finds its row max by a sweep of
+``np.maximum`` over the columns, which gives the same values). Their
+backward passes replay the composed graph's gradient arithmetic step for
+step, in the order the graph walk would accumulate it, rather than a closed
+form, so outputs and gradients are bit-identical to the composition: one
+code path serves training and ``no_grad`` detection alike.
+
 One recorded graph belongs to one thread. Separate graphs are independent.
 """
 
@@ -56,6 +66,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _sum64(a: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    """``a`` summed over ``axis`` in float64 and cast back to its dtype."""
+    return np.asarray(a.sum(axis=axis, dtype=np.float64, keepdims=keepdims)).astype(a.dtype)
 
 
 def _accumulate(t: "Tensor", grad: np.ndarray) -> None:
@@ -272,21 +287,10 @@ class Tensor:
 
         return self._result(data, (self,), backward)
 
-    def clamp_min(self, floor: float) -> "Tensor":
-        """max(x, floor); the clamped region is treated as constant."""
-        data = np.maximum(self.data, floor)
-
-        def backward(g):
-            _accumulate(self, g * (self.data > floor))
-
-        return self._result(data, (self,), backward)
-
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = np.asarray(
-            self.data.sum(axis=axis, dtype=np.float64, keepdims=keepdims)
-        ).astype(self.data.dtype)
+        data = _sum64(self.data, axis, keepdims)
         src_shape = self.data.shape
 
         def backward(g):
@@ -332,7 +336,10 @@ class Parameter(Tensor):
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
 
 
-# -- composite operations used throughout the model ---------------------------
+# -- fused operations used throughout the model -------------------------------
+#
+# The composed versions these replicate bit for bit are kept as test oracles
+# in tests/gradcheck.py.
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -348,26 +355,83 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm affine shape mismatch: x last dim {dim}, "
             f"gamma {gamma.data.shape}, beta {beta.data.shape}"
         )
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normalized = centered * (var + eps) ** -0.5
-    return normalized * gamma + beta
+    xd = x.data
+    scale = xd.dtype.type(1.0 / dim)
+    mu = _sum64(xd, -1, True) * scale
+    centered = xd - mu
+    shifted_var = _sum64(centered * centered, -1, True) * scale + xd.dtype.type(eps)
+    inv = shifted_var ** -0.5
+    normalized = centered * inv
+    data = normalized * gamma.data + beta.data
+
+    def backward(g):
+        _accumulate(beta, _unbroadcast(g, beta.data.shape))
+        _accumulate(gamma, _unbroadcast(g * normalized, gamma.data.shape))
+        g_normalized = g * gamma.data
+        g_centered = g_normalized * inv
+        g_inv = _unbroadcast(g_normalized * centered, inv.shape)
+        g_sq = (g_inv * -0.5 * shifted_var ** -1.5) * scale
+        # centered * centered sends its gradient to both operands in turn.
+        g_sq_centered = g_sq * centered
+        g_centered += g_sq_centered
+        g_centered += g_sq_centered
+        # x - mu reaches x directly, then again through the mean.
+        _accumulate(x, g_centered)
+        g_mu = _unbroadcast(-g_centered, mu.shape)
+        _accumulate(x, np.broadcast_to(g_mu * scale, xd.shape))
+
+    return x._result(data, (x, gamma, beta), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Rows sum to one; computed with (detached) max subtraction for stability."""
-    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
-    exps = (x - shift).exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
+    """Rows sum to one; computed with (detached) max subtraction for stability.
+
+    The max is a sweep of ``np.maximum`` over the columns of ``axis``: the
+    same values as ``np.max`` (NaN propagates) at a tenth of its cost on the
+    short attention rows.
+    """
+    xd = x.data
+    if not -xd.ndim <= axis < xd.ndim:
+        raise ShapeError(f"softmax axis {axis} out of range for shape {xd.shape}")
+    axis %= xd.ndim
+    if xd.shape[axis] == 0:
+        raise ShapeError(f"softmax over the empty axis {axis} of shape {xd.shape}")
+    lead = (slice(None),) * axis
+    shift = xd[lead + (slice(0, 1),)]
+    for i in range(1, xd.shape[axis]):
+        shift = np.maximum(shift, xd[lead + (slice(i, i + 1),)])
+    exps = np.exp(xd - shift)
+    total = _sum64(exps, axis, True)
+    data = exps / total
+
+    def backward(g):
+        g_exps = g / total
+        g_exps += np.broadcast_to(_unbroadcast(-g * exps / (total * total), total.shape), xd.shape)
+        _accumulate(x, g_exps * exps)
+
+    return x._result(data, (x,), backward)
 
 
 def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale each row (last axis) to unit Euclidean norm.
 
     Rows with norm below ``eps`` are scaled by ``1/eps``, so zero rows stay
-    at zero.
+    at zero; the clamp passes no gradient.
     """
-    norm_sq = (x * x).sum(axis=-1, keepdims=True)
-    inv = norm_sq.clamp_min(eps * eps) ** -0.5
-    return x * inv
+    xd = x.data
+    floor = eps * eps
+    norm_sq = _sum64(xd * xd, -1, True)
+    clamped = np.maximum(norm_sq, floor)
+    inv = clamped ** -0.5
+    data = xd * inv
+
+    def backward(g):
+        _accumulate(x, g * inv)
+        g_inv = _unbroadcast(g * xd, inv.shape)
+        g_norm_sq = (g_inv * -0.5 * clamped ** -1.5) * (norm_sq > floor)
+        # x * x sends its gradient to both operands in turn.
+        g_sq_x = np.broadcast_to(g_norm_sq, xd.shape) * xd
+        _accumulate(x, g_sq_x)
+        _accumulate(x, g_sq_x)
+
+    return x._result(data, (x,), backward)

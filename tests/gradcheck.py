@@ -4,6 +4,10 @@
 the autodiff ones, ``gradients_close`` compares the two, ``dot`` reduces
 two tensors to a scalar loss, and ``log`` is the natural-log node that the
 composed loss oracles need and no package path uses.
+
+``composed_layer_norm``, ``composed_softmax`` and ``composed_l2_normalize``
+build those ops from generic autodiff nodes (with ``clamp_min``, another
+node only they use): the bit-exact oracles for the package's fused nodes.
 """
 
 from typing import Iterable
@@ -23,6 +27,34 @@ def log(t: Tensor) -> Tensor:
         _accumulate(t, g / t.data)
 
     return t._result(np.log(t.data), (t,), backward)
+
+
+def clamp_min(t: Tensor, floor: float) -> Tensor:
+    """max(t, floor); the clamped region is treated as constant."""
+    def backward(g):
+        _accumulate(t, g * (t.data > floor))
+
+    return t._result(np.maximum(t.data, floor), (t,), backward)
+
+
+def composed_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    normalized = centered * (var + eps) ** -0.5
+    return normalized * gamma + beta
+
+
+def composed_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
+    exps = (x - shift).exp()
+    return exps / exps.sum(axis=axis, keepdims=True)
+
+
+def composed_l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
+    norm_sq = (x * x).sum(axis=-1, keepdims=True)
+    inv = clamp_min(norm_sq, eps * eps) ** -0.5
+    return x * inv
 
 
 def finite_difference(fn, arrays: Iterable[np.ndarray], epsilon: float = 1e-3):

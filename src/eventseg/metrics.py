@@ -14,16 +14,21 @@ algorithm, and score the matched intersections against the ground-truth
 segments. Corpus precision, recall, and F1 are micro-averaged over boundary
 counts; per-video numbers are kept alongside for inspection. A corpus with
 no videos scores 0.0 throughout.
+
+Both assignments use scipy's ``linear_sum_assignment``. It is imported on
+first use, because ``scipy.optimize`` takes longer to import than the rest
+of the package and only scoring needs it: ``synth``, ``train`` and
+``detect`` never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data import Annotation
 from .errors import DataError
@@ -31,6 +36,19 @@ from .errors import DataError
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
 
 _INVALID_COST = 1e9
+
+
+@functools.cache
+def _assignment_solver():
+    """scipy's ``linear_sum_assignment``, imported on first use.
+
+    Cached: an import statement costs about a microsecond even once the
+    module is loaded, and scoring a default corpus asks for the solver a few
+    hundred times.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
 
 
 def match_boundaries(det: Annotation, gt: Annotation, threshold: float) -> list[tuple[int, int]]:
@@ -51,7 +69,7 @@ def match_boundaries(det: Annotation, gt: Annotation, threshold: float) -> list[
         np.subtract.outer(np.asarray(det.boundaries, dtype=np.float64), gt.boundaries)
     ) / gt.num_frames
     valid = dist <= threshold
-    rows, cols = linear_sum_assignment(np.where(valid, dist, _INVALID_COST))
+    rows, cols = _assignment_solver()(np.where(valid, dist, _INVALID_COST))
     kept = valid[rows, cols]
     # On a line, pairing two equal-size point sets in order minimises both
     # the total and the largest distance, so re-pairing the matched points
@@ -97,7 +115,7 @@ def segment_scores(det: Annotation, gt: Annotation) -> tuple[float, float]:
         0,
         None,
     ).astype(np.float64)
-    rows, cols = linear_sum_assignment(-overlaps)
+    rows, cols = _assignment_solver()(-overlaps)
     inter = overlaps[rows, cols]
     union = np.diff(det_edges)[rows] + np.diff(gt_edges)[cols] - inter
     # Added one at a time in ground-truth order; numpy's pairwise sum would
@@ -167,6 +185,8 @@ def evaluate_corpus(
             f"missing annotations for {missing_ann}, missing detections for {missing_det}"
         )
     thresholds = [float(t) for t in thresholds]
+    # Pay the solver's one-time import here, not inside the first match.
+    _assignment_solver()
     ids = sorted(det_ids)
     per_video: dict[str, dict] = {}
     tp = [0] * len(thresholds)

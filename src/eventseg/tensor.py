@@ -174,8 +174,10 @@ class Tensor:
         data = fwd(self.data, other.data)
 
         def backward(g):
-            _accumulate(self, _unbroadcast(bwd_self(g, self.data, other.data), self.data.shape))
-            _accumulate(other, _unbroadcast(bwd_other(g, self.data, other.data), other.data.shape))
+            if self.requires_grad:
+                _accumulate(self, _unbroadcast(bwd_self(g, self.data, other.data), self.data.shape))
+            if other.requires_grad:
+                _accumulate(other, _unbroadcast(bwd_other(g, self.data, other.data), other.data.shape))
 
         return self._result(data, (self, other), backward)
 
@@ -222,8 +224,10 @@ class Tensor:
             raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}") from exc
 
         def backward(g):
-            _accumulate(self, _unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
-            _accumulate(other, _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+            if self.requires_grad:
+                _accumulate(self, _unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
+            if other.requires_grad:
+                _accumulate(other, _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
 
         return self._result(data, (self, other), backward)
 

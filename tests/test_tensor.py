@@ -91,6 +91,33 @@ def test_gradient_accumulates_across_uses():
     np.testing.assert_allclose(x.grad, [8.0])
 
 
+def _no_term(g, a, b):
+    raise AssertionError("backward term built for a constant operand")
+
+
+def test_binary_skips_the_constant_operands_term():
+    x = Parameter(np.array([1.0, 2.0], dtype=np.float32), "x")
+    c = Tensor(np.array([3.0, 4.0], dtype=np.float32))
+    x._binary(c, np.multiply, lambda g, a, b: g * b, _no_term).sum().backward()
+    c._binary(x, np.multiply, _no_term, lambda g, a, b: g * a).sum().backward()
+    np.testing.assert_array_equal(x.grad, [6.0, 8.0])
+
+
+class _NoTranspose(np.ndarray):
+    """An array whose transpose fails: only the constant operand's matmul
+    term transposes the parameter."""
+
+    def swapaxes(self, *axes):
+        raise AssertionError("backward term built for a constant operand")
+
+
+def test_matmul_skips_the_constant_operands_term():
+    x = Parameter(np.ones((2, 3), dtype=np.float32).view(_NoTranspose), "x")
+    c = np.arange(12, dtype=np.float32).reshape(3, 4)
+    (x @ Tensor(c)).sum().backward()
+    np.testing.assert_array_equal(np.asarray(x.grad), np.tile(c.sum(axis=1), (2, 1)))
+
+
 def test_elementwise_ops_against_finite_differences():
     rng = np.random.default_rng(4)
     w = Tensor(rng.uniform(0.5, 1.5, size=(3, 4)))

@@ -78,7 +78,6 @@ from .reconstruction import (
     compute_losses,
     masked_reconstruct,
     positional_embedding,
-    sample_mask_rows,
     train_step,
 )
 from .tensor import (

@@ -84,16 +84,17 @@ def deserialize_records(blob: bytes) -> dict[str, np.ndarray]:
 
 def model_records(enc, rec, queue, window: int) -> list[tuple[str, np.ndarray]]:
     """Canonical record list: encoder pair, reconstructor, queue, then
-    scalar ``meta.*`` entries: the models' ``ModelConfig`` and the window."""
+    scalar ``meta.*`` entries in key order: the models' ``ModelConfig``,
+    their input width and the window."""
     records: list[tuple[str, np.ndarray]] = []
     for p in enc.parameters() + rec.parameters():
         records.append((p.name, p.data))
     records.append(("ctfe.queue", queue.as_array()))
     model = ModelConfig(
-        input_dim=enc.in_dim, embedding_dim=enc.dim, heads=rec.blocks[0].heads,
-        layers=len(rec.blocks), alpha=enc.alpha, queue_capacity=queue.capacity,
+        embedding_dim=enc.dim, heads=rec.blocks[0].heads, layers=len(rec.blocks),
+        alpha=enc.alpha, queue_capacity=queue.capacity,
     )
-    meta = {**dataclasses.asdict(model), "window": window}
+    meta = {**dataclasses.asdict(model), "input_dim": enc.in_dim, "window": window}
     for key in sorted(meta):
         records.append((f"meta.{key}", np.asarray(float(meta[key]), dtype=np.float32)))
     return records
@@ -107,17 +108,19 @@ def save_model(path, enc, rec, queue, window: int) -> None:
 def load_model(path):
     """Rebuild (encoders, reconstructor, queue, meta) from a checkpoint.
 
-    ``meta`` maps each ``ModelConfig`` field and ``window`` to its value. A
-    record holding NaN or Inf, ``meta.*`` records that break ``ModelConfig``'s
-    rules or the detector's window rule, or a parameter or queue whose shape
-    does not fit the model, is a ``FormatError`` naming the record.
+    ``meta`` maps each ``ModelConfig`` field, ``input_dim`` and ``window`` to
+    its value. A record holding NaN or Inf, ``meta.*`` records that break
+    ``ModelConfig``'s rules, an input width below 1 or the detector's window
+    rule, or a parameter or queue whose shape does not fit the model, is a
+    ``FormatError`` naming the record.
     """
     with open(path, "rb") as fh:
         records = deserialize_records(fh.read())
     for name, value in records.items():
         if not np.isfinite(value).all():
             raise FormatError(f"checkpoint record {name!r} holds non-finite values")
-    kinds = {f.name: f.type for f in dataclasses.fields(ModelConfig)} | {"window": "int"}
+    model_kinds = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+    kinds = model_kinds | {"input_dim": "int", "window": "int"}
     meta = {}
     for key, kind in kinds.items():
         record = records.get(f"meta.{key}")
@@ -128,11 +131,13 @@ def load_model(path):
             raise FormatError(f"checkpoint record 'meta.{key}' = {value} is not an integer")
         meta[key] = int(value) if kind == "int" else value
     try:
-        model = ModelConfig(**{k: v for k, v in meta.items() if k != "window"})
+        model = ModelConfig(**{k: meta[k] for k in model_kinds})
         DetectorConfig(window=meta["window"])
     except ConfigError as exc:
         raise FormatError(f"checkpoint meta.* records describe no valid model: {exc}") from exc
-    enc, rec, queue = build_models(model, np.random.default_rng(0))
+    if meta["input_dim"] < 1:
+        raise FormatError(f"checkpoint record 'meta.input_dim' = {meta['input_dim']} is below 1")
+    enc, rec, queue = build_models(model, meta["input_dim"], np.random.default_rng(0))
     for p in enc.parameters() + rec.parameters():
         if p.name not in records:
             raise FormatError(f"checkpoint lacks parameter {p.name!r}")

@@ -6,9 +6,11 @@ long rather than full-length activities: ``extrema_range`` (29 instead of
 70; the prior is stated at ``RunConfig``) and ``fir_half_width`` (3 instead
 of 5). The memory queue keeps its standard capacity of 4096. The one
 snippet length is ``[detector] window``: training samples snippets of it for
-both losses, and detection slides a window of it. Cross-field consistency
-(embedding dim divisible by heads, a mask shorter than the window, synthetic
-events long enough for the window) is validated whenever a config is built.
+both losses, masking one frame of each, and detection slides a window of it.
+The encoder's input width is not configured: training takes it from the
+feature files, and a checkpoint records it. Cross-field consistency
+(embedding dim divisible by heads, synthetic events long enough for the
+window) is validated whenever a config is built.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .reconstruction import ReconstructionConfig
 
 @dataclass
 class ModelConfig:
-    input_dim: int = 32
     embedding_dim: int = 16
     heads: int = 8
     layers: int = 2
@@ -37,8 +38,6 @@ class ModelConfig:
     queue_capacity: int = 4096
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         # The positional sin/cos table pairs the embedding's columns.
         if self.embedding_dim < 2 or self.embedding_dim % 2 != 0:
             raise ConfigError(f"embedding_dim must be even and >= 2, got {self.embedding_dim}")
@@ -103,11 +102,6 @@ class RunConfig:
             raise ConfigError(
                 f"synthetic event_length minimum {self.synth.event_length[0]} is "
                 f"shorter than the window {window}"
-            )
-        if self.reconstruction.mask_size >= window:
-            raise ConfigError(
-                f"mask_size {self.reconstruction.mask_size} must be smaller than "
-                f"the window {window}"
             )
         if not self.thresholds or any(not 0 < t <= 1 for t in self.thresholds):
             raise ConfigError(f"thresholds must lie in (0, 1], got {self.thresholds}")

@@ -54,10 +54,10 @@ class FrameFeatureSequence:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float32)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
+        if self.features.ndim != 2 or min(self.features.shape) < 1:
             raise DataError(
-                f"features for {self.video_id!r} must be a non-empty 2-d matrix, "
-                f"got shape {self.features.shape}"
+                f"features for {self.video_id!r} must be a 2-d matrix of at least "
+                f"one frame and one dimension, got shape {self.features.shape}"
             )
         if not np.isfinite(self.features).all():
             raise DataError(f"non-finite feature values in {self.video_id!r}")

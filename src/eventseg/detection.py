@@ -98,7 +98,7 @@ def error_trajectory(
             b = min(BLOCK_WINDOWS, count - s)
             embeddings = encode_query(video.features[s : s + b + T - 1], enc).data
             windows = sliding_window_view(embeddings, T, axis=0).transpose(0, 2, 1)
-            recon_mid = masked_reconstruct(windows, np.full((b, 1), mid), rec).data
+            recon_mid = masked_reconstruct(windows, np.full(b, mid), rec).data
             originals = embeddings[mid : mid + b]
             values[mid + s : mid + s + b] = ((recon_mid - originals) ** 2).sum(axis=1)
     values[:mid] = values[mid]

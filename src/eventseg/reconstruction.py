@@ -15,9 +15,10 @@ detached so the reconstruction loss cannot shrink the embedding geometry
 itself.
 
 Everything works on batches of snippets. ``masked_reconstruct`` is the one
-forward path: it masks the given rows of every snippet, runs the
-reconstructor, and returns the reconstructed rows. Training
-(``compute_losses``) scores them against the detached embeddings; detection
+forward path: it masks one given row of every snippet, runs the
+reconstructor, and returns the reconstructed rows. Training (``train_step``)
+masks one uniformly drawn frame per snippet and ``compute_losses`` scores
+the reconstructions against the detached embeddings; detection
 (``detection.error_trajectory``) masks the middle frame of every window.
 Only the masked rows are ever read, so ``masked_reconstruct`` passes them to
 ``Reconstructor.forward``: the last block computes keys and values for every
@@ -50,12 +51,7 @@ from .tensor import Parameter, Tensor, layer_norm, softmax
 
 @dataclass
 class ReconstructionConfig:
-    mask_size: int = 1
     beta: float = 1.0
-
-    def __post_init__(self):
-        if self.mask_size < 1:
-            raise ConfigError(f"mask_size must be >= 1, got {self.mask_size}")
 
 
 def positional_embedding(window: int, dim: int) -> np.ndarray:
@@ -178,32 +174,32 @@ class Reconstructor:
 def assemble_masked_input(h3, mask_rows, rec: Reconstructor) -> Tensor:
     """The (L x T x D) reconstructor input for L snippets of embeddings.
 
-    Row ``mask_rows[i, j]`` of snippet ``i`` becomes the mask token; every
+    Row ``mask_rows[i]`` of snippet ``i`` becomes the mask token; every
     other row is embedding + row of the (T x D) positional table, at the
-    embeddings' dtype. ``mask_rows`` is (L x m).
+    embeddings' dtype. ``mask_rows`` holds one index per snippet.
     """
     h3 = h3 if isinstance(h3, Tensor) else Tensor(np.asarray(h3))
     if h3.data.ndim != 3:
         raise ShapeError(f"expected (snippets x window x dim) input, got {h3.data.shape}")
     L, T, D = h3.data.shape
     rows = np.asarray(mask_rows, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[0] != L:
+    if rows.shape != (L,):
         raise ShapeError(f"mask rows {rows.shape} do not give one row per snippet ({L})")
     outside = rows[(rows < 0) | (rows >= T)]
     if outside.size:
         raise ShapeError(f"mask index {outside[0]} outside [0, {T})")
     mask = np.zeros((L, T, 1), dtype=h3.data.dtype)
-    mask[np.arange(L)[:, None], rows, 0] = 1.0
+    mask[np.arange(L), rows, 0] = 1.0
     keep = Tensor(1.0 - mask)
     positional = Tensor(positional_embedding(T, D).astype(h3.data.dtype, copy=False))
     return (h3 + positional) * keep + rec.mask_token * Tensor(mask)
 
 
 def masked_reconstruct(h3, mask_rows, rec: Reconstructor) -> Tensor:
-    """Mask ``mask_rows`` of every snippet, run the reconstructor, and return
-    the reconstructed rows: (L*m x D), snippet-major."""
+    """Mask row ``mask_rows[i]`` of every snippet ``i``, run the
+    reconstructor, and return the reconstructed rows: (L x D)."""
     rows = np.asarray(mask_rows, dtype=np.int64)
-    out = rec.forward(assemble_masked_input(h3, rows, rec), rows=rows)
+    out = rec.forward(assemble_masked_input(h3, rows, rec), rows=rows[:, None])
     return out.reshape((-1, rec.dim))
 
 
@@ -219,18 +215,16 @@ def compute_losses(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Pure joint forward pass: no state is mutated.
 
-    ``mask_rows`` is an (L x mask_size) integer array of masked positions per
-    snippet. Returns (contrastive, reconstruction, total) loss tensors.
+    ``mask_rows`` holds the masked position of each of the L snippets.
+    Returns (contrastive, reconstruction, total) loss tensors.
 
     The reconstruction target is the (detached) embedding of the masked rows;
-    ``recon_targets`` overrides it with a fixed (L*mask_size x dim) array.
-    Gradient checks need that: under perturbation the detached target would
-    otherwise move with the parameters, which the analytic gradient ignores
-    by construction.
+    ``recon_targets`` overrides it with a fixed (L x dim) array. Gradient
+    checks need that: under perturbation the detached target would otherwise
+    move with the parameters, which the analytic gradient ignores by
+    construction.
     """
     L, T, _ = batch.frames.shape
-    if np.shape(mask_rows)[-1] == 0:
-        raise ConfigError("reconstruction loss needs at least one masked index")
     flat = batch.frames.reshape(L * T, -1)
     h = encode_query(flat, enc)
     z = encode_key(flat, enc)
@@ -240,20 +234,11 @@ def compute_losses(
     h3 = h.reshape((L, T, enc.dim))
     recon_rows = masked_reconstruct(h3, mask_rows, rec)
     if recon_targets is None:
-        recon_targets = h3.data[np.arange(L)[:, None], mask_rows].reshape(-1, enc.dim)
+        recon_targets = h3.data[np.arange(L), mask_rows]
     diff = recon_rows - Tensor(recon_targets)
     lr = (diff * diff).sum(axis=-1).mean()
     total = lc + lr * float(recon_cfg.beta)
     return lc, lr, total
-
-
-def sample_mask_rows(rng: np.random.Generator, num_snippets: int, window: int,
-                     mask_size: int) -> np.ndarray:
-    """Distinct masked positions per snippet, sampled without replacement."""
-    rows = np.empty((num_snippets, mask_size), dtype=np.int64)
-    for i in range(num_snippets):
-        rows[i] = np.sort(rng.choice(window, size=mask_size, replace=False))
-    return rows
 
 
 def train_step(
@@ -268,13 +253,14 @@ def train_step(
 ) -> dict[str, float]:
     """One joint optimization step.
 
-    Computes both losses, backpropagates their sum into the query encoder and
-    the reconstructor, applies the SGD update, then performs the momentum
-    update of the key encoder and pushes one key embedding per snippet into
-    the queue. A non-finite loss aborts before any state changes.
+    Masks one uniformly drawn frame per snippet, computes both losses,
+    backpropagates their sum into the query encoder and the reconstructor,
+    applies the SGD update, then performs the momentum update of the key
+    encoder and pushes one key embedding per snippet into the queue. A
+    non-finite loss aborts before any state changes.
     """
     L, T, _ = batch.frames.shape
-    mask_rows = sample_mask_rows(rng, L, T, recon_cfg.mask_size)
+    mask_rows = rng.integers(0, T, size=L)
     lc, lr, total = compute_losses(
         batch, enc, queue, rec, contrastive_cfg, recon_cfg, mask_rows
     )

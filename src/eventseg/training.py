@@ -9,7 +9,7 @@ import numpy as np
 from .config import ModelConfig, RunConfig
 from .data import FrameFeatureSequence
 from .embedding import EncoderPair, MemoryQueue, sample_batch
-from .errors import NumericsError
+from .errors import DataError, NumericsError
 from .reconstruction import Reconstructor, train_step
 
 
@@ -19,8 +19,11 @@ class TrainingResult:
     reconstructor: Reconstructor
     queue: MemoryQueue
     history: list[dict[str, float]]
-    completed_steps: int
     diverged: bool
+
+    @property
+    def completed_steps(self) -> int:
+        return len(self.history)
 
     @property
     def first_loss(self) -> float:
@@ -31,8 +34,8 @@ class TrainingResult:
         return self.history[-1]["total"]
 
 
-def build_models(model: ModelConfig, rng: np.random.Generator) -> tuple[EncoderPair, Reconstructor, MemoryQueue]:
-    enc = EncoderPair(model.input_dim, model.embedding_dim, model.alpha, rng)
+def build_models(model: ModelConfig, input_dim: int, rng: np.random.Generator) -> tuple[EncoderPair, Reconstructor, MemoryQueue]:
+    enc = EncoderPair(input_dim, model.embedding_dim, model.alpha, rng)
     rec = Reconstructor(model.embedding_dim, model.heads, model.layers, rng)
     queue = MemoryQueue(model.queue_capacity, model.embedding_dim)
     return enc, rec, queue
@@ -45,17 +48,21 @@ def run_training(
 ) -> TrainingResult:
     """Run the configured number of joint steps over the corpus.
 
-    Fully deterministic under the training seed: one generator drives the
+    The encoders take the corpus's feature width; a corpus with no videos,
+    or with videos of different widths, is a ``DataError``. Fully
+    deterministic under the training seed: one generator drives the
     model init, batch sampling, mask choice, and queue insertion in a fixed
     order. On divergence (non-finite loss) training stops with the parameters
     from before the failed step, marked ``diverged``.
     """
     cfg.validate()
+    widths = sorted({seq.dim for seq in corpus})
+    if len(widths) != 1:
+        raise DataError(f"training needs one feature width, the corpus has widths {widths}")
     rng = np.random.default_rng(cfg.training.seed)
-    enc, rec, queue = build_models(cfg.model, rng)
+    enc, rec, queue = build_models(cfg.model, widths[0], rng)
     history: list[dict[str, float]] = []
     diverged = False
-    steps_done = 0
     for step in range(1, cfg.training.steps + 1):
         batch = sample_batch(
             corpus,
@@ -73,10 +80,9 @@ def run_training(
             diverged = True
             break
         history.append({"step": step, **losses})
-        steps_done = step
         if progress is not None and step % cfg.training.log_every == 0:
             progress(step, losses)
-    return TrainingResult(enc, rec, queue, history, steps_done, diverged)
+    return TrainingResult(enc, rec, queue, history, diverged)
 
 
 def write_loss_csv(history: list[dict[str, float]], path) -> None:

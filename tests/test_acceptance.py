@@ -35,7 +35,6 @@ from eventseg import (
     match_boundaries,
     run_training,
     sample_batch,
-    sample_mask_rows,
     save_annotations,
     load_annotations,
     save_feature_file,
@@ -78,8 +77,8 @@ def test_criterion_1_full_model_gradient_check():
         v = master.normal(size=dim)
         queue.push((v / np.linalg.norm(v)).astype(np.float32))
     ccfg = ContrastiveConfig(temperature=0.2)
-    rcfg = ReconstructionConfig(mask_size=1, beta=1.0)
-    mask_rows = np.array([[2], [1]])
+    rcfg = ReconstructionConfig(beta=1.0)
+    mask_rows = np.array([2, 1])
 
     # Freeze the reconstruction target at the unperturbed point: the target
     # is detached by design, so the derivative through it must not appear on
@@ -87,7 +86,7 @@ def test_criterion_1_full_model_gradient_check():
     from eventseg import encode_query
 
     h0 = encode_query(batch.frames.reshape(-1, dim), enc).data.reshape(snippets, window, dim)
-    targets = h0[np.arange(snippets), mask_rows.reshape(-1)].copy()
+    targets = h0[np.arange(snippets), mask_rows].copy()
 
     def total():
         return compute_losses(
@@ -358,13 +357,13 @@ def test_criterion_7a_loss_halves(pipeline):
     cfg = pipeline["cfg"]
     result = pipeline["result"]
     rng = np.random.default_rng(cfg.training.seed)
-    enc0, rec0, _ = build_models(cfg.model, rng)
+    enc0, rec0, _ = build_models(cfg.model, pipeline["corpus"][0].dim, rng)
     batch = sample_batch(
         pipeline["corpus"], cfg.training.batch_videos,
         cfg.training.snippets_per_video, cfg.detector.window, rng,
     )
     num_snippets, window, _ = batch.frames.shape
-    mask_rows = sample_mask_rows(rng, num_snippets, window, cfg.reconstruction.mask_size)
+    mask_rows = rng.integers(0, window, size=num_snippets)
 
     def total(enc, rec):
         return compute_losses(

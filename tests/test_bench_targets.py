@@ -110,10 +110,10 @@ def test_bench_slice_oracle_reads_the_config_window_and_checkpoint(tmp_path, mon
     save_corpus(corpus, tmp_path / "features")
     config = tmp_path / "run.ini"
     config.write_text(
-        "[model]\ninput_dim = 6\nembedding_dim = 8\nheads = 4\nqueue_capacity = 8\n\n"
+        "[model]\nembedding_dim = 8\nheads = 4\nqueue_capacity = 8\n\n"
         f"[detector]\nwindow = 6\n\n[paths]\ndata_dir = {tmp_path / 'features'}\n"
     )
-    enc, rec, queue = build_models(load_config(config).model, np.random.default_rng(0))
+    enc, rec, queue = build_models(load_config(config).model, 6, np.random.default_rng(0))
     save_model(tmp_path / "model.bin", enc, rec, queue, 6)
     result = worker.slice_oracle({
         "config": str(config), "checkpoint": str(tmp_path / "model.bin"),

@@ -94,12 +94,11 @@ def test_model_round_trip(tmp_path):
 
 
 def test_saved_meta_is_the_models_config(tmp_path):
-    model = ModelConfig(input_dim=6, embedding_dim=12, heads=3, layers=1,
-                        alpha=0.5, queue_capacity=7)
-    enc, rec, queue = build_models(model, np.random.default_rng(4))
+    model = ModelConfig(embedding_dim=12, heads=3, layers=1, alpha=0.5, queue_capacity=7)
+    enc, rec, queue = build_models(model, 6, np.random.default_rng(4))
     path = tmp_path / "model.bin"
     save_model(path, enc, rec, queue, 9)
-    expected = {**dataclasses.asdict(model), "window": 9}
+    expected = {**dataclasses.asdict(model), "input_dim": 6, "window": 9}
     records = deserialize_records(path.read_bytes())
     saved = {name[len("meta."):]: float(value)
              for name, value in records.items() if name.startswith("meta.")}

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a tiny corpus."""
 
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -20,7 +21,6 @@ drift_std = 0.01
 seed = 3
 
 [model]
-input_dim = 8
 embedding_dim = 8
 heads = 4
 queue_capacity = 64
@@ -205,6 +205,69 @@ def test_empty_corpus_train_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: data:")
 
 
+def test_feature_width_comes_from_the_corpus(tmp_path, capsys):
+    # No [model] section: the encoders take the 24-wide features' width.
+    from eventseg import deserialize_records
+
+    out = tmp_path / "out"
+    config = tmp_path / "run.ini"
+    text = TINY_CONFIG.format(data_dir=out / "features", annotations=out / "annotations.json")
+    model = text[text.index("[model]"):text.index("[detector]")]
+    config.write_text(text.replace(model, "").replace("feature_dim = 8", "feature_dim = 24"))
+    assert _run(["synth", "--config", config, "--out", out]) == 0
+    assert _run(["train", "--config", config, "--out", out]) == 0
+    assert _run(["detect", "--config", config, "--out", out,
+                 "--checkpoint", out / "checkpoint.bin"]) == 0
+    assert _run(["eval", "--config", config, "--out", out]) == 0
+    records = deserialize_records((out / "checkpoint.bin").read_bytes())
+    assert float(records["meta.input_dim"]) == 24.0
+    assert "trained 5 steps" in capsys.readouterr().out
+
+
+def test_mixed_width_corpus_train_is_data_error(workspace, capsys):
+    from eventseg import FrameFeatureSequence, load_feature_file, save_feature_file
+
+    _, config, out = workspace
+    _run(["synth", "--config", config, "--out", out])
+    path = sorted((out / "features").glob("*.csgf"))[0]
+    seq = load_feature_file(path)
+    save_feature_file(FrameFeatureSequence(seq.video_id, seq.fps, seq.features[:, :6]), path)
+    capsys.readouterr()
+    code = _run(["train", "--config", config, "--out", out])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:")
+    assert "[6, 8]" in err
+    assert not (out / "checkpoint.bin").exists()
+
+
+def test_zero_width_corpus_train_is_data_error(workspace, capsys):
+    _, config, out = workspace
+    (out / "features").mkdir(parents=True)
+    (out / "features" / "v.csgf").write_bytes(struct.pack("<4sHIIf", b"CSGF", 1, 0, 50, 25.0))
+    code = _run(["train", "--config", config, "--out", out])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:")
+    assert "'v'" in err and "(50, 0)" in err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("model", "input_dim"),
+    ("reconstruction", "mask_size"),
+], ids=["input_dim", "mask_size"])
+def test_removed_config_keys_exit_2(tmp_path, capsys, section, key):
+    # The input width comes from the features, and one frame per snippet is
+    # masked: neither is a config key.
+    config = tmp_path / "old.ini"
+    config.write_text(f"[{section}]\n{key} = 1\n")
+    code = _run(["train", "--config", config, "--out", tmp_path / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert f"[{section}] unknown key {key!r}" in err
+
+
 def test_empty_corpus_detect_writes_empty_output(workspace, tmp_path):
     _, config, out = workspace
     _run(["synth", "--config", config, "--out", out])
@@ -377,6 +440,7 @@ def test_unbuildable_model_is_config_error(tmp_path, capsys, model):
     ("alpha", 1.5),
     ("window", 2),
     ("heads", [4, 4]),
+    ("input_dim", 0),
 ])
 def test_checkpoint_meta_outside_model_rules_is_format_error(workspace, capsys, key, value):
     from eventseg import deserialize_records, serialize_records

@@ -15,7 +15,6 @@ def test_defaults_carry_standard_hyperparameters():
     assert cfg.detector.window == 10
     assert cfg.model.alpha == 0.999
     assert cfg.model.queue_capacity == 4096
-    assert cfg.reconstruction.mask_size == 1
     assert cfg.reconstruction.beta == 1.0
     assert cfg.model.heads == 8 and cfg.model.layers == 2
     assert cfg.optimizer.learning_rate == 0.002
@@ -47,13 +46,6 @@ def test_window_is_a_detector_key_only(tmp_path, section):
     path = tmp_path / "bad.ini"
     path.write_text(f"[{section}]\nwindow = 10\n")
     with pytest.raises(ConfigError, match="unknown key 'window'"):
-        load_config(path)
-
-
-def test_mask_must_be_shorter_than_window(tmp_path):
-    path = tmp_path / "bad.ini"
-    path.write_text("[reconstruction]\nmask_size = 10\n\n[detector]\nwindow = 10\n")
-    with pytest.raises(ConfigError, match="mask_size"):
         load_config(path)
 
 

@@ -329,6 +329,14 @@ def test_byte_flips_load_valid_records_or_raise(tmp_path):
     assert loaded >= 50 and failed >= 50
 
 
+def test_zero_width_feature_file_is_data_error(tmp_path):
+    # 50 frames of no features: the header alone is the whole file.
+    path = tmp_path / "empty.csgf"
+    path.write_bytes(struct.pack("<4sHIIf", b"CSGF", 1, 0, 50, 25.0))
+    with pytest.raises(DataError, match=r"\(50, 0\)"):
+        load_feature_file(path)
+
+
 def test_feature_sequence_rejects_non_finite():
     bad = np.ones((3, 2), dtype=np.float32)
     bad[1, 1] = np.nan

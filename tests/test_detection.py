@@ -185,7 +185,7 @@ def _trajectory_oracle(video, enc, rec, cfg):
         embeddings = encode_query(video.features, enc).data
         starts = np.arange(first - mid, last - mid + 1)
         windows = embeddings[starts[:, None] + np.arange(T)[None, :]]
-        recon_mid = masked_reconstruct(windows, np.full((len(starts), 1), mid), rec).data
+        recon_mid = masked_reconstruct(windows, np.full(len(starts), mid), rec).data
     originals = embeddings[first : last + 1]
     core = ((recon_mid - originals) ** 2).sum(axis=1)
     values = np.empty(n, dtype=np.float32)

@@ -398,7 +398,7 @@ def test_contrastive_loss_is_nonnegative_and_needs_positives():
     rec = Reconstructor(8, 4, 1, rng)
     loss, _, _ = compute_losses(
         batch, enc, queue, rec, cfg, ReconstructionConfig(),
-        np.ones((4, 1), dtype=np.int64),
+        np.ones(4, dtype=np.int64),
     )
     assert loss.item() >= 0.0
 

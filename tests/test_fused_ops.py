@@ -180,7 +180,7 @@ def _train_then_detect():
     cfg = RunConfig()
     corpus, _ = synth_generate(cfg.synth)
     rng = np.random.default_rng(cfg.training.seed)
-    enc, rec, queue = build_models(cfg.model, rng)
+    enc, rec, queue = build_models(cfg.model, corpus[0].dim, rng)
     losses = []
     for _ in range(3):
         batch = sample_batch(

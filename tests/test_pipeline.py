@@ -37,6 +37,7 @@ def test_200_step_training_oracle():
     assert last["reconstruction"] == pytest.approx(0.433805, rel=5e-3)
     assert last["contrastive"] > first["contrastive"]
     assert len(result.queue) == min(200 * 32, cfg.model.queue_capacity)
+    assert result.completed_steps == len(result.history) == 200
 
 
 def _clean_models(seed, events, steps=150):
@@ -46,7 +47,7 @@ def _clean_models(seed, events, steps=150):
         feature_dim=16, num_prototypes=5 if events == 3 else 4,
         noise_std=0.0, drift_std=0.0, seed=seed,
     )
-    cfg.model = dataclasses.replace(cfg.model, input_dim=16, queue_capacity=128)
+    cfg.model = dataclasses.replace(cfg.model, queue_capacity=128)
     cfg.training = dataclasses.replace(cfg.training, steps=steps, batch_videos=4)
     corpus, annotations = synth_generate(cfg.synth)
     result = run_training(corpus, cfg)

@@ -20,7 +20,6 @@ from eventseg import (
     encode_query,
     masked_reconstruct,
     positional_embedding,
-    sample_mask_rows,
     train_step,
 )
 
@@ -63,36 +62,38 @@ def _pass_through(rec):
 
 def _full_output(h, t, rec):
     """Every output row of one (T x D) snippet with row ``t`` masked."""
-    return rec.forward(assemble_masked_input(h[None], [[t]], rec)).data[0]
+    return rec.forward(assemble_masked_input(h[None], [t], rec)).data[0]
 
 
 def _masked_loss(h, t, rec):
     """Squared distance of the reconstructed row ``t`` to the detached
     embedding row, for one (T x D) snippet."""
-    recon = masked_reconstruct(h.reshape((1,) + h.data.shape), [[t]], rec)
+    recon = masked_reconstruct(h.reshape((1,) + h.data.shape), [t], rec)
     diff = recon - Tensor(h.data[[t]])
     return (diff * diff).sum(axis=-1).mean()
 
 
 def test_assemble_no_mask_adds_positional_rows():
+    # Every row but the masked one is embedding + positional row.
     rng = np.random.default_rng(1)
     rec = _reconstructor()
     h = rng.normal(size=(5, 8)).astype(np.float32)
     pos = positional_embedding(5, 8)
-    out = assemble_masked_input(h[None], [[]], rec)
-    np.testing.assert_allclose(out.data[0], h + pos, atol=1e-6)
+    out = assemble_masked_input(h[None], [2], rec)
+    kept = [0, 1, 3, 4]
+    np.testing.assert_allclose(out.data[0, kept], (h + pos)[kept], atol=1e-6)
 
 
 def test_assemble_masked_row_is_mask_token():
     rng = np.random.default_rng(2)
     rec = _reconstructor()
     h = rng.normal(size=(5, 8)).astype(np.float32)
-    out = assemble_masked_input(h[None], [[2]], rec)
+    out = assemble_masked_input(h[None], [2], rec)
     np.testing.assert_array_equal(out.data[0, 2], rec.mask_token.data)
 
     h2 = h.copy()
     h2[2] = 99.0
-    out2 = assemble_masked_input(h2[None], [[2]], rec)
+    out2 = assemble_masked_input(h2[None], [2], rec)
     np.testing.assert_array_equal(out.data, out2.data)
 
 
@@ -101,27 +102,29 @@ def test_assemble_masks_each_snippet_at_its_own_rows():
     rec = _reconstructor()
     h = rng.normal(size=(3, 5, 8)).astype(np.float32)
     pos = positional_embedding(5, 8)
-    rows = np.array([[0, 4], [1, 2], [3, 1]])
+    rows = np.array([4, 1, 3])
     out = assemble_masked_input(h, rows, rec).data
     for i, masked in enumerate(rows):
         for t in range(5):
-            expected = rec.mask_token.data if t in masked else h[i, t] + pos[t]
+            expected = rec.mask_token.data if t == masked else h[i, t] + pos[t]
             np.testing.assert_allclose(out[i, t], expected, atol=1e-6)
 
 
 def test_assemble_rejects_out_of_range_index():
     rec = _reconstructor()
     with pytest.raises(ShapeError):
-        assemble_masked_input(np.zeros((1, 5, 8), dtype=np.float32), [[5]], rec)
+        assemble_masked_input(np.zeros((1, 5, 8), dtype=np.float32), [5], rec)
     with pytest.raises(ShapeError):
-        assemble_masked_input(np.zeros((1, 5, 8), dtype=np.float32), [[-1]], rec)
+        assemble_masked_input(np.zeros((1, 5, 8), dtype=np.float32), [-1], rec)
+    with pytest.raises(ShapeError):
+        assemble_masked_input(np.zeros((2, 5, 8), dtype=np.float32), [[1], [2]], rec)
 
 
 def test_zero_weights_identity_head_passes_input_through():
     rec = _pass_through(_reconstructor())
     rng = np.random.default_rng(3)
     h = rng.normal(size=(5, 8)).astype(np.float32)
-    assembled = assemble_masked_input(h[None], [[2]], rec)
+    assembled = assemble_masked_input(h[None], [2], rec)
     out = rec.forward(assembled)
     np.testing.assert_allclose(out.data, assembled.data, atol=1e-6)
 
@@ -130,12 +133,12 @@ def test_masked_reconstruct_returns_masked_rows_snippet_major():
     rec = _reconstructor(seed=13)
     rng = np.random.default_rng(14)
     h = rng.normal(size=(3, 5, 8)).astype(np.float32)
-    rows = np.array([[1, 4], [0, 2], [3, 2]])
+    rows = np.array([4, 0, 2])
     recon = masked_reconstruct(h, rows, rec).data
-    assert recon.shape == (6, 8)
+    assert recon.shape == (3, 8)
     for i in range(3):
         full = rec.forward(assemble_masked_input(h[i : i + 1], rows[i : i + 1], rec))
-        np.testing.assert_allclose(recon[2 * i : 2 * i + 2], full.data[0, rows[i]], atol=1e-5)
+        np.testing.assert_allclose(recon[i], full.data[0, rows[i]], atol=1e-5)
 
 
 def test_forward_rows_match_full_forward():
@@ -215,22 +218,21 @@ def test_reconstruction_loss_cases():
     _pass_through(rec)
 
     def recon_loss(mask_rows, targets):
-        rcfg = ReconstructionConfig(mask_size=np.shape(mask_rows)[1])
-        return compute_losses(batch, enc, queue, rec, ccfg, rcfg,
+        return compute_losses(batch, enc, queue, rec, ccfg, ReconstructionConfig(),
                               np.asarray(mask_rows), targets)[1].item()
 
-    assert recon_loss([[2], [2]], np.zeros((2, 8), dtype=np.float32)) == 0.0
+    assert recon_loss([2, 2], np.zeros((2, 8), dtype=np.float32)) == 0.0
 
     offset = np.zeros((2, 8), dtype=np.float32)
     offset[:, 0] = 1.0
-    assert abs(recon_loss([[2], [2]], offset) - 1.0) < 1e-6
+    assert abs(recon_loss([2, 2], offset) - 1.0) < 1e-6
 
-    targets = np.zeros((4, 8), dtype=np.float32)
-    targets[0::2, 0] = 1.0           # row 1 of each snippet: squared error 1
-    targets[1::2, 1] = np.sqrt(3.0)  # row 3 of each snippet: squared error 3
-    assert abs(recon_loss([[1, 3], [1, 3]], targets) - 2.0) < 1e-5
+    targets = np.zeros((2, 8), dtype=np.float32)
+    targets[0, 0] = 1.0           # row 1 of snippet 0: squared error 1
+    targets[1, 1] = np.sqrt(3.0)  # row 3 of snippet 1: squared error 3
+    assert abs(recon_loss([1, 3], targets) - 2.0) < 1e-5
 
-    with pytest.raises(ConfigError):
+    with pytest.raises(ShapeError):
         compute_losses(batch, enc, queue, rec, ccfg, ReconstructionConfig(),
                        np.zeros((2, 0), dtype=np.int64))
 
@@ -238,9 +240,9 @@ def test_reconstruction_loss_cases():
 def test_joint_loss_cases():
     # total = contrastive + beta * reconstruction
     enc, rec, queue, batch, ccfg, _ = _training_setup(seed=9)
-    mask_rows = sample_mask_rows(np.random.default_rng(0), batch.num_snippets, 5, 1)
+    mask_rows = np.random.default_rng(0).integers(0, 5, size=batch.num_snippets)
     for beta in (1.0, 0.0, 2.0):
-        rcfg = ReconstructionConfig(mask_size=1, beta=beta)
+        rcfg = ReconstructionConfig(beta=beta)
         lc, lr, total = compute_losses(batch, enc, queue, rec, ccfg, rcfg, mask_rows)
         assert lr.item() > 0
         assert abs(total.item() - (lc.item() + beta * lr.item())) < 1e-6
@@ -278,7 +280,7 @@ def _training_setup(seed=0, dim=8, window=5, videos=6):
     frames = master.normal(size=(videos, window, dim)).astype(np.float32)
     batch = SnippetBatch(frames, [f"v{i}" for i in range(videos)], [0] * videos)
     ccfg = ContrastiveConfig(temperature=0.2)
-    rcfg = ReconstructionConfig(mask_size=1, beta=1.0)
+    rcfg = ReconstructionConfig(beta=1.0)
     return enc, rec, queue, batch, ccfg, rcfg
 
 
@@ -342,11 +344,3 @@ def test_masked_row_input_gets_no_reconstruction_gradient():
     np.testing.assert_array_equal(frames.grad[2], np.zeros(dim, dtype=np.float32))
     assert np.abs(frames.grad[[0, 1, 3, 4]]).sum() > 0
 
-
-def test_mask_rows_distinct_without_replacement():
-    rng = np.random.default_rng(6)
-    rows = sample_mask_rows(rng, 50, 6, 3)
-    assert rows.shape == (50, 3)
-    for row in rows:
-        assert len(set(row.tolist())) == 3
-        assert all(0 <= t < 6 for t in row)

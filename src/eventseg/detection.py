@@ -13,8 +13,11 @@ shorter than the window has no trajectory and is a ``DataError``.
 
 ``error_trajectory`` walks the windows in blocks of ``BLOCK_WINDOWS``: each
 block encodes only the frames its windows cover and writes its errors into
-the preallocated trajectory. Working memory is bounded by the block, and
-only the O(frames) float32 trajectory grows with the video.
+its own slice of the preallocated trajectory. No block depends on another,
+so up to ``MAX_THREADS`` blocks run at once, one in the calling thread and
+the rest in worker threads; the bytes are those of running the blocks one
+after another. Working memory is bounded by ``MAX_THREADS`` blocks, and only
+the O(frames) float32 trajectory grows with the video.
 
 ``detect_boundaries`` returns each video's boundaries, a ``data.Annotation``
 with one gradient-magnitude score per boundary, together with the raw,
@@ -25,6 +28,9 @@ be processed independently.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +42,20 @@ from .errors import ConfigError, DataError
 from .reconstruction import Reconstructor, masked_reconstruct
 from .tensor import no_grad
 
-# Windows per block of ``error_trajectory``: working memory is O(block) and
-# only the trajectory grows with the video. On 20k frames (default model, one
-# BLAS thread) 256 and 512 were fastest, within 2% of each other, against
-# +31% at 64, +5% at 1024 and +29% at 4096; the smaller keeps memory lower.
+# Windows per block of ``error_trajectory``: working memory is O(block) per
+# block in flight and only the trajectory grows with the video. On 20k frames
+# (default model, one BLAS thread, one thread) 256 and 512 were fastest, within
+# 2% of each other, against +31% at 64, +5% at 1024 and +29% at 4096; the
+# smaller keeps memory lower. On two threads 256 ran 51.6k frames/s against
+# 43.1k at 128 (two 12k-frame videos, median of 16 alternating rounds).
 BLOCK_WINDOWS = 256
+
+# Most blocks of ``error_trajectory`` in flight at once, the calling thread
+# included; fewer when fewer CPUs are usable or the video has fewer full
+# blocks. Attention blocks are large numpy calls that release the GIL: on two
+# 12k-frame videos (default model, one BLAS thread, 2 CPUs) two threads ran
+# about 1.6x the frames/s of one. Each block holds about 4 MB while it runs.
+MAX_THREADS = 2
 
 
 @dataclass
@@ -83,7 +98,11 @@ def error_trajectory(
 
     Centers range over every position with a full window; edge frames copy
     the nearest computed value. Windows are processed ``BLOCK_WINDOWS`` at a
-    time, so working memory does not grow with the video.
+    time, so working memory does not grow with the video. Blocks are dealt
+    round-robin to up to ``MAX_THREADS`` threads, the calling thread first,
+    and each thread gets at least one full block: a video of fewer than two
+    full blocks starts no thread. A block's error reaches the caller once
+    every thread has stopped.
     """
     T = cfg.window
     n = video.num_frames
@@ -93,17 +112,49 @@ def error_trajectory(
     # Window s covers frames [s, s + T) and is centred on frame s + mid.
     count = n - T + 1
     values = np.empty(n, dtype=np.float32)
-    with no_grad():
-        for s in range(0, count, BLOCK_WINDOWS):
-            b = min(BLOCK_WINDOWS, count - s)
-            embeddings = encode_query(video.features[s : s + b + T - 1], enc).data
-            windows = sliding_window_view(embeddings, T, axis=0).transpose(0, 2, 1)
-            recon_mid = masked_reconstruct(windows, np.full(b, mid), rec).data
-            originals = embeddings[mid : mid + b]
-            values[mid + s : mid + s + b] = ((recon_mid - originals) ** 2).sum(axis=1)
+    failed = threading.Event()
+
+    def run_blocks(starts: range) -> None:
+        # Recording is per thread, so every thread turns it off itself. After
+        # a failure elsewhere the others stop at their next block.
+        try:
+            with no_grad():
+                for s in starts:
+                    if failed.is_set():
+                        return
+                    b = min(BLOCK_WINDOWS, count - s)
+                    embeddings = encode_query(video.features[s : s + b + T - 1], enc).data
+                    windows = sliding_window_view(embeddings, T, axis=0).transpose(0, 2, 1)
+                    recon_mid = masked_reconstruct(windows, np.full(b, mid), rec).data
+                    originals = embeddings[mid : mid + b]
+                    values[mid + s : mid + s + b] = ((recon_mid - originals) ** 2).sum(axis=1)
+        except BaseException:
+            failed.set()
+            raise
+
+    starts = range(0, count, BLOCK_WINDOWS)
+    # Starting and joining a worker takes about 0.5 ms, so a worker left with
+    # a part block loses: a 273-window video, the longest of the seed-7 default
+    # corpus, ran 5-16% slower on two threads.
+    threads = max(1, min(MAX_THREADS, _usable_cpus(), count // BLOCK_WINDOWS))
+    # The pool starts a thread only when a share is submitted, so a video
+    # run by the caller alone starts none; leaving the block joins the workers.
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        shares = [pool.submit(run_blocks, starts[k::threads]) for k in range(1, threads)]
+        run_blocks(starts[0::threads])
+        for share in shares:
+            share.result()
     values[:mid] = values[mid]
     values[mid + count :] = values[mid + count - 1]
     return ErrorTrajectory(video.video_id, values)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def fir_smooth(values: np.ndarray, half_width: int) -> np.ndarray:

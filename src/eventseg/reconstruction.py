@@ -29,6 +29,7 @@ gives every row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,12 @@ from .tensor import Parameter, Tensor, layer_norm, softmax
 @dataclass
 class ReconstructionConfig:
     beta: float = 1.0
+
+    def __post_init__(self):
+        # The weight of the reconstruction loss in the total: a negative one
+        # would reward reconstruction error, a non-finite one diverges.
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 def positional_embedding(window: int, dim: int) -> np.ndarray:

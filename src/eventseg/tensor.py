@@ -22,11 +22,16 @@ form, so outputs and gradients are bit-identical to the composition: one
 code path serves training and ``no_grad`` detection alike.
 
 One recorded graph belongs to one thread. Separate graphs are independent.
+Whether operations record is a per-thread flag: ``no_grad`` switches it off
+for the calling thread only, so a thread that runs detection under
+``no_grad`` cannot turn recording on or off for another, and a new thread
+starts out recording.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -35,19 +40,24 @@ from .errors import ShapeError
 
 _FLOAT_TYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block (inference fast path)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording in the calling thread inside the block
+    (inference fast path)."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def _coerce(data, dtype=None) -> np.ndarray:
@@ -126,7 +136,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        needs = _grad_enabled and any(p.requires_grad for p in parents)
+        needs = _grad_mode.enabled and any(p.requires_grad for p in parents)
         out.requires_grad = needs
         out._parents = tuple(p for p in parents if p.requires_grad) if needs else ()
         out._backward_fn = backward_fn if needs else None

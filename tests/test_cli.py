@@ -268,6 +268,20 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, section, key):
     assert f"[{section}] unknown key {key!r}" in err
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+def test_bad_reconstruction_beta_is_config_error(workspace, capsys, beta):
+    # A non-finite beta used to exit 5 after writing an untrained checkpoint,
+    # and a negative one trained towards a larger reconstruction error.
+    _, config, out = workspace
+    config.write_text(config.read_text() + f"\n[reconstruction]\nbeta = {beta}\n")
+    code = _run(["train", "--config", config, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "beta" in err
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_empty_corpus_detect_writes_empty_output(workspace, tmp_path):
     _, config, out = workspace
     _run(["synth", "--config", config, "--out", out])

@@ -5,7 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from eventseg import ConfigError, NumericsError, RunConfig, load_config, synth_generate
+from eventseg import (
+    ConfigError,
+    NumericsError,
+    ReconstructionConfig,
+    RunConfig,
+    load_config,
+    synth_generate,
+)
 from eventseg.config import _PARSERS, _SECTIONS, write_config_template
 
 
@@ -87,6 +94,19 @@ def test_bad_thresholds_are_config_errors(tmp_path, value):
     path.write_text(f"[evaluation]\nthresholds = {value}\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])
+def test_reconstruction_beta_must_be_finite_and_non_negative(beta):
+    with pytest.raises(ConfigError, match="beta"):
+        ReconstructionConfig(beta=beta)
+
+
+def test_reconstruction_beta_zero_is_valid(tmp_path):
+    assert ReconstructionConfig(beta=0.0).beta == 0.0
+    path = tmp_path / "zero.ini"
+    path.write_text("[reconstruction]\nbeta = 0\n")
+    assert load_config(path).reconstruction.beta == 0.0
 
 
 def test_unknown_section_rejected(tmp_path):

@@ -1,17 +1,25 @@
 """Signal pipeline units (smoothing, gradient, relative extrema) and the
 error-trajectory contracts."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import eventseg.detection as detection
+import eventseg.reconstruction as reconstruction
 from eventseg import (
+    ContrastiveConfig,
     DataError,
     DetectorConfig,
     EncoderPair,
     FrameFeatureSequence,
+    MemoryQueue,
+    Optimizer,
+    ReconstructionConfig,
     Reconstructor,
+    SnippetBatch,
     detect_boundaries,
     encode_query,
     error_trajectory,
@@ -20,6 +28,7 @@ from eventseg import (
     masked_reconstruct,
     no_grad,
     relative_extrema,
+    train_step,
 )
 from eventseg.detection import BLOCK_WINDOWS
 
@@ -224,6 +233,108 @@ def test_error_trajectory_memory_does_not_grow_with_the_video():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the host has, so blocks run on two threads."""
+    monkeypatch.setattr(detection, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def block_threads(monkeypatch):
+    """Records the thread and the live thread count of every block."""
+    seen = []
+    real = detection.encode_query
+
+    def recording(frames, enc):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return real(frames, enc)
+
+    monkeypatch.setattr(detection, "encode_query", recording)
+    return seen
+
+
+def _video_of(windows, cfg, seed):
+    rng = np.random.default_rng(seed)
+    frames = windows + cfg.window - 1
+    return FrameFeatureSequence("v", 25.0, rng.normal(size=(frames, 6)).astype(np.float32))
+
+
+@pytest.mark.parametrize("windows", [2 * BLOCK_WINDOWS + 3, 5 * BLOCK_WINDOWS - 1])
+def test_threaded_error_trajectory_equals_one_thread(
+    monkeypatch, two_cpus, block_threads, windows
+):
+    enc, rec = _frozen_models(seed=14)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    video = _video_of(windows, cfg, windows)
+    threaded = error_trajectory(video, enc, rec, cfg).values
+    assert len({ident for ident, _ in block_threads}) == 2
+    monkeypatch.setattr(detection, "MAX_THREADS", 1)
+    block_threads.clear()
+    alone = error_trajectory(video, enc, rec, cfg).values
+    assert {ident for ident, _ in block_threads} == {threading.get_ident()}
+    assert threaded.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_error_in_a_block_reaches_the_caller(monkeypatch, two_cpus, side):
+    # The failing side raises in its first block; the other side finishes the
+    # block it may be in and starts no further one. The worker is gone after.
+    real = detection.encode_query
+    raised = threading.Event()
+    other_blocks = []
+
+    def failing(frames, enc):
+        if (threading.current_thread() is threading.main_thread()) == (side == "caller"):
+            raised.set()
+            raise RuntimeError(f"{side} block failed")
+        raised.wait(10)
+        other_blocks.append(len(frames))
+        return real(frames, enc)
+
+    monkeypatch.setattr(detection, "encode_query", failing)
+    enc, rec = _frozen_models(seed=15)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    video = _video_of(8 * BLOCK_WINDOWS, cfg, 15)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{side} block failed"):
+        error_trajectory(video, enc, rec, cfg)
+    assert threading.active_count() == before
+    assert len(other_blocks) <= 1
+
+
+@pytest.mark.parametrize("windows", [BLOCK_WINDOWS, BLOCK_WINDOWS + 17, 2 * BLOCK_WINDOWS - 1])
+def test_video_of_under_two_full_blocks_starts_no_thread(two_cpus, block_threads, windows):
+    enc, rec = _frozen_models(seed=16)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    before = threading.active_count()
+    error_trajectory(_video_of(windows, cfg, 16), enc, rec, cfg)
+    assert set(block_threads) == {(threading.get_ident(), before)}
+
+
+def test_train_step_fills_gradients_after_threaded_trajectory(monkeypatch, two_cpus):
+    rng = np.random.default_rng(17)
+    enc = EncoderPair(6, 8, rng=rng)
+    rec = Reconstructor(8, 4, 2, rng)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    error_trajectory(_video_of(3 * BLOCK_WINDOWS, cfg, 17), enc, rec, cfg)
+
+    grads = {}
+    real_sgd_step = reconstruction.sgd_step
+
+    def recording_sgd_step(params, opt):
+        params = list(params)
+        grads.update((p.name, None if p.grad is None else p.grad.copy()) for p in params)
+        real_sgd_step(params, opt)
+
+    monkeypatch.setattr(reconstruction, "sgd_step", recording_sgd_step)
+    frames = rng.normal(size=(4, 5, 6)).astype(np.float32)
+    batch = SnippetBatch(frames, ["a", "a", "b", "c"], [0, 5, 0, 0])
+    train_step(batch, enc, MemoryQueue(16, 8), rec, ContrastiveConfig(),
+               ReconstructionConfig(), Optimizer(), rng)
+    assert grads and all(g is not None and np.any(g != 0) for g in grads.values()), [
+        name for name, g in grads.items() if g is None or not np.any(g != 0)]
 
 
 def test_error_trajectory_zero_for_perfect_reconstruction():

@@ -1,6 +1,8 @@
 """Core tensor ops: values against closed forms, gradients against central
 finite differences (the independent oracle for every differentiable op)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,41 @@ def test_no_grad_blocks_recording():
     assert not y.requires_grad
     y2 = (x * 2.0).sum()
     assert y2.requires_grad
+
+
+def test_no_grad_is_per_thread():
+    # Overlapping no_grad blocks in two threads: A enters, B enters, A leaves
+    # while B is still inside, then B leaves. A shared flag would leave B
+    # recording inside its block and neither thread recording afterwards.
+    x = Parameter(np.ones(3, dtype=np.float32), "x")
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def records() -> bool:
+        return (x * 2.0).sum().requires_grad
+
+    def thread_a():
+        with no_grad():
+            a_in.set()
+            b_in.wait(10)
+        seen["a after"] = records()
+        a_out.set()
+
+    def thread_b():
+        a_in.wait(10)
+        with no_grad():
+            b_in.set()
+            a_out.wait(10)
+            seen["b inside"] = records()
+        seen["b after"] = records()
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert seen == {"a after": True, "b inside": False, "b after": True}
+    assert records()
 
 
 def test_ops_deterministic():

@@ -60,6 +60,6 @@ for t in range(0, video.num_frames, 4):
     print(f"  {t:4d} {bar}{marks}")
 
 detections, _ = detect_corpus(corpus, result.encoders, result.reconstructor, cfg.detector)
-report = evaluate_corpus(detections, ann_map, cfg.thresholds)
+report = evaluate_corpus(detections, ann_map, cfg.evaluation.thresholds)
 print(f"\ncorpus F1@0.05 = {report.f1[0]:.3f}  "
       f"(precision {report.precision[0]:.3f}, recall {report.recall[0]:.3f})")

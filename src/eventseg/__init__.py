@@ -62,6 +62,7 @@ from .errors import (
     VersionError,
 )
 from .metrics import (
+    EvaluationConfig,
     MetricReport,
     evaluate_corpus,
     f1_score,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from .config import RunConfig, load_config, parse_thresholds
+from .config import RunConfig, load_config
 from .data import (
     annotations_by_id,
     load_annotations,
@@ -23,7 +23,7 @@ from .data import (
     synth_generate,
 )
 from .detection import detect_corpus
-from .errors import ConfigError, DataError, EventSegError, ShapeError
+from .errors import ConfigError, DataError, EventSegError, NumericsError, ShapeError
 from .metrics import evaluate_corpus
 from .training import run_training, write_loss_csv
 
@@ -35,7 +35,7 @@ def _exit_code(category: str) -> int:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    out = Path(args.out or cfg.paths.out_dir)
+    out = Path(args.out)
     corpus, annotations = synth_generate(cfg.synth)
     save_corpus(corpus, out / "features")
     save_annotations(annotations, out / "annotations.json")
@@ -46,11 +46,10 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    out = Path(args.out or cfg.paths.out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data_dir = Path(cfg.paths.data_dir)
-    corpus = load_corpus(data_dir)
-    checkpoint_path = Path(args.checkpoint or cfg.paths.checkpoint or out / "checkpoint.bin")
+    corpus = load_corpus(Path(cfg.paths.data_dir))
+    checkpoint_path = Path(args.checkpoint or out / "checkpoint.bin")
 
     def progress(step, losses):
         print(
@@ -65,23 +64,20 @@ def cmd_train(cfg: RunConfig, args) -> int:
         cfg.detector.window,
     )
     if result.diverged:
-        print(
-            f"error: numerics: training diverged after step {result.completed_steps}; "
-            f"last good checkpoint at {checkpoint_path}",
-            file=sys.stderr,
+        raise NumericsError(
+            f"training diverged after step {result.completed_steps}; "
+            f"last good checkpoint at {checkpoint_path}"
         )
-        return _exit_code("numerics")
     print(f"trained {result.completed_steps} steps, checkpoint at {checkpoint_path}")
     return 0
 
 
 def cmd_detect(cfg: RunConfig, args) -> int:
-    out = Path(args.out or cfg.paths.out_dir)
+    if not args.checkpoint:
+        raise ConfigError("detect needs --checkpoint")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    checkpoint_path = args.checkpoint or cfg.paths.checkpoint
-    if not checkpoint_path:
-        raise ConfigError("detect needs --checkpoint or [paths] checkpoint")
-    enc, rec, _, meta = ckpt.load_model(checkpoint_path)
+    enc, rec, _, meta = ckpt.load_model(args.checkpoint)
     if meta["window"] != cfg.detector.window:
         raise ConfigError(
             f"checkpoint was trained with window {meta['window']}, "
@@ -119,8 +115,7 @@ def cmd_detect(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    thresholds = parse_thresholds(args.thresholds) if args.thresholds else cfg.thresholds
-    out = Path(args.out or cfg.paths.out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     detections_path = cfg.paths.detections or str(out / "detections.json")
     annotations_path = cfg.paths.annotations
@@ -128,7 +123,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         raise ConfigError("eval needs [paths] annotations")
     detections = annotations_by_id(load_annotations(detections_path))
     annotations = annotations_by_id(load_annotations(annotations_path))
-    report = evaluate_corpus(detections, annotations, thresholds)
+    report = evaluate_corpus(detections, annotations, cfg.evaluation.thresholds)
     (out / "metrics.json").write_text(report.to_json())
     table = report.to_text_table()
     (out / "metrics.txt").write_text(table)
@@ -152,15 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="INI config file")
         p.add_argument("--seed", type=int, metavar="N", help="override the seed")
-        p.add_argument("--out", metavar="DIR", help="output directory")
+        p.add_argument("--out", metavar="DIR", default="out", help="output directory")
     for name in ("train", "detect"):
         commands[name].add_argument("--checkpoint", metavar="PATH", help="checkpoint file")
     commands["detect"].add_argument(
         "--dump-trajectory", action="store_true",
         help="write per-frame error/smoothed/gradient CSVs",
-    )
-    commands["eval"].add_argument(
-        "--thresholds", metavar="LIST", help="comma-separated Rel.Dis thresholds"
     )
     return parser
 

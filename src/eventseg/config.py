@@ -1,16 +1,16 @@
 """Run configuration: dataclasses per subsystem plus an INI loader.
 
-Every hyperparameter is a named key with its standard default. ``RunConfig``
-overrides two detector fields because the synthetic events are 30-60 frames
-long rather than full-length activities: ``extrema_range`` (29 instead of
-70; the prior is stated at ``RunConfig``) and ``fir_half_width`` (3 instead
-of 5). The memory queue keeps its standard capacity of 4096. The one
-snippet length is ``[detector] window``: training samples snippets of it for
-both losses, masking one frame of each, and detection slides a window of it.
-The encoder's input width is not configured: training takes it from the
-feature files, and a checkpoint records it. Cross-field consistency
-(embedding dim divisible by heads, synthetic events long enough for the
-window) is validated whenever a config is built.
+Every INI section is a field of ``RunConfig`` holding one dataclass, and
+every key is a field of that dataclass with its default; one rule loads them
+all, and each dataclass checks its own values when it is built. The detector
+defaults are sized for the synthetic events (see ``DetectorConfig``). The
+memory queue keeps its standard capacity of 4096. The one snippet length is
+``[detector] window``: training samples snippets of it for both losses,
+masking one frame of each, and detection slides a window of it. The
+encoder's input width is not configured: training takes it from the feature
+files, and a checkpoint records it. The output directory and the checkpoint
+are command-line flags, not keys. ``RunConfig.validate`` checks the one
+cross-section rule, that synthetic events are long enough for the window.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .data import SynthConfig
 from .detection import DetectorConfig
 from .embedding import ContrastiveConfig
 from .errors import ConfigError
-from .metrics import DEFAULT_THRESHOLDS
+from .metrics import EvaluationConfig
 from .optim import Optimizer
 from .reconstruction import ReconstructionConfig
 
@@ -71,8 +71,6 @@ class TrainingConfig:
 @dataclass
 class PathsConfig:
     data_dir: str = "data"
-    out_dir: str = "out"
-    checkpoint: str = ""
     detections: str = ""
     annotations: str = ""
 
@@ -82,19 +80,12 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
     reconstruction: ReconstructionConfig = field(default_factory=ReconstructionConfig)
-    # Prior for the extrema range: two true boundaries one minimum synthetic
-    # event (30 frames) apart must both be able to win as strict maxima, so
-    # the range is one below the minimum event length.
-    detector: DetectorConfig = field(
-        default_factory=lambda: DetectorConfig(
-            extrema_range=SynthConfig().event_length[0] - 1, fir_half_width=3
-        )
-    )
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
     optimizer: Optimizer = field(default_factory=Optimizer)
     synth: SynthConfig = field(default_factory=SynthConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
+    evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
 
     def validate(self) -> None:
         window = self.detector.window
@@ -103,20 +94,10 @@ class RunConfig:
                 f"synthetic event_length minimum {self.synth.event_length[0]} is "
                 f"shorter than the window {window}"
             )
-        if not self.thresholds or any(not 0 < t <= 1 for t in self.thresholds):
-            raise ConfigError(f"thresholds must lie in (0, 1], got {self.thresholds}")
 
 
-_SECTIONS = {
-    "model": ("model", ModelConfig),
-    "contrastive": ("contrastive", ContrastiveConfig),
-    "reconstruction": ("reconstruction", ReconstructionConfig),
-    "detector": ("detector", DetectorConfig),
-    "optimizer": ("optimizer", Optimizer),
-    "synth": ("synth", SynthConfig),
-    "training": ("training", TrainingConfig),
-    "paths": ("paths", PathsConfig),
-}
+# INI section name -> its dataclass, one per RunConfig field.
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
 def _int_pair(raw: str) -> tuple[int, int]:
@@ -126,6 +107,10 @@ def _int_pair(raw: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _float_tuple(raw: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in raw.split(","))
+
+
 # Parser per field annotation. The config modules use postponed annotations,
 # so dataclass field types are these strings.
 _PARSERS = {
@@ -133,6 +118,7 @@ _PARSERS = {
     "float": float,
     "str": str,
     "tuple[int, int]": _int_pair,
+    "tuple[float, ...]": _float_tuple,
 }
 
 
@@ -144,17 +130,6 @@ def _parse_value(raw: str, annotation, section: str, key: str):
         return parse(raw.strip())
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from exc
-
-
-def parse_thresholds(raw: str) -> tuple[float, ...]:
-    """Comma-separated Rel.Dis thresholds, each in (0, 1]."""
-    try:
-        values = tuple(float(p) for p in raw.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse thresholds {raw!r}: {exc}") from exc
-    if not values or any(not 0 < t <= 1 for t in values):
-        raise ConfigError(f"thresholds must lie in (0, 1], got {raw!r}")
-    return values
 
 
 def load_config(path: str | Path | None = None, seed: int | None = None) -> RunConfig:
@@ -172,48 +147,20 @@ def load_config(path: str | Path | None = None, seed: int | None = None) -> RunC
             raise ConfigError(f"config file {path} is malformed: {exc}") from exc
         if not read:
             raise ConfigError(f"config file {path} not found or unreadable")
-        overrides: dict[str, dict] = {}
         for section in parser.sections():
-            if section == "evaluation":
-                raw = parser[section].get("thresholds")
-                extra = set(parser[section]) - {"thresholds"}
-                if extra:
-                    raise ConfigError(f"[evaluation] unknown keys: {sorted(extra)}")
-                if raw:
-                    cfg.thresholds = parse_thresholds(raw)
-                continue
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
-            attr, cls = _SECTIONS[section]
+            cls = _SECTIONS[section]
             fields = {f.name: f for f in dataclasses.fields(cls)}
-            current = dataclasses.asdict(getattr(cfg, attr))
+            current = dataclasses.asdict(getattr(cfg, section))
             for key, raw in parser[section].items():
                 if key not in fields:
                     raise ConfigError(f"[{section}] unknown key {key!r}")
                 current[key] = _parse_value(raw, fields[key].type, section, key)
-            overrides[attr] = (cls, current)
-        for attr, (cls, values) in overrides.items():
-            setattr(cfg, attr, cls(**values))
+            setattr(cfg, section, cls(**current))
     if seed is not None:
         cfg.training = dataclasses.replace(cfg.training, seed=seed)
         cfg.synth = dataclasses.replace(cfg.synth, seed=seed)
     cfg.validate()
     return cfg
 
-
-def write_config_template(path: str | Path) -> None:
-    """Emit an INI file holding every option at its default value."""
-    cfg = RunConfig()
-    lines = []
-    for section, (attr, _) in _SECTIONS.items():
-        lines.append(f"[{section}]")
-        for f in dataclasses.fields(getattr(cfg, attr)):
-            value = getattr(getattr(cfg, attr), f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name} = {value}")
-        lines.append("")
-    lines.append("[evaluation]")
-    lines.append("thresholds = " + ",".join(f"{t:g}" for t in cfg.thresholds))
-    lines.append("")
-    Path(path).write_text("\n".join(lines), encoding="utf-8")

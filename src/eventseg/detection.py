@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import Annotation, FrameFeatureSequence
+from .data import Annotation, FrameFeatureSequence, SynthConfig
 from .embedding import EncoderPair, encode_query
 from .errors import ConfigError, DataError
 from .reconstruction import Reconstructor, masked_reconstruct
@@ -60,9 +60,15 @@ MAX_THREADS = 2
 
 @dataclass
 class DetectorConfig:
+    """Defaults sized for the synthetic events, 30-60 frames long rather than
+    full-length activities (the paper smooths with half-width 5 and takes
+    extrema over a range of 70). Two true boundaries one minimum synthetic
+    event apart must both be able to win as strict maxima, so the extrema
+    range is one below the minimum event length."""
+
     window: int = 10
-    fir_half_width: int = 5
-    extrema_range: int = 70
+    fir_half_width: int = 3
+    extrema_range: int = SynthConfig().event_length[0] - 1
 
     def __post_init__(self):
         if self.window < 3:
@@ -162,8 +168,6 @@ def fir_smooth(values: np.ndarray, half_width: int) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if half_width < 0:
         raise ConfigError("half_width must be >= 0")
-    if half_width == 0:
-        return values.copy()
     padded = np.concatenate(
         [np.full(half_width, values[0]), values, np.full(half_width, values[-1])]
     )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FrameFeatureSequence
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .tensor import Parameter, Tensor, _accumulate, l2_normalize, no_grad
 
 
@@ -310,9 +310,15 @@ def enqueue_memory(
     queue: MemoryQueue,
     rng: np.random.Generator,
 ) -> None:
-    """Key-encode one uniformly chosen frame per snippet and push it."""
+    """Key-encode one uniformly chosen frame per snippet and push it.
+
+    A non-finite key is a ``NumericsError`` raised before any push, so the
+    queue never holds a value a checkpoint could not store.
+    """
     picks = rng.integers(0, batch.window, size=batch.num_snippets)
     selected = batch.frames[np.arange(batch.num_snippets), picks]
     encoded = encode_key(selected, enc).data
+    if not np.isfinite(encoded).all():
+        raise NumericsError("non-finite key embedding")
     for row in encoded:
         queue.push(row)

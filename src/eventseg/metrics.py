@@ -31,11 +31,22 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Annotation
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
 
 _INVALID_COST = 1e9
+
+
+@dataclass
+class EvaluationConfig:
+    """Rel.Dis thresholds that ``eval`` scores boundaries at."""
+
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
+
+    def __post_init__(self):
+        if not self.thresholds or any(not 0 < t <= 1 for t in self.thresholds):
+            raise ConfigError(f"thresholds must lie in (0, 1], got {self.thresholds}")
 
 
 @functools.cache

@@ -133,7 +133,11 @@ class AttentionBlock:
         v = split(y @ self.wv + self.bv)
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
         attention = softmax(scores, axis=-1)
+        # Dropped as soon as they are used, so the largest buffers, batch x
+        # heads x rows x T each, are not alive together through the MLP.
+        del scores
         context = (attention @ v).transpose((0, 2, 1, 3)).reshape((batch, -1, dim))
+        del attention, q, k, v
         x = x + (context @ self.wo + self.bo)
         y2 = layer_norm(x, self.ln2_gamma, self.ln2_beta)
         hidden = (y2 @ self.w1 + self.b1).relu()
@@ -264,7 +268,8 @@ def train_step(
     backpropagates their sum into the query encoder and the reconstructor,
     applies the SGD update, then performs the momentum update of the key
     encoder and pushes one key embedding per snippet into the queue. A
-    non-finite loss aborts before any state changes.
+    non-finite loss aborts before any state changes, and a non-finite key
+    embedding before the queue changes.
     """
     L, T, _ = batch.frames.shape
     mask_rows = rng.integers(0, T, size=L)

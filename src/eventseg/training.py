@@ -52,8 +52,9 @@ def run_training(
     or with videos of different widths, is a ``DataError``. Fully
     deterministic under the training seed: one generator drives the
     model init, batch sampling, mask choice, and queue insertion in a fixed
-    order. On divergence (non-finite loss) training stops with the parameters
-    from before the failed step, marked ``diverged``.
+    order. On divergence training stops, marked ``diverged``: a non-finite
+    loss leaves the parameters from before the failed step, and a non-finite
+    key embedding leaves the step's update applied but the queue unchanged.
     """
     cfg.validate()
     widths = sorted({seq.dim for seq in corpus})

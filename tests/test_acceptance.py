@@ -297,7 +297,7 @@ def _run_pipeline():
     ann_map = annotations_by_id(annotations)
     result = run_training(corpus, cfg)
     detections, _ = detect_corpus(corpus, result.encoders, result.reconstructor, cfg.detector)
-    report = evaluate_corpus(detections, ann_map, cfg.thresholds)
+    report = evaluate_corpus(detections, ann_map, cfg.evaluation.thresholds)
     checkpoint_bytes = serialize_records(
         model_records(result.encoders, result.reconstructor, result.queue, cfg.detector.window)
     )

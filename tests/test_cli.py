@@ -150,7 +150,7 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("raw", [
-    b"[paths]\nout_dir = caf\xe9\n",
+    b"[paths]\ndata_dir = caf\xe9\n",
     b"steps = 5\n",
     b"[training]\nsteps = 5\nsteps = 6\n",
 ], ids=["not-utf8", "no-section", "duplicate-key"])
@@ -166,14 +166,6 @@ def test_unparsable_ini_thresholds_is_config_error(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     config.write_text("[evaluation]\nthresholds = 0.05,abc\n")
     code = _run(["synth", "--config", config, "--out", tmp_path / "out"])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: config:")
-
-
-@pytest.mark.parametrize("thresholds", ["0,1.5", "0.05,abc"])
-def test_bad_eval_thresholds_flag_is_config_error(workspace, capsys, thresholds):
-    _, config, out = workspace
-    code = _run(["eval", "--config", config, "--out", out, "--thresholds", thresholds])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: config:")
 
@@ -255,10 +247,13 @@ def test_zero_width_corpus_train_is_data_error(workspace, capsys):
 @pytest.mark.parametrize("section, key", [
     ("model", "input_dim"),
     ("reconstruction", "mask_size"),
-], ids=["input_dim", "mask_size"])
+    ("paths", "out_dir"),
+    ("paths", "checkpoint"),
+], ids=["input_dim", "mask_size", "out_dir", "checkpoint"])
 def test_removed_config_keys_exit_2(tmp_path, capsys, section, key):
-    # The input width comes from the features, and one frame per snippet is
-    # masked: neither is a config key.
+    # The input width comes from the features, one frame per snippet is
+    # masked, and the output directory and checkpoint are set by --out and
+    # --checkpoint: none is a config key.
     config = tmp_path / "old.ini"
     config.write_text(f"[{section}]\n{key} = 1\n")
     code = _run(["train", "--config", config, "--out", tmp_path / "out"])
@@ -280,6 +275,29 @@ def test_bad_reconstruction_beta_is_config_error(workspace, capsys, beta):
     assert err.startswith("error: config:")
     assert "beta" in err
     assert not (out / "checkpoint.bin").exists()
+
+
+def test_diverged_training_exits_5_with_a_loadable_checkpoint(workspace, capsys):
+    # After the first update the key encoder overflows, so no key reaches
+    # the queue and the step is not counted.
+    from eventseg import load_model
+
+    _, config, out = workspace
+    config.write_text(config.read_text() + "\n[optimizer]\nlearning_rate = 1e30\n")
+    _run(["synth", "--config", config, "--out", out])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = _run(["train", "--config", config, "--out", out])
+    assert code == 5
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: numerics: training diverged after step 0; "
+        f"last good checkpoint at {out / 'checkpoint.bin'}\n"
+    )
+    assert captured.out == ""
+    _, _, queue, meta = load_model(out / "checkpoint.bin")
+    assert meta["window"] == 6 and len(queue) == 0
 
 
 def test_empty_corpus_detect_writes_empty_output(workspace, tmp_path):
@@ -483,6 +501,7 @@ def test_checkpoint_meta_outside_model_rules_is_format_error(workspace, capsys, 
     ["detect", "--thresholds", "0.05"],
     ["eval", "--checkpoint", "x"],
     ["eval", "--dump-trajectory"],
+    ["eval", "--thresholds", "0.05"],
 ])
 def test_flag_a_subcommand_does_not_read_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,7 @@ from eventseg import (
     load_config,
     synth_generate,
 )
-from eventseg.config import _PARSERS, _SECTIONS, write_config_template
+from eventseg.config import _PARSERS, _SECTIONS
 
 
 def test_defaults_carry_standard_hyperparameters():
@@ -32,14 +32,7 @@ def test_defaults_carry_standard_hyperparameters():
     # Below the minimum synthetic event length (30), so boundaries one
     # minimum event apart can both be strict maxima.
     assert cfg.detector.extrema_range == 29
-    assert cfg.thresholds == tuple(round(0.05 * k, 2) for k in range(1, 11))
-
-
-def test_template_round_trips(tmp_path):
-    path = tmp_path / "defaults.ini"
-    write_config_template(path)
-    cfg = load_config(path)
-    assert cfg == RunConfig()
+    assert cfg.evaluation.thresholds == tuple(round(0.05 * k, 2) for k in range(1, 11))
 
 
 def test_seed_override(tmp_path):
@@ -82,13 +75,39 @@ def test_unparsable_scalar_is_config_error(tmp_path, section, key, value):
         load_config(path)
 
 
+def test_ini_keys_are_exactly_these():
+    # Pinned so that adding or removing a setting shows up in review.
+    keys = {(section, f.name) for section, cls in _SECTIONS.items()
+            for f in dataclasses.fields(cls)}
+    assert keys == {
+        ("model", "embedding_dim"), ("model", "heads"), ("model", "layers"),
+        ("model", "alpha"), ("model", "queue_capacity"),
+        ("contrastive", "temperature"),
+        ("reconstruction", "beta"),
+        ("detector", "window"), ("detector", "fir_half_width"),
+        ("detector", "extrema_range"),
+        ("optimizer", "learning_rate"), ("optimizer", "weight_decay"),
+        ("optimizer", "momentum"),
+        ("synth", "num_videos"), ("synth", "events_per_video"),
+        ("synth", "event_length"), ("synth", "feature_dim"),
+        ("synth", "num_prototypes"), ("synth", "noise_std"),
+        ("synth", "drift_std"), ("synth", "seed"), ("synth", "fps"),
+        ("training", "steps"), ("training", "batch_videos"),
+        ("training", "snippets_per_video"), ("training", "seed"),
+        ("training", "log_every"),
+        ("paths", "data_dir"), ("paths", "detections"), ("paths", "annotations"),
+        ("evaluation", "thresholds"),
+    }
+    assert len(keys) == 31
+
+
 def test_every_config_field_has_a_parser():
-    for section, (_, cls) in _SECTIONS.items():
+    for section, cls in _SECTIONS.items():
         for f in dataclasses.fields(cls):
             assert f.type in _PARSERS, f"[{section}] {f.name}: {f.type!r}"
 
 
-@pytest.mark.parametrize("value", ["0.05,abc", "0,0.5", "0.5,1.5", "nan", ","])
+@pytest.mark.parametrize("value", ["0.05,abc", "0,0.5", "0.5,1.5", "nan", ",", ""])
 def test_bad_thresholds_are_config_errors(tmp_path, value):
     path = tmp_path / "bad.ini"
     path.write_text(f"[evaluation]\nthresholds = {value}\n")

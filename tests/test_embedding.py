@@ -14,6 +14,7 @@ from eventseg import (
     EncoderPair,
     FrameFeatureSequence,
     MemoryQueue,
+    NumericsError,
     Parameter,
     ReconstructionConfig,
     Reconstructor,
@@ -252,6 +253,19 @@ def test_enqueue_memory_contract():
     assert len(small) == 4
     # The three oldest seeded rows were evicted.
     assert small.as_array()[0, 0] == 3.0
+
+
+def test_enqueue_memory_rejects_a_non_finite_key_before_any_push():
+    rng = np.random.default_rng(5)
+    enc = EncoderPair(6, 8, rng=rng)
+    enc.key.b2.data[3] = np.nan
+    frames = rng.normal(size=(3, 4, 6)).astype(np.float32)
+    batch = SnippetBatch(frames, ["a", "b", "c"], [0, 0, 0])
+    queue = MemoryQueue(64, 8)
+    queue.push(np.ones(8, dtype=np.float32))
+    with pytest.raises(NumericsError, match="non-finite key"):
+        enqueue_memory(batch, enc, queue, np.random.default_rng(6))
+    np.testing.assert_array_equal(queue.as_array(), np.ones((1, 8), dtype=np.float32))
 
 
 def test_contrastive_perfect_alignment_floor():

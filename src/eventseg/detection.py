@@ -156,7 +156,8 @@ def error_trajectory(
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on; ``error_trajectory`` and
+    ``training.run_training`` size their threads by it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

@@ -20,13 +20,14 @@ is built; ``as_array`` returns its rows oldest first, which is the checkpoint
 layout.
 
 ``info_nce_loss`` and the encoders are pure given parameters; the training
-loss on a snippet batch is put together in ``reconstruction.compute_losses``.
+losses on a snippet batch are put together in ``reconstruction``.
 ``momentum_update`` and ``enqueue_memory`` mutate shared state and expect a
 single writer per training step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,12 @@ class ContrastiveConfig:
     temperature: float = 0.2
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        # An infinite temperature makes every logit 0: the loss then carries
+        # no gradient and training would run on without learning.
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError(
+                f"temperature must be finite and positive, got {self.temperature}"
+            )
 
 
 class MlpEncoder:

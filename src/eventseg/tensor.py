@@ -142,15 +142,24 @@ class Tensor:
         out._backward_fn = backward_fn if needs else None
         return out
 
-    def backward(self) -> None:
+    def backward(self, grad=None) -> None:
         """Populate ``grad`` on every reachable tensor that requires one.
 
-        Only defined for scalars. Gradients add into whatever is already in
-        ``grad``, so repeated calls (or reuse of a tensor) accumulate.
+        Without ``grad`` only defined for scalars, seeded with one; ``grad``
+        seeds the walk with a gradient of this tensor's shape. Gradients add
+        into whatever is already in ``grad``, so repeated calls (or reuse of
+        a tensor) accumulate.
         """
-        if self.data.size != 1:
+        if grad is None:
+            if self.data.size != 1:
+                raise ShapeError(
+                    f"backward requires a scalar loss, got shape {self.data.shape}"
+                )
+            grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
             raise ShapeError(
-                f"backward requires a scalar loss, got shape {self.data.shape}"
+                f"backward seed of shape {np.shape(grad)} for a tensor of shape "
+                f"{self.data.shape}"
             )
         if not self.requires_grad:
             return
@@ -169,10 +178,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        if self.grad is None:
-            self.grad = np.ones_like(self.data)
-        else:
-            self.grad += np.ones_like(self.data)
+        _accumulate(self, np.asarray(grad))
         for node in reversed(order):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)

@@ -277,6 +277,50 @@ def test_bad_reconstruction_beta_is_config_error(workspace, capsys, beta):
     assert not (out / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("section, key", [
+    ("optimizer", "learning_rate"),
+    ("optimizer", "weight_decay"),
+    ("optimizer", "momentum"),
+    ("contrastive", "temperature"),
+])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_hyperparameter_is_config_error(workspace, capsys, section, key, value):
+    # An infinite learning rate or decay used to exit 5 naming a checkpoint
+    # that did not load, and an infinite temperature trained without a
+    # contrastive gradient and exited 0.
+    _, config, out = workspace
+    config.write_text(config.read_text() + f"\n[{section}]\n{key} = {value}\n")
+    code = _run(["train", "--config", config, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert key in err
+    assert not (out / "checkpoint.bin").exists()
+
+
+def test_overflowing_update_exits_5_with_a_loadable_checkpoint(workspace, capsys):
+    # At learning_rate 1e38 the first update overflows the reconstructor's
+    # parameters; sgd_step refuses it before writing any, so the checkpoint
+    # holds the initial, finite model.
+    from eventseg import load_model
+
+    _, config, out = workspace
+    config.write_text(config.read_text() + "\n[optimizer]\nlearning_rate = 1e38\n")
+    _run(["synth", "--config", config, "--out", out])
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = _run(["train", "--config", config, "--out", out])
+    assert code == 5
+    assert capsys.readouterr().err == (
+        "error: numerics: training diverged after step 0; "
+        f"last good checkpoint at {out / 'checkpoint.bin'}\n"
+    )
+    enc, rec, queue, _ = load_model(out / "checkpoint.bin")
+    assert len(queue) == 0
+    assert all(np.isfinite(p.data).all() for p in enc.parameters() + rec.parameters())
+
+
 def test_diverged_training_exits_5_with_a_loadable_checkpoint(workspace, capsys):
     # After the first update the key encoder overflows, so no key reaches
     # the queue and the step is not counted.

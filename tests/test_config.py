@@ -7,6 +7,7 @@ import pytest
 
 from eventseg import (
     ConfigError,
+    ContrastiveConfig,
     NumericsError,
     ReconstructionConfig,
     RunConfig,
@@ -119,6 +120,13 @@ def test_bad_thresholds_are_config_errors(tmp_path, value):
 def test_reconstruction_beta_must_be_finite_and_non_negative(beta):
     with pytest.raises(ConfigError, match="beta"):
         ReconstructionConfig(beta=beta)
+
+
+@pytest.mark.parametrize("temperature", [float("inf"), float("nan"), 0.0, -0.2])
+def test_contrastive_temperature_must_be_finite_and_positive(temperature):
+    # At an infinite temperature every logit is 0 and the loss has no gradient.
+    with pytest.raises(ConfigError, match="temperature"):
+        ContrastiveConfig(temperature=temperature)
 
 
 def test_reconstruction_beta_zero_is_valid(tmp_path):

@@ -236,12 +236,6 @@ def test_error_trajectory_memory_does_not_grow_with_the_video():
 
 
 @pytest.fixture
-def two_cpus(monkeypatch):
-    """Two usable CPUs whatever the host has, so blocks run on two threads."""
-    monkeypatch.setattr(detection, "_usable_cpus", lambda: 2)
-
-
-@pytest.fixture
 def block_threads(monkeypatch):
     """Records the thread and the live thread count of every block."""
     seen = []

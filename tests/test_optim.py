@@ -67,3 +67,24 @@ def test_optimizer_validation():
         Optimizer(momentum=1.0)
     with pytest.raises(ConfigError):
         Optimizer(weight_decay=-0.1)
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "momentum"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_optimizer_rejects_non_finite_values(key, value):
+    with pytest.raises(ConfigError, match=key):
+        Optimizer(**{key: value})
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_update_aborts_without_mutation():
+    # q's update is fine, p's overflows float32: neither may be written.
+    q = _param([2.0], [1.0])
+    q.momentum_buffer[...] = 0.5
+    p = _param([-3e38], [1e38])
+    with pytest.raises(NumericsError, match="'p'"):
+        sgd_step([q, p], Optimizer(learning_rate=1.0, weight_decay=0.0, momentum=0.0))
+    for param, value, grad, buf in [(q, 2.0, 1.0, 0.5), (p, -3e38, 1e38, 0.0)]:
+        np.testing.assert_array_equal(param.data, np.float32([value]))
+        np.testing.assert_array_equal(param.grad, np.float32([grad]))
+        np.testing.assert_array_equal(param.momentum_buffer, np.float32([buf]))

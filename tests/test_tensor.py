@@ -86,6 +86,36 @@ def test_backward_rejects_non_scalar():
         (x * 2.0).backward()
 
 
+def _seeded_graph(x, w, gamma, beta):
+    y = layer_norm(x @ w, gamma, beta).relu()
+    return l2_normalize(softmax(y, axis=-1) + y)
+
+
+def test_seeded_backward_matches_the_weighted_sum():
+    # Seeding the walk with g gives the leaves the bytes that backpropagating
+    # sum(t * g) does: the product hands t exactly g.
+    rng = np.random.default_rng(21)
+    values = [rng.normal(size=shape).astype(np.float32)
+              for shape in [(6, 5), (5, 4), (4,), (4,)]]
+    seed = rng.normal(size=(6, 4)).astype(np.float32)
+
+    seeded = [Parameter(v, f"p{i}") for i, v in enumerate(values)]
+    _seeded_graph(*seeded).backward(seed)
+    summed = [Parameter(v, f"p{i}") for i, v in enumerate(values)]
+    (_seeded_graph(*summed) * Tensor(seed)).sum().backward()
+    for a, b in zip(seeded, summed):
+        assert np.any(a.grad != 0), a.name
+        assert a.grad.tobytes() == b.grad.tobytes(), a.name
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 3), ()])
+def test_backward_rejects_a_seed_of_another_shape(shape):
+    x = Parameter(np.ones((3,), dtype=np.float32), "x")
+    with pytest.raises(ShapeError):
+        (x * 2.0).reshape((3, 1)).backward(np.ones(shape, dtype=np.float32))
+    assert not np.any(x.grad)
+
+
 def test_gradient_accumulates_across_uses():
     x = Parameter(np.array([2.0], dtype=np.float32), "x")
     y = x * 3.0 + x * 5.0

@@ -13,14 +13,13 @@ from .checkpoint import (
     save_model,
     serialize_records,
 )
-from .config import ModelConfig, PathsConfig, RunConfig, TrainingConfig, load_config
+from .config import ModelConfig, RunConfig, load_config
 from .data import (
     Annotation,
     FrameFeatureSequence,
     SynthConfig,
     annotations_by_id,
     load_annotations,
-    load_corpus,
     load_feature_file,
     save_annotations,
     save_corpus,
@@ -29,7 +28,6 @@ from .data import (
 )
 from .detection import (
     DetectorConfig,
-    ErrorTrajectory,
     detect_boundaries,
     detect_corpus,
     error_trajectory,
@@ -41,8 +39,6 @@ from .embedding import (
     ContrastiveConfig,
     EncoderPair,
     MemoryQueue,
-    MlpEncoder,
-    SnippetBatch,
     encode_key,
     encode_query,
     enqueue_memory,
@@ -62,8 +58,6 @@ from .errors import (
     VersionError,
 )
 from .metrics import (
-    EvaluationConfig,
-    MetricReport,
     evaluate_corpus,
     f1_score,
     match_boundaries,
@@ -72,7 +66,6 @@ from .metrics import (
 )
 from .optim import Optimizer, sgd_step
 from .reconstruction import (
-    AttentionBlock,
     ReconstructionConfig,
     Reconstructor,
     assemble_masked_input,
@@ -84,12 +77,11 @@ from .reconstruction import (
 from .tensor import (
     Parameter,
     Tensor,
-    as_tensor,
     l2_normalize,
     layer_norm,
     no_grad,
     softmax,
 )
-from .training import TrainingResult, build_models, run_training, write_loss_csv
+from .training import build_models, run_training
 
 __version__ = "0.1.0"

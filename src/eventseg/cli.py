@@ -3,7 +3,9 @@
 Every command is reproducible from (config, seed): outputs are byte-for-byte
 identical across runs. On failure a single machine-parsable line
 ``error: <category>: <message>`` goes to stderr and the exit code encodes the
-category (config=2, data=3, format=4, numerics=5, shape=6, io=7, other=1).
+category (config=2, data=3, format=4, numerics=5, shape=6, io=7, other=1). An
+allocation that fails, for instance of a queue sized beyond the memory
+there is, is ``error: memory: ...`` with the "other" code 1.
 """
 
 from __future__ import annotations
@@ -171,6 +173,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return _exit_code("io")
+    except MemoryError as exc:
+        print(f"error: memory: {exc or 'allocation failed'}", file=sys.stderr)
+        return _exit_code("memory")
 
 
 if __name__ == "__main__":

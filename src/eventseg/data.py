@@ -42,6 +42,8 @@ CSGF_VERSION = 1
 _CSGF_HEAD = struct.Struct("<4sHIIf")
 # The header's u32 frame count; also the most frames an annotation may name.
 _MAX_FRAMES = 2**32 - 1
+# The header's f32 frame rate: the positive values it can hold.
+_FPS_RANGE = (float(np.finfo(np.float32).smallest_subnormal), float(np.finfo(np.float32).max))
 
 
 @dataclass
@@ -144,10 +146,14 @@ class SynthConfig:
             raise ConfigError("feature_dim must be >= 1")
         if self.num_prototypes < 2:
             raise ConfigError("num_prototypes must be >= 2")
-        if self.noise_std < 0 or self.drift_std < 0:
-            raise ConfigError("noise_std and drift_std must be >= 0")
-        if not self.fps > 0:
-            raise ConfigError("fps must be positive")
+        for key in ("noise_std", "drift_std"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
+        if not _FPS_RANGE[0] <= self.fps <= _FPS_RANGE[1]:
+            raise ConfigError(
+                f"fps must be finite, positive and within float32 range, got {self.fps}"
+            )
 
 
 def synth_generate(cfg: SynthConfig) -> tuple[list[FrameFeatureSequence], list[Annotation]]:
@@ -220,15 +226,11 @@ def load_feature_file(path, video_id: str | None = None) -> FrameFeatureSequence
     return FrameFeatureSequence(video_id or path.stem, float(fps), features)
 
 
-def save_corpus(corpus: list[FrameFeatureSequence], directory) -> list[Path]:
+def save_corpus(corpus: list[FrameFeatureSequence], directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
     for seq in corpus:
-        p = directory / f"{seq.video_id}.csgf"
-        save_feature_file(seq, p)
-        paths.append(p)
-    return paths
+        save_feature_file(seq, directory / f"{seq.video_id}.csgf")
 
 
 def load_corpus(directory, allow_empty: bool = False) -> list[FrameFeatureSequence]:

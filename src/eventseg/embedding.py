@@ -19,8 +19,10 @@ gradient. ``MemoryQueue(capacity, dim)`` is a ring buffer allocated when it
 is built; ``as_array`` returns its rows oldest first, which is the checkpoint
 layout.
 
-``info_nce_loss`` and the encoders are pure given parameters; the training
-losses on a snippet batch are put together in ``reconstruction``.
+A training batch is a plain (L, T, in_dim) float32 array of L snippets of
+T frames: ``sample_batch`` draws it, non-overlapping within each video by
+construction. ``info_nce_loss`` and the encoders are pure given parameters;
+the training losses on a batch are put together in ``reconstruction``.
 ``momentum_update`` and ``enqueue_memory`` mutate shared state and expect a
 single writer per training step.
 """
@@ -81,11 +83,9 @@ def _uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
 class EncoderPair:
     """Query encoder plus its momentum-updated key twin."""
 
-    def __init__(self, in_dim: int, dim: int, alpha: float = 0.999,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, in_dim: int, dim: int, alpha: float, rng: np.random.Generator):
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.in_dim = in_dim
         self.dim = dim
         self.alpha = alpha
@@ -176,54 +176,20 @@ class MemoryQueue:
         self._len = len(kept)
 
 
-@dataclass
-class SnippetBatch:
-    """``num_snippets`` windows of ``window`` frames each, plus provenance."""
-
-    frames: np.ndarray          # (L, T, in_dim) float32
-    video_ids: list[str]        # one id per snippet
-    starts: list[int]           # first frame index of each snippet in its video
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float32)
-        if self.frames.ndim != 3:
-            raise ShapeError(f"batch frames must be 3-d, got {self.frames.shape}")
-        n = self.frames.shape[0]
-        if len(self.video_ids) != n or len(self.starts) != n:
-            raise ShapeError("video_ids and starts must have one entry per snippet")
-        window = self.frames.shape[1]
-        spans: dict[str, list[tuple[int, int]]] = {}
-        for vid, start in zip(self.video_ids, self.starts):
-            spans.setdefault(vid, []).append((start, start + window))
-        for vid, ranges in spans.items():
-            ranges.sort()
-            for (s0, e0), (s1, _) in zip(ranges, ranges[1:]):
-                if s1 < e0:
-                    raise DataError(f"overlapping snippets in video {vid!r}")
-
-    @property
-    def num_snippets(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def window(self) -> int:
-        return self.frames.shape[1]
-
-
 def sample_batch(
     corpus: list[FrameFeatureSequence],
     batch_videos: int,
     snippets_per_video: int,
     window: int,
-    seed: int | np.random.Generator,
-) -> SnippetBatch:
+    rng: np.random.Generator,
+) -> np.ndarray:
     """Draw ``batch_videos`` distinct videos and ``snippets_per_video``
-    non-overlapping windows from each, deterministically under the seed.
+    non-overlapping windows from each: the (L, window, dim) float32 frames,
+    L = ``batch_videos * snippets_per_video``, video by video in draw order.
 
     Videos shorter than ``snippets_per_video * window`` frames are skipped;
     if fewer than ``batch_videos`` remain, the corpus is too small.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     need = snippets_per_video * window
     eligible = [seq for seq in corpus if seq.num_frames >= need]
     if len(eligible) < batch_videos:
@@ -232,7 +198,7 @@ def sample_batch(
             f"need {batch_videos}"
         )
     chosen = rng.choice(len(eligible), size=batch_videos, replace=False)
-    frames, video_ids, starts = [], [], []
+    frames = []
     for idx in chosen:
         seq = eligible[int(idx)]
         slack = seq.num_frames - need
@@ -242,9 +208,7 @@ def sample_batch(
         for k, off in enumerate(offsets):
             start = int(off) + k * window
             frames.append(seq.features[start : start + window])
-            video_ids.append(seq.video_id)
-            starts.append(start)
-    return SnippetBatch(np.stack(frames), video_ids, starts)
+    return np.stack(frames)
 
 
 def info_nce_loss(
@@ -310,18 +274,20 @@ def info_nce_loss(
 
 
 def enqueue_memory(
-    batch: SnippetBatch,
+    batch: np.ndarray,
     enc: EncoderPair,
     queue: MemoryQueue,
     rng: np.random.Generator,
 ) -> None:
-    """Key-encode one uniformly chosen frame per snippet and push it.
+    """Key-encode one uniformly chosen frame of each snippet of the
+    (L, T, dim) ``batch`` and push it.
 
     A non-finite key is a ``NumericsError`` raised before any push, so the
     queue never holds a value a checkpoint could not store.
     """
-    picks = rng.integers(0, batch.window, size=batch.num_snippets)
-    selected = batch.frames[np.arange(batch.num_snippets), picks]
+    L, T, _ = batch.shape
+    picks = rng.integers(0, T, size=L)
+    selected = batch[np.arange(L), picks]
     encoded = encode_key(selected, enc).data
     if not np.isfinite(encoded).all():
         raise NumericsError("non-finite key embedding")

@@ -14,7 +14,9 @@ reconstructed and original rows at the masked positions; the target rows are
 detached so the reconstruction loss cannot shrink the embedding geometry
 itself.
 
-Everything works on batches of snippets. ``masked_reconstruct`` is the one
+Everything works on batches of snippets; a training batch is the
+(L, T, in_dim) frame array of ``embedding.sample_batch``, whose query
+embeddings ``h`` are (L*T, D). ``masked_reconstruct`` is the one
 forward path: it masks one given row of every snippet, runs the
 reconstructor, and returns the reconstructed rows. Training (``train_step``)
 masks one uniformly drawn frame per snippet and ``reconstruction_loss``
@@ -50,7 +52,6 @@ from .embedding import (
     ContrastiveConfig,
     EncoderPair,
     MemoryQueue,
-    SnippetBatch,
     encode_key,
     encode_query,
     enqueue_memory,
@@ -159,11 +160,9 @@ class AttentionBlock:
 class Reconstructor:
     """Mask token, stacked attention blocks, and the affine output head."""
 
-    def __init__(self, dim: int, heads: int = 8, layers: int = 2,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, heads: int, layers: int, rng: np.random.Generator):
         if layers < 1:
             raise ConfigError(f"layers must be >= 1, got {layers}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.dim = dim
         self.mask_token = Parameter(
             rng.uniform(-0.02, 0.02, size=dim).astype(np.float32), "ffr.mask_token"
@@ -228,15 +227,16 @@ def masked_reconstruct(h3, mask_rows, rec: Reconstructor) -> Tensor:
 
 def contrastive_loss(
     h: Tensor,
-    batch: SnippetBatch,
+    batch: np.ndarray,
     enc: EncoderPair,
     queue: MemoryQueue,
     contrastive_cfg: ContrastiveConfig,
 ) -> Tensor:
     """The contrastive branch: InfoNCE of the (L*T x D) query embeddings
-    ``h`` of the batch's frames against their key embeddings and the queue."""
-    L, T, _ = batch.frames.shape
-    z = encode_key(batch.frames.reshape(L * T, -1), enc)
+    ``h`` of the (L x T x in_dim) ``batch`` against its key embeddings and
+    the queue."""
+    L, T, _ = batch.shape
+    z = encode_key(batch.reshape(L * T, -1), enc)
     snippet_ids = np.repeat(np.arange(L), T)
     return info_nce_loss(h, z.data, snippet_ids, queue.as_array(), contrastive_cfg.temperature)
 
@@ -264,7 +264,7 @@ def reconstruction_loss(
 
 
 def compute_losses(
-    batch: SnippetBatch,
+    batch: np.ndarray,
     enc: EncoderPair,
     queue: MemoryQueue,
     rec: Reconstructor,
@@ -280,8 +280,8 @@ def compute_losses(
     Returns (contrastive, reconstruction, total) loss tensors;
     ``recon_targets`` is passed to ``reconstruction_loss``.
     """
-    L, T, _ = batch.frames.shape
-    h = encode_query(batch.frames.reshape(L * T, -1), enc)
+    L, T, _ = batch.shape
+    h = encode_query(batch.reshape(L * T, -1), enc)
     lc = contrastive_loss(h, batch, enc, queue, contrastive_cfg)
     lr = reconstruction_loss(h.reshape((L, T, enc.dim)), mask_rows, rec, recon_targets)
     total = lc + lr * float(recon_cfg.beta)
@@ -289,7 +289,7 @@ def compute_losses(
 
 
 def train_step(
-    batch: SnippetBatch,
+    batch: np.ndarray,
     enc: EncoderPair,
     queue: MemoryQueue,
     rec: Reconstructor,
@@ -318,9 +318,9 @@ def train_step(
     parameter changes, and a non-finite key embedding before the queue
     changes.
     """
-    L, T, _ = batch.frames.shape
+    L, T, _ = batch.shape
     mask_rows = rng.integers(0, T, size=L)
-    h = encode_query(batch.frames.reshape(L * T, -1), enc)
+    h = encode_query(batch.reshape(L * T, -1), enc)
     h_contrastive = Tensor(h.data, requires_grad=True)
     h_reconstruction = Tensor(h.data.reshape(L, T, enc.dim), requires_grad=True)
 

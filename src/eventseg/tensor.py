@@ -13,13 +13,15 @@ resets parameter gradients after each update.
 
 ``layer_norm``, ``softmax`` and ``l2_normalize`` are fused: each is one
 graph node instead of the eleven, four and five nodes that composing them
-from the generic ops would record. Their forward passes make the composition's numpy calls in the
-same order and dtypes (softmax finds its row max by a sweep of
-``np.maximum`` over the columns, which gives the same values). Their
-backward passes replay the composed graph's gradient arithmetic step for
-step, in the order the graph walk would accumulate it, rather than a closed
-form, so outputs and gradients are bit-identical to the composition: one
-code path serves training and ``no_grad`` detection alike.
+from elementwise nodes would record. Their forward passes make the
+composition's numpy calls in the same order and dtypes (softmax finds its
+row max by a sweep of ``np.maximum`` over the columns, which gives the same
+values). Their backward passes replay the composed graph's gradient
+arithmetic step for step, in the order the graph walk would accumulate it,
+rather than a closed form, so outputs and gradients are bit-identical to the
+composition: one code path serves training and ``no_grad`` detection alike.
+The composed forms, and the ``exp``, ``div`` and ``power`` nodes that only
+they use, are test oracles in ``tests/gradcheck.py``.
 
 One recorded graph belongs to one thread. Separate graphs are independent.
 Whether operations record is a per-thread flag: ``no_grad`` switches it off
@@ -106,24 +108,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward_fn = None
 
-    # -- basic introspection ---------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data.item())
 
@@ -206,23 +190,6 @@ class Tensor:
     def __mul__(self, other):
         return self._binary(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 
-    def __truediv__(self, other):
-        return self._binary(
-            other,
-            np.true_divide,
-            lambda g, a, b: g / b,
-            lambda g, a, b: -g * a / (b * b),
-        )
-
-    def __pow__(self, exponent: float):
-        p = float(exponent)
-        data = self.data ** p
-
-        def backward(g):
-            _accumulate(self, g * p * self.data ** (p - 1.0))
-
-        return self._result(data, (self,), backward)
-
     # -- matrix product ----------------------------------------------------
 
     def __matmul__(self, other):
@@ -291,14 +258,6 @@ class Tensor:
 
     # -- elementwise functions ----------------------------------------------
 
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward(g):
-            _accumulate(self, g * data)
-
-        return self._result(data, (self,), backward)
-
     def relu(self) -> "Tensor":
         data = np.maximum(self.data, 0.0)
 
@@ -357,9 +316,6 @@ class Parameter(Tensor):
 
 
 # -- fused operations used throughout the model -------------------------------
-#
-# The composed versions these replicate bit for bit are kept as test oracles
-# in tests/gradcheck.py.
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

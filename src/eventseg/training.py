@@ -27,14 +27,6 @@ class TrainingResult:
     def completed_steps(self) -> int:
         return len(self.history)
 
-    @property
-    def first_loss(self) -> float:
-        return self.history[0]["total"]
-
-    @property
-    def last_loss(self) -> float:
-        return self.history[-1]["total"]
-
 
 def build_models(model: ModelConfig, input_dim: int, rng: np.random.Generator) -> tuple[EncoderPair, Reconstructor, MemoryQueue]:
     enc = EncoderPair(input_dim, model.embedding_dim, model.alpha, rng)

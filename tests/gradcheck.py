@@ -1,13 +1,15 @@
 """Gradient-check helpers shared by the test modules.
 
 ``finite_difference`` gives central-difference gradients to compare with
-the autodiff ones, ``gradients_close`` compares the two, ``dot`` reduces
-two tensors to a scalar loss, and ``log`` is the natural-log node that the
-composed loss oracles need and no package path uses.
+the autodiff ones, ``gradients_close`` compares the two, and ``dot``
+reduces two tensors to a scalar loss.
 
-``composed_layer_norm``, ``composed_softmax`` and ``composed_l2_normalize``
-build those ops from generic autodiff nodes (with ``clamp_min``, another
-node only they use): the bit-exact oracles for the package's fused nodes.
+``exp``, ``log``, ``div``, ``power`` and ``clamp_min`` are autodiff nodes
+that the oracles below need and no package path uses. The package's
+fused ``layer_norm``, ``softmax`` and ``l2_normalize`` replay the
+arithmetic of ``composed_layer_norm``, ``composed_softmax`` and
+``composed_l2_normalize``, which build those ops from such nodes: the
+bit-exact oracles for the fused nodes.
 """
 
 from typing import Iterable
@@ -22,11 +24,34 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return (a * b).sum()
 
 
+def exp(t: Tensor) -> Tensor:
+    data = np.exp(t.data)
+
+    def backward(g):
+        _accumulate(t, g * data)
+
+    return t._result(data, (t,), backward)
+
+
 def log(t: Tensor) -> Tensor:
     def backward(g):
         _accumulate(t, g / t.data)
 
     return t._result(np.log(t.data), (t,), backward)
+
+
+def div(a: Tensor, b) -> Tensor:
+    return a._binary(b, np.true_divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+
+
+def power(t: Tensor, exponent: float) -> Tensor:
+    p = float(exponent)
+    data = t.data ** p
+
+    def backward(g):
+        _accumulate(t, g * p * t.data ** (p - 1.0))
+
+    return t._result(data, (t,), backward)
 
 
 def clamp_min(t: Tensor, floor: float) -> Tensor:
@@ -41,19 +66,19 @@ def composed_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    normalized = centered * (var + eps) ** -0.5
+    normalized = centered * power(var + eps, -0.5)
     return normalized * gamma + beta
 
 
 def composed_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
-    exps = (x - shift).exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
+    exps = exp(x - shift)
+    return div(exps, exps.sum(axis=axis, keepdims=True))
 
 
 def composed_l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     norm_sq = (x * x).sum(axis=-1, keepdims=True)
-    inv = clamp_min(norm_sq, eps * eps) ** -0.5
+    inv = power(clamp_min(norm_sq, eps * eps), -0.5)
     return x * inv
 
 

@@ -22,7 +22,6 @@ from eventseg import (
     ReconstructionConfig,
     Reconstructor,
     RunConfig,
-    SnippetBatch,
     Tensor,
     annotations_by_id,
     build_models,
@@ -60,7 +59,7 @@ def test_criterion_1_full_model_gradient_check():
     start = time.time()
     dim, window, snippets = 8, 5, 2
     master = np.random.default_rng(100)
-    enc = EncoderPair(dim, dim, rng=master)
+    enc = EncoderPair(dim, dim, 0.999, master)
     rec = Reconstructor(dim, 4, 2, master)
     # Check at activation scale and in float64: the finite-difference oracle
     # needs headroom that float32 storage does not offer.
@@ -70,8 +69,8 @@ def test_criterion_1_full_model_gradient_check():
         p.data = p.data.astype(np.float64)
         p.grad = np.zeros_like(p.data)
 
-    frames = master.normal(size=(snippets, window, dim)).astype(np.float64)
-    batch = SnippetBatch(frames, ["a", "b"], [0, 0])
+    # The frames stay float32 inputs; the float64 parameters carry the check.
+    batch = master.normal(size=(snippets, window, dim)).astype(np.float32)
     queue = MemoryQueue(8, dim)
     for _ in range(4):
         v = master.normal(size=dim)
@@ -85,7 +84,7 @@ def test_criterion_1_full_model_gradient_check():
     # either side of the comparison.
     from eventseg import encode_query
 
-    h0 = encode_query(batch.frames.reshape(-1, dim), enc).data.reshape(snippets, window, dim)
+    h0 = encode_query(batch.reshape(-1, dim), enc).data.reshape(snippets, window, dim)
     targets = h0[np.arange(snippets), mask_rows].copy()
 
     def total():
@@ -362,7 +361,7 @@ def test_criterion_7a_loss_halves(pipeline):
         pipeline["corpus"], cfg.training.batch_videos,
         cfg.training.snippets_per_video, cfg.detector.window, rng,
     )
-    num_snippets, window, _ = batch.frames.shape
+    num_snippets, window, _ = batch.shape
     mask_rows = rng.integers(0, window, size=num_snippets)
 
     def total(enc, rec):
@@ -372,10 +371,10 @@ def test_criterion_7a_loss_halves(pipeline):
         )[2].item()
 
     start = total(enc0, rec0)
-    assert start == result.first_loss, "rebuilt step-1 batch does not reproduce the log"
+    assert start == result.history[0]["total"], "rebuilt step-1 batch does not reproduce the log"
     end = total(result.encoders, result.reconstructor)
     ratio = end / start
-    logged = result.last_loss / result.first_loss
+    logged = result.history[-1]["total"] / result.history[0]["total"]
     elapsed_ok = result.completed_steps == 2000
     _report("7a loss-halving", ratio <= 0.5 and elapsed_ok,
             f"step-1 batch, empty queue: loss {start:.3f} at step 1, {end:.3f} "

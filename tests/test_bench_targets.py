@@ -62,7 +62,7 @@ def test_tracer_attributes_read_detections_and_annotations():
     corpus, annotations = synth_generate(SynthConfig(num_videos=1, feature_dim=6, seed=3))
     video, truth = corpus[0], annotations[0]
     rng = np.random.default_rng(0)
-    enc, rec = EncoderPair(6, 8, rng=rng), Reconstructor(8, 4, 2, rng)
+    enc, rec = EncoderPair(6, 8, 0.999, rng), Reconstructor(8, 4, 2, rng)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     detected, _ = detect_boundaries(video, enc, rec, cfg)
     n_det, n_gt = len(detected.boundaries), len(truth.boundaries)

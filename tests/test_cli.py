@@ -1,8 +1,12 @@
 """End-to-end command-line pipeline on a tiny corpus."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,6 +494,49 @@ def test_boundary_at_frame_zero_is_data_error(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: data:")
     assert "annotations[0].boundaries[0]" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("noise_std", "inf"),
+    ("noise_std", "nan"),
+    ("drift_std", "inf"),
+    ("drift_std", "nan"),
+    ("fps", "inf"),
+    ("fps", "1e300"),
+])
+def test_synth_value_its_output_cannot_hold_is_config_error(tmp_path, capsys, key, value):
+    # Non-finite noise or drift, or an infinite fps, used to exit 3 on
+    # non-finite features; an fps beyond float32 (the CSGF header's type)
+    # exited 1 with a traceback after creating features/.
+    config = tmp_path / "synth.ini"
+    config.write_text(f"[synth]\n{key} = {value}\n")
+    code = _run(["synth", "--config", config, "--out", tmp_path / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_allocation_is_one_memory_line(workspace):
+    # A queue of 10**9 rows needs 60 GiB. Under a 2 GiB address-space limit,
+    # set in the child process only, numpy cannot allocate it; that used to
+    # end in an 18-line traceback.
+    _, config, out = workspace
+    assert _run(["synth", "--config", config, "--out", out]) == 0
+    config.write_text(config.read_text().replace("capacity = 64", "capacity = 1000000000"))
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+              "import eventseg.cli; sys.exit(eventseg.cli.main(sys.argv[1:]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, "train", "--config", str(config), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    err = result.stderr
+    assert err.startswith("error: memory:") and err.count("\n") == 1, err
+    assert not (out / "checkpoint.bin").exists()
 
 
 @pytest.mark.parametrize("model", [

@@ -19,7 +19,6 @@ from eventseg import (
     Optimizer,
     ReconstructionConfig,
     Reconstructor,
-    SnippetBatch,
     detect_boundaries,
     encode_query,
     error_trajectory,
@@ -140,7 +139,7 @@ def test_relative_extrema_matches_oracle(extrema_range):
 
 def _frozen_models(dim_in=6, dim=8, seed=0):
     rng = np.random.default_rng(seed)
-    enc = EncoderPair(dim_in, dim, rng=rng)
+    enc = EncoderPair(dim_in, dim, 0.999, rng)
     rec = Reconstructor(dim, 4, 2, rng)
     return enc, rec
 
@@ -221,7 +220,7 @@ def test_error_trajectory_blocks_equal_one_shot_oracle(windows):
 def test_error_trajectory_memory_does_not_grow_with_the_video():
     # The one-shot oracle peaks at about 858 MB here.
     rng = np.random.default_rng(13)
-    enc = EncoderPair(32, 16, rng=rng)
+    enc = EncoderPair(32, 16, 0.999, rng)
     rec = Reconstructor(16, 8, 2, rng)
     video = FrameFeatureSequence(
         "v", 25.0, rng.normal(size=(50_000, 32)).astype(np.float32)
@@ -309,7 +308,7 @@ def test_video_of_under_two_full_blocks_starts_no_thread(two_cpus, block_threads
 
 def test_train_step_fills_gradients_after_threaded_trajectory(monkeypatch, two_cpus):
     rng = np.random.default_rng(17)
-    enc = EncoderPair(6, 8, rng=rng)
+    enc = EncoderPair(6, 8, 0.999, rng)
     rec = Reconstructor(8, 4, 2, rng)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     error_trajectory(_video_of(3 * BLOCK_WINDOWS, cfg, 17), enc, rec, cfg)
@@ -323,8 +322,7 @@ def test_train_step_fills_gradients_after_threaded_trajectory(monkeypatch, two_c
         real_sgd_step(params, opt)
 
     monkeypatch.setattr(reconstruction, "sgd_step", recording_sgd_step)
-    frames = rng.normal(size=(4, 5, 6)).astype(np.float32)
-    batch = SnippetBatch(frames, ["a", "a", "b", "c"], [0, 5, 0, 0])
+    batch = rng.normal(size=(4, 5, 6)).astype(np.float32)
     train_step(batch, enc, MemoryQueue(16, 8), rec, ContrastiveConfig(),
                ReconstructionConfig(), Optimizer(), rng)
     assert grads and all(g is not None and np.any(g != 0) for g in grads.values()), [

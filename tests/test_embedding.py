@@ -19,7 +19,6 @@ from eventseg import (
     ReconstructionConfig,
     Reconstructor,
     ShapeError,
-    SnippetBatch,
     Tensor,
     compute_losses,
     encode_key,
@@ -32,7 +31,7 @@ from eventseg import (
     save_model,
 )
 
-from gradcheck import finite_difference, gradients_close, log
+from gradcheck import exp, finite_difference, gradients_close, log
 
 
 def brute_force_loss(h, z, snippet_ids, queue, tau, window):
@@ -62,7 +61,7 @@ def composed_info_nce(queries, keys, snippet_ids, queue_entries, temperature, wi
     n = queries.data.shape[0]
     keys_t = Tensor(keys)
     logits = (queries @ keys_t.swapaxes(0, 1)) * (1.0 / temperature)
-    exp_logits = logits.exp()
+    exp_logits = exp(logits)
 
     same = (snippet_ids[:, None] == snippet_ids[None, :]).astype(queries.data.dtype)
     negatives_mask = Tensor(1.0 - same)
@@ -71,7 +70,7 @@ def composed_info_nce(queries, keys, snippet_ids, queue_entries, temperature, wi
     q1 = (exp_logits * negatives_mask).sum(axis=1, keepdims=True)
     if queue_entries is not None and len(queue_entries) > 0:
         queue_logits = (queries @ Tensor(queue_entries.T)) * (1.0 / temperature)
-        q2 = queue_logits.exp().sum(axis=1, keepdims=True)
+        q2 = exp(queue_logits).sum(axis=1, keepdims=True)
         denom = exp_logits + q1 + q2
     else:
         denom = exp_logits + q1
@@ -87,7 +86,7 @@ def _unit_rows(rng, n, dim):
 
 def test_encode_query_unit_norm_and_deterministic():
     rng = np.random.default_rng(0)
-    enc = EncoderPair(6, 8, rng=rng)
+    enc = EncoderPair(6, 8, 0.999, rng)
     frames = rng.normal(size=(5, 6)).astype(np.float32)
     out = encode_query(frames, enc)
     np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), np.ones(5), atol=1e-5)
@@ -98,14 +97,14 @@ def test_encode_query_unit_norm_and_deterministic():
 
 
 def test_encode_query_rejects_width_mismatch():
-    enc = EncoderPair(6, 8, rng=np.random.default_rng(0))
+    enc = EncoderPair(6, 8, 0.999, np.random.default_rng(0))
     with pytest.raises(Exception):
         encode_query(np.zeros((3, 5), dtype=np.float32), enc)
 
 
 def test_encode_query_gradient():
     rng = np.random.default_rng(1)
-    enc = EncoderPair(4, 4, rng=rng)
+    enc = EncoderPair(4, 4, 0.999, rng)
     for p in enc.query.parameters():
         p.data = p.data.astype(np.float64)
         p.grad = np.zeros_like(p.data)
@@ -237,9 +236,8 @@ def test_wrapped_queue_round_trips_through_checkpoint(tmp_path):
 
 def test_enqueue_memory_contract():
     rng = np.random.default_rng(5)
-    enc = EncoderPair(6, 8, rng=rng)
-    frames = rng.normal(size=(3, 4, 6)).astype(np.float32)
-    batch = SnippetBatch(frames, ["a", "b", "c"], [0, 0, 0])
+    enc = EncoderPair(6, 8, 0.999, rng)
+    batch = rng.normal(size=(3, 4, 6)).astype(np.float32)
     queue = MemoryQueue(64, 8)
     enqueue_memory(batch, enc, queue, np.random.default_rng(6))
     assert len(queue) == 3
@@ -257,10 +255,9 @@ def test_enqueue_memory_contract():
 
 def test_enqueue_memory_rejects_a_non_finite_key_before_any_push():
     rng = np.random.default_rng(5)
-    enc = EncoderPair(6, 8, rng=rng)
+    enc = EncoderPair(6, 8, 0.999, rng)
     enc.key.b2.data[3] = np.nan
-    frames = rng.normal(size=(3, 4, 6)).astype(np.float32)
-    batch = SnippetBatch(frames, ["a", "b", "c"], [0, 0, 0])
+    batch = rng.normal(size=(3, 4, 6)).astype(np.float32)
     queue = MemoryQueue(64, 8)
     queue.push(np.ones(8, dtype=np.float32))
     with pytest.raises(NumericsError, match="non-finite key"):
@@ -404,9 +401,8 @@ def test_contrastive_high_temperature_limit():
 
 def test_contrastive_loss_is_nonnegative_and_needs_positives():
     rng = np.random.default_rng(11)
-    enc = EncoderPair(6, 8, rng=rng)
-    frames = rng.normal(size=(4, 3, 6)).astype(np.float32)
-    batch = SnippetBatch(frames, ["a", "a", "b", "c"], [0, 3, 0, 0])
+    enc = EncoderPair(6, 8, 0.999, rng)
+    batch = rng.normal(size=(4, 3, 6)).astype(np.float32)
     queue = MemoryQueue(16, 8)
     cfg = ContrastiveConfig(temperature=0.2)
     rec = Reconstructor(8, 4, 1, rng)
@@ -442,21 +438,30 @@ def _corpus(rng, sizes, dim=6):
     return out
 
 
+def _provenance(batch, corpus):
+    """(video id, start) of every snippet, found by exact match of its
+    frames in the corpus; random features make every match unique."""
+    found = [[(seq.video_id, s) for seq in corpus for s in range(seq.num_frames - len(w) + 1)
+              if np.array_equal(seq.features[s : s + len(w)], w)] for w in batch]
+    assert all(len(hits) == 1 for hits in found), found
+    return [hits[0] for hits in found]
+
+
 def test_sample_batch_contract():
     rng = np.random.default_rng(13)
     corpus = _corpus(rng, [40] * 20)
-    batch = sample_batch(corpus, 16, 2, 10, 99)
-    assert batch.num_snippets == 32
-    assert batch.window == 10
+    batch = sample_batch(corpus, 16, 2, 10, np.random.default_rng(99))
+    assert batch.shape == (32, 10, 6) and batch.dtype == np.float32
 
-    batch2 = sample_batch(corpus, 16, 2, 10, 99)
-    np.testing.assert_array_equal(batch.frames, batch2.frames)
-    assert batch.video_ids == batch2.video_ids and batch.starts == batch2.starts
+    batch2 = sample_batch(corpus, 16, 2, 10, np.random.default_rng(99))
+    np.testing.assert_array_equal(batch, batch2)
 
     spans = {}
-    for vid, start in zip(batch.video_ids, batch.starts):
+    for vid, start in _provenance(batch, corpus):
         spans.setdefault(vid, []).append((start, start + 10))
+    assert len(spans) == 16
     for ranges in spans.values():
+        assert len(ranges) == 2
         ranges.sort()
         for (s0, e0), (s1, _) in zip(ranges, ranges[1:]):
             assert s1 >= e0
@@ -465,15 +470,9 @@ def test_sample_batch_contract():
 def test_sample_batch_skips_short_videos_and_errors_when_too_few():
     rng = np.random.default_rng(14)
     corpus = _corpus(rng, [40, 40, 5, 40])
-    batch = sample_batch(corpus, 3, 2, 10, 0)
-    assert "v02" not in batch.video_ids
+    batch = sample_batch(corpus, 3, 2, 10, np.random.default_rng(0))
+    videos = {vid for vid, _ in _provenance(batch, corpus)}
+    assert videos == {"v00", "v01", "v03"}
 
     with pytest.raises(DataError):
-        sample_batch(corpus, 4, 2, 10, 0)
-
-
-def test_snippet_batch_rejects_overlap():
-    rng = np.random.default_rng(15)
-    frames = rng.normal(size=(2, 10, 6)).astype(np.float32)
-    with pytest.raises(DataError):
-        SnippetBatch(frames, ["a", "a"], [0, 5])
+        sample_batch(corpus, 4, 2, 10, np.random.default_rng(0))

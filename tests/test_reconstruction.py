@@ -13,7 +13,6 @@ from eventseg import (
     ReconstructionConfig,
     Reconstructor,
     ShapeError,
-    SnippetBatch,
     Tensor,
     assemble_masked_input,
     compute_losses,
@@ -164,7 +163,7 @@ def test_forward_rows_match_full_forward():
 
 def test_reconstructor_needs_a_block():
     with pytest.raises(ConfigError):
-        Reconstructor(8, 4, 0)
+        Reconstructor(8, 4, 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("layers", [1, 2])
@@ -240,7 +239,7 @@ def test_reconstruction_loss_cases():
 def test_joint_loss_cases():
     # total = contrastive + beta * reconstruction
     enc, rec, queue, batch, ccfg, _ = _training_setup(seed=9)
-    mask_rows = np.random.default_rng(0).integers(0, 5, size=batch.num_snippets)
+    mask_rows = np.random.default_rng(0).integers(0, 5, size=len(batch))
     for beta in (1.0, 0.0, 2.0):
         rcfg = ReconstructionConfig(beta=beta)
         lc, lr, total = compute_losses(batch, enc, queue, rec, ccfg, rcfg, mask_rows)
@@ -250,7 +249,7 @@ def test_joint_loss_cases():
 
 def test_reconstruction_gradient_matches_finite_differences():
     dim, window = 8, 5
-    enc = EncoderPair(dim, dim, rng=np.random.default_rng(9))
+    enc = EncoderPair(dim, dim, 0.999, np.random.default_rng(9))
     rec = Reconstructor(dim, 4, 2, np.random.default_rng(10))
     rng = np.random.default_rng(11)
     # Central differences need the token at activation scale: layer norm of
@@ -274,11 +273,10 @@ def test_reconstruction_gradient_matches_finite_differences():
 
 def _training_setup(seed=0, dim=8, window=5, videos=6):
     master = np.random.default_rng(seed)
-    enc = EncoderPair(dim, dim, rng=master)
+    enc = EncoderPair(dim, dim, 0.999, master)
     rec = Reconstructor(dim, 4, 2, master)
     queue = MemoryQueue(32, dim)
-    frames = master.normal(size=(videos, window, dim)).astype(np.float32)
-    batch = SnippetBatch(frames, [f"v{i}" for i in range(videos)], [0] * videos)
+    batch = master.normal(size=(videos, window, dim)).astype(np.float32)
     ccfg = ContrastiveConfig(temperature=0.2)
     rcfg = ReconstructionConfig(beta=1.0)
     return enc, rec, queue, batch, ccfg, rcfg
@@ -309,7 +307,7 @@ def test_train_step_zero_lr_keeps_parameters():
     for p, b in zip(enc.trainable_parameters() + rec.parameters(), before):
         np.testing.assert_array_equal(p.data, b)
     # The step still feeds the queue and reports all three losses.
-    assert len(queue) == batch.num_snippets
+    assert len(queue) == len(batch)
     assert set(losses) == {"contrastive", "reconstruction", "total"}
 
 
@@ -333,7 +331,7 @@ def test_masked_row_input_gets_no_reconstruction_gradient():
     # The reconstruction loss must not see the masked frame through the
     # input path: its only appearance is the detached target.
     dim, window = 8, 5
-    enc = EncoderPair(dim, dim, rng=np.random.default_rng(3))
+    enc = EncoderPair(dim, dim, 0.999, np.random.default_rng(3))
     rec = _reconstructor(dim=dim, seed=4)
     frames = Tensor(
         np.random.default_rng(5).normal(size=(window, dim)).astype(np.float32),

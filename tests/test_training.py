@@ -16,17 +16,15 @@ import eventseg.reconstruction as reconstruction
 import eventseg.training as training
 from eventseg import (
     ContrastiveConfig,
-    EncoderPair,
-    MemoryQueue,
     NumericsError,
     Optimizer,
     ReconstructionConfig,
-    Reconstructor,
     RunConfig,
-    SnippetBatch,
     synth_generate,
     train_step,
 )
+
+from test_reconstruction import _training_setup
 
 
 def _small_run(steps):
@@ -109,16 +107,6 @@ def test_run_training_leaves_no_thread_behind(monkeypatch, two_cpus, branch_thre
     assert branch_threads and threading.get_ident() not in branch_threads
 
 
-def _step_setup(seed=0, dim=8, window=5, videos=6):
-    master = np.random.default_rng(seed)
-    enc = EncoderPair(dim, dim, rng=master)
-    rec = Reconstructor(dim, 4, 2, master)
-    queue = MemoryQueue(32, dim)
-    frames = master.normal(size=(videos, window, dim)).astype(np.float32)
-    batch = SnippetBatch(frames, [f"v{i}" for i in range(videos)], [0] * videos)
-    return enc, rec, queue, batch
-
-
 @pytest.mark.parametrize("threaded", [False, True])
 def test_step_gradients_are_those_of_one_joint_graph(monkeypatch, threaded):
     # The branches' gradients, joined at h, give every parameter the bytes
@@ -132,7 +120,7 @@ def test_step_gradients_are_those_of_one_joint_graph(monkeypatch, threaded):
         real_sgd_step(params, opt)
 
     monkeypatch.setattr(reconstruction, "sgd_step", recording_sgd_step)
-    enc, rec, queue, batch = _step_setup(seed=5)
+    enc, rec, queue, batch, _, _ = _training_setup(seed=5)
     ccfg, rcfg = ContrastiveConfig(), ReconstructionConfig(beta=0.7)
     # A partly filled queue, so the contrastive branch has queue negatives.
     queue.load(np.random.default_rng(6).normal(size=(20, 8)).astype(np.float32))
@@ -140,9 +128,9 @@ def test_step_gradients_are_those_of_one_joint_graph(monkeypatch, threaded):
         train_step(batch, enc, queue, rec, ccfg, rcfg, Optimizer(),
                    np.random.default_rng(0), pool if threaded else None)
 
-    enc, rec, queue, batch = _step_setup(seed=5)
+    enc, rec, queue, batch, _, _ = _training_setup(seed=5)
     queue.load(np.random.default_rng(6).normal(size=(20, 8)).astype(np.float32))
-    mask_rows = np.random.default_rng(0).integers(0, batch.window, size=batch.num_snippets)
+    mask_rows = np.random.default_rng(0).integers(0, batch.shape[1], size=len(batch))
     _, _, total = reconstruction.compute_losses(batch, enc, queue, rec, ccfg, rcfg, mask_rows)
     total.backward()
     joint = {p.name: p.grad.tobytes() for p in enc.trainable_parameters() + rec.parameters()}
@@ -174,7 +162,7 @@ def test_an_error_in_a_branch_reaches_the_caller_after_the_other_stops(monkeypat
         attr = f"{name}_loss"
         monkeypatch.setattr(reconstruction, attr, branch(name, getattr(reconstruction, attr)))
     other = "reconstruction" if side == "contrastive" else "contrastive"
-    enc, rec, queue, batch = _step_setup(seed=3)
+    enc, rec, queue, batch, _, _ = _training_setup(seed=3)
     with ThreadPoolExecutor(1) as worker:
         with pytest.raises(RuntimeError, match=f"{side} branch failed"):
             train_step(batch, enc, queue, rec, ContrastiveConfig(), ReconstructionConfig(),
@@ -186,7 +174,7 @@ def test_an_error_in_a_branch_reaches_the_caller_after_the_other_stops(monkeypat
 @pytest.mark.parametrize("threaded", [False, True])
 @pytest.mark.parametrize("branch", ["contrastive", "reconstruction"])
 def test_a_non_finite_branch_loss_changes_nothing(branch, threaded):
-    enc, rec, queue, batch = _step_setup(seed=4)
+    enc, rec, queue, batch, _, _ = _training_setup(seed=4)
     ccfg, rcfg, opt = ContrastiveConfig(), ReconstructionConfig(), Optimizer()
     rng = np.random.default_rng(0)
     # One good step first, so the momentum buffers and the queue hold values.

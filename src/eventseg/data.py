@@ -180,13 +180,21 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[FrameFeatureSequence], list[A
             proto_ids.append(r if r < proto_ids[-1] else r + 1)
         total = int(lengths.sum())
         base = np.repeat(prototypes[proto_ids], lengths, axis=0)
-        noise = rng.normal(0.0, cfg.noise_std, size=(total, cfg.feature_dim))
-        drift = np.cumsum(
-            rng.normal(0.0, cfg.drift_std, size=(total, cfg.feature_dim)), axis=0
-        )
-        features = (base + noise + drift).astype(np.float32)
-        boundaries = [int(b) for b in np.cumsum(lengths)[:-1]]
         video_id = f"synth{v:04d}"
+        # A finite but huge spread overflows the sum or the float32 cast:
+        # one config error instead of numpy's warnings and non-finite data.
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise = rng.normal(0.0, cfg.noise_std, size=(total, cfg.feature_dim))
+            drift = np.cumsum(
+                rng.normal(0.0, cfg.drift_std, size=(total, cfg.feature_dim)), axis=0
+            )
+            features = (base + noise + drift).astype(np.float32)
+        if not np.isfinite(features).all():
+            raise ConfigError(
+                f"[synth] noise_std / drift_std too large: the features of "
+                f"{video_id!r} overflow float32"
+            )
+        boundaries = [int(b) for b in np.cumsum(lengths)[:-1]]
         corpus.append(FrameFeatureSequence(video_id, cfg.fps, features))
         annotations.append(Annotation(video_id, total, cfg.fps, boundaries))
     return corpus, annotations

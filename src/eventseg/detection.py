@@ -22,8 +22,12 @@ the O(frames) float32 trajectory grows with the video.
 ``detect_boundaries`` returns each video's boundaries, a ``data.Annotation``
 with one gradient-magnitude score per boundary, together with the raw,
 smoothed, and gradient signals they came from; ``detect_corpus`` does the
-same for a corpus. Everything here is pure over a frozen model; videos can
-be processed independently.
+same for a corpus. Everything here is pure over a frozen model, so videos
+are processed independently: ``detect_corpus`` runs a video that
+``error_trajectory`` splits into threads on its own, and runs up to
+``MAX_THREADS`` of the shorter videos at once, one per thread. Either way no
+more than ``MAX_THREADS`` blocks are in flight, and the bytes are those of
+running the videos one after another.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -118,46 +123,57 @@ def error_trajectory(
     # Window s covers frames [s, s + T) and is centred on frame s + mid.
     count = n - T + 1
     values = np.empty(n, dtype=np.float32)
-    failed = threading.Event()
-
-    def run_blocks(starts: range) -> None:
-        # Recording is per thread, so every thread turns it off itself. After
-        # a failure elsewhere the others stop at their next block.
-        try:
-            with no_grad():
-                for s in starts:
-                    if failed.is_set():
-                        return
-                    b = min(BLOCK_WINDOWS, count - s)
-                    embeddings = encode_query(video.features[s : s + b + T - 1], enc).data
-                    windows = sliding_window_view(embeddings, T, axis=0).transpose(0, 2, 1)
-                    recon_mid = masked_reconstruct(windows, np.full(b, mid), rec).data
-                    originals = embeddings[mid : mid + b]
-                    values[mid + s : mid + s + b] = ((recon_mid - originals) ** 2).sum(axis=1)
-        except BaseException:
-            failed.set()
-            raise
-
     starts = range(0, count, BLOCK_WINDOWS)
+
+    def run_blocks(k: int, failed: threading.Event) -> None:
+        # Recording is per thread, so every thread turns it off itself.
+        with no_grad():
+            for s in starts[k::threads]:
+                if failed.is_set():
+                    return
+                b = min(BLOCK_WINDOWS, count - s)
+                embeddings = encode_query(video.features[s : s + b + T - 1], enc).data
+                windows = sliding_window_view(embeddings, T, axis=0).transpose(0, 2, 1)
+                recon_mid = masked_reconstruct(windows, np.full(b, mid), rec).data
+                originals = embeddings[mid : mid + b]
+                values[mid + s : mid + s + b] = ((recon_mid - originals) ** 2).sum(axis=1)
+
     # Starting and joining a worker takes about 0.5 ms, so a worker left with
     # a part block loses: a 273-window video, the longest of the seed-7 default
     # corpus, ran 5-16% slower on two threads.
     threads = max(1, min(MAX_THREADS, _usable_cpus(), count // BLOCK_WINDOWS))
-    # The pool starts a thread only when a share is submitted, so a video
-    # run by the caller alone starts none; leaving the block joins the workers.
-    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        shares = [pool.submit(run_blocks, starts[k::threads]) for k in range(1, threads)]
-        run_blocks(starts[0::threads])
-        for share in shares:
-            share.result()
+    _share_out(threads, run_blocks)
     values[:mid] = values[mid]
     values[mid + count :] = values[mid + count - 1]
     return ErrorTrajectory(video.video_id, values)
 
 
+def _share_out(threads: int, share: Callable[[int, threading.Event], None]) -> None:
+    """Run ``share(k, failed)`` for every ``k`` below ``threads``: share 0 in
+    the calling thread, the others in worker threads. A share that raises
+    sets ``failed``, so the others stop at their next unit of work, and its
+    error reaches the caller once every thread has stopped. The pool starts
+    a thread only when a share is submitted, so one share starts none, and
+    leaving the block joins the workers."""
+    failed = threading.Event()
+
+    def guarded(k: int) -> None:
+        try:
+            share(k, failed)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        workers = [pool.submit(guarded, k) for k in range(1, threads)]
+        guarded(0)
+        for worker in workers:
+            worker.result()
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on; ``error_trajectory`` and
-    ``training.run_training`` size their threads by it."""
+    """CPUs this process may run on; ``error_trajectory``, ``detect_corpus``
+    and ``training.run_training`` size their threads by it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -229,11 +245,41 @@ def detect_corpus(
     rec: Reconstructor,
     cfg: DetectorConfig,
 ) -> tuple[dict[str, Annotation], dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Detections and signals for every video, keyed in sorted video-id order."""
+    """Detections and signals for every video, keyed in sorted video-id order.
+
+    A video of at least ``2 * BLOCK_WINDOWS`` windows, which
+    ``error_trajectory`` splits across threads, runs alone, one such video
+    after another. The shorter videos go longest first, each to whichever of
+    up to ``MAX_THREADS`` threads (the calling thread and workers) is free
+    first; one usable CPU or a single short video starts no thread. After an
+    error on one thread the others start no further video, and the error
+    reaches the caller once every thread has stopped.
+    """
+    order = sorted(range(len(corpus)), key=lambda i: corpus[i].video_id)
+    results: list = [None] * len(corpus)
+    short = []
+    for i in order:
+        if corpus[i].num_frames - cfg.window + 1 >= 2 * BLOCK_WINDOWS:
+            results[i] = detect_boundaries(corpus[i], enc, rec, cfg)
+        else:
+            short.append(i)
+    short.sort(key=lambda i: -corpus[i].num_frames)
+    pending = iter(short)
+    lock = threading.Lock()
+
+    def run_videos(_k: int, failed: threading.Event) -> None:
+        while not failed.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            results[i] = detect_boundaries(corpus[i], enc, rec, cfg)
+
+    # The seed-7 default corpus's videos have 107-273 windows, too few for
+    # ``error_trajectory`` to start a thread, so whole videos are shared out.
+    _share_out(max(1, min(MAX_THREADS, _usable_cpus(), len(short))), run_videos)
     detections: dict[str, Annotation] = {}
     signals: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for video in sorted(corpus, key=lambda s: s.video_id):
-        detections[video.video_id], signals[video.video_id] = detect_boundaries(
-            video, enc, rec, cfg
-        )
+    for i in order:
+        detections[corpus[i].video_id], signals[corpus[i].video_id] = results[i]
     return detections, signals

@@ -164,12 +164,18 @@ class MemoryQueue:
         return self._rows.take(order, axis=0, mode="wrap")
 
     def load(self, matrix: np.ndarray) -> None:
-        """Replace the contents with the newest ``capacity`` rows of ``matrix``."""
+        """Replace the contents with the newest ``capacity`` rows of ``matrix``.
+
+        A non-finite row is a ``NumericsError`` raised before any change, as
+        in ``enqueue_memory``.
+        """
         rows = np.asarray(matrix, dtype=np.float32)
         if rows.ndim != 2 or rows.shape[1] != self._rows.shape[1]:
             raise ShapeError(
                 f"queue holds rows of width {self._rows.shape[1]}, got shape {rows.shape}"
             )
+        if not np.isfinite(rows).all():
+            raise NumericsError("non-finite queue row")
         kept = rows[max(0, len(rows) - self.capacity):]
         self._rows[: len(kept)] = kept
         self._head = 0

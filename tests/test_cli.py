@@ -518,6 +518,22 @@ def test_synth_value_its_output_cannot_hold_is_config_error(tmp_path, capsys, ke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["noise_std", "drift_std"])
+def test_synth_spread_that_overflows_float32_is_one_config_error(tmp_path, capsys, key):
+    # A finite spread of 1e300 used to print numpy's "overflow encountered"
+    # warning and exit 3 on non-finite features.
+    config = tmp_path / "synth.ini"
+    config.write_text(f"[synth]\nnum_videos = 2\n{key} = 1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run(["synth", "--config", config, "--out", tmp_path / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1, err
+    assert "[synth] noise_std / drift_std" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_allocation_is_one_memory_line(workspace):
     # A queue of 10**9 rows needs 60 GiB. Under a 2 GiB address-space limit,
     # set in the child process only, numpy cannot allocate it; that used to

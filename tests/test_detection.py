@@ -1,6 +1,7 @@
 """Signal pipeline units (smoothing, gradient, relative extrema) and the
 error-trajectory contracts."""
 
+import sys
 import threading
 import tracemalloc
 
@@ -20,6 +21,7 @@ from eventseg import (
     ReconstructionConfig,
     Reconstructor,
     detect_boundaries,
+    detect_corpus,
     encode_query,
     error_trajectory,
     fir_smooth,
@@ -327,6 +329,132 @@ def test_train_step_fills_gradients_after_threaded_trajectory(monkeypatch, two_c
                ReconstructionConfig(), Optimizer(), rng)
     assert grads and all(g is not None and np.any(g != 0) for g in grads.values()), [
         name for name, g in grads.items() if g is None or not np.any(g != 0)]
+
+
+# Ids out of length order; five short videos (of 7 to 2 * BLOCK_WINDOWS - 1
+# windows) and one that error_trajectory splits across threads.
+_MIXED_WINDOWS = {"c": 40, "f": 2 * BLOCK_WINDOWS + 3, "a": 300, "e": 7,
+                  "b": 2 * BLOCK_WINDOWS - 1, "d": 120}
+
+
+def _mixed_corpus(cfg):
+    rng = np.random.default_rng(18)
+    return [
+        FrameFeatureSequence(
+            vid, 25.0, rng.normal(size=(w + cfg.window - 1, 6)).astype(np.float32))
+        for vid, w in _MIXED_WINDOWS.items()
+    ]
+
+
+def _corpus_bytes(detections, signals):
+    return [
+        (vid, det.num_frames, det.boundaries, det.scores, [x.tobytes() for x in signals[vid]])
+        for vid, det in detections.items()
+    ]
+
+
+@pytest.fixture
+def video_threads(monkeypatch):
+    """Records the video, thread and live thread count of every trajectory."""
+    seen = []
+    real = detection.error_trajectory
+
+    def recording(video, *args):
+        seen.append((video.video_id, threading.get_ident(), threading.active_count()))
+        return real(video, *args)
+
+    monkeypatch.setattr(detection, "error_trajectory", recording)
+    return seen
+
+
+def test_detect_corpus_on_two_threads_equals_one(
+    monkeypatch, two_cpus, block_threads, video_threads
+):
+    enc, rec = _frozen_models(seed=18)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    corpus = _mixed_corpus(cfg)
+    before = threading.active_count()
+    # Switch threads as often as the interpreter allows, so a video that
+    # wrote into another's results would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [vid for vid, *_ in threaded] == sorted(_MIXED_WINDOWS)
+    # The long video runs first and alone, its blocks on two threads; the
+    # short ones on the caller and one worker. No more than two threads live.
+    assert video_threads[0][:2] == ("f", threading.get_ident())
+    assert len({ident for _, ident, _ in video_threads[1:]}) == 2
+    assert max(count for _, count in block_threads) == before + 1
+    assert max(count for *_, count in video_threads) == before + 1
+
+    monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
+    block_threads.clear()
+    video_threads.clear()
+    alone = _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
+    assert set(block_threads) == {(threading.get_ident(), before)}
+    assert [vid for vid, *_ in video_threads] == ["f", "b", "a", "d", "c", "e"]
+    assert threaded == alone
+
+
+def test_detect_corpus_on_more_threads_than_cores(monkeypatch, video_threads):
+    # Four threads share eleven short videos; each must be taken exactly once.
+    monkeypatch.setattr(detection, "MAX_THREADS", 4)
+    monkeypatch.setattr(detection, "_usable_cpus", lambda: 4)
+    enc, rec = _frozen_models(seed=21)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    rng = np.random.default_rng(21)
+    corpus = [
+        FrameFeatureSequence(f"v{k:02d}", 25.0, rng.normal(size=(n, 6)).astype(np.float32))
+        for k, n in enumerate(rng.integers(10, 200, size=11))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(vid for vid, *_ in video_threads) == [video.video_id for video in corpus]
+    monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
+    assert threaded == _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
+
+
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_error_on_a_detection_thread_reaches_the_caller(monkeypatch, two_cpus, side):
+    # The failing side raises on its first video; the other side finishes
+    # the video it may be in and starts no further one.
+    real = detection.error_trajectory
+    raised = threading.Event()
+    other_videos = []
+
+    def failing(video, *args):
+        if (threading.current_thread() is threading.main_thread()) == (side == "caller"):
+            raised.set()
+            raise RuntimeError(f"{side} video failed")
+        raised.wait(10)
+        other_videos.append(video.video_id)
+        return real(video, *args)
+
+    monkeypatch.setattr(detection, "error_trajectory", failing)
+    enc, rec = _frozen_models(seed=19)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    corpus = [video for video in _mixed_corpus(cfg) if video.video_id != "f"]
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{side} video failed"):
+        detect_corpus(corpus, enc, rec, cfg)
+    assert threading.active_count() == before
+    assert len(other_videos) <= 1
+
+
+def test_one_video_corpus_starts_no_thread(two_cpus, block_threads):
+    enc, rec = _frozen_models(seed=20)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    before = threading.active_count()
+    detections, _ = detect_corpus([_video_of(300, cfg, 20)], enc, rec, cfg)
+    assert list(detections) == ["v"]
+    assert set(block_threads) == {(threading.get_ident(), before)}
 
 
 def test_error_trajectory_zero_for_perfect_reconstruction():

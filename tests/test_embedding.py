@@ -198,6 +198,21 @@ def test_queue_load_keeps_newest_rows_oldest_first():
     np.testing.assert_array_equal(queue.as_array(), rows[:2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_queue_load_refuses_a_non_finite_row_before_any_change(bad):
+    # A wrapped queue: the refused load must keep its rows, head and length.
+    queue = MemoryQueue(4, 2)
+    for i in range(6):
+        queue.push(np.full(2, float(i), dtype=np.float32))
+    rows, head, length = queue._rows.copy(), queue._head, len(queue)
+    # The bad row is among the kept ones in one case and dropped in the other.
+    for matrix in ([[bad, 1.0]], [[bad, 1.0]] + [[0.0, 1.0]] * 4):
+        with pytest.raises(NumericsError):
+            queue.load(matrix)
+        assert queue._rows.tobytes() == rows.tobytes()
+        assert (queue._head, len(queue)) == (head, length)
+
+
 def test_queue_as_array_is_a_copy():
     queue = MemoryQueue(3, 2)
     for i in range(4):

@@ -8,8 +8,9 @@ ground-truth boundary, divided by the video length, stays under a threshold;
 precision/recall/F1 follow from a one-to-one maximum matching, whose
 (detection, truth) index pairs ``match_boundaries`` returns. Segment scoring:
 boundaries split a video into segments, segments are matched per video by
-maximum frame overlap, and ``segment_scores`` returns MoF / IoU of the matched
-intersections.
+maximum frame overlap (the largest IoU among ties), and ``segment_scores``
+returns MoF / IoU of the matched intersections. ``evaluate_corpus`` needs only
+the matched counts, which it finds with a sweep instead of the pairs.
 """
 
 from eventseg import (

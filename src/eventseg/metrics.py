@@ -5,20 +5,29 @@ Detections and ground truth are both ``data.Annotation`` records, which
 
 Boundary detections are scored by relative distance: |detected - truth|
 divided by the video length, correct when at or below a threshold. Matching
-is maximum-cardinality one-to-one, with the smallest total distance among
-maximum matchings; ``match_boundaries`` lists the matched (detection, truth)
-index pairs in temporal order, so no two pairs cross, even where distances
-tie. Segment metrics (MoF, IoU) split each video at its boundaries, match
-detected to true segments by maximum frame overlap through the Hungarian
-algorithm, and score the matched intersections against the ground-truth
-segments. Corpus precision, recall, and F1 are micro-averaged over boundary
-counts; per-video numbers are kept alongside for inspection. A corpus with
-no videos scores 0.0 throughout.
+is maximum-cardinality one-to-one. ``evaluate_corpus`` needs only the
+matched count, which a two-pointer sweep over the sorted boundaries gives
+exactly: match the two leftmost unmatched points when they lie within the
+threshold, otherwise drop the one further left, which nothing further right
+can reach. ``match_boundaries`` lists the matched (detection, truth)
+index pairs themselves, with the smallest total distance among maximum
+matchings, in temporal order, so no two pairs cross, even where distances
+tie.
 
-Both assignments use scipy's ``linear_sum_assignment``. It is imported on
-first use, because ``scipy.optimize`` takes longer to import than the rest
-of the package and only scoring needs it: ``synth``, ``train`` and
-``detect`` never load it.
+Segment metrics (MoF, IoU) split each video at its boundaries, pair detected
+with true segments one-to-one for the largest total frame overlap, and score
+the paired intersections against the ground-truth segments. Segments that
+overlap form a monotone staircase of at most n + m - 1 cells, and two
+crossing pairs cannot both overlap, so one walk along the staircase finds
+the largest overlap. Where several pairings reach it, the one with the
+largest IoU counts. Corpus precision, recall, and F1 are micro-averaged over
+boundary counts; per-video numbers are kept alongside for inspection. A
+corpus with no videos scores 0.0 throughout.
+
+Only ``match_boundaries`` uses scipy's ``linear_sum_assignment``. It is
+imported on first use, because ``scipy.optimize`` takes longer to import
+than the rest of the package: none of ``synth``, ``train``, ``detect`` and
+``eval`` loads it.
 """
 
 from __future__ import annotations
@@ -53,13 +62,21 @@ class EvaluationConfig:
 def _assignment_solver():
     """scipy's ``linear_sum_assignment``, imported on first use.
 
+    Only ``match_boundaries`` uses it; ``eval`` counts matches without it.
     Cached: an import statement costs about a microsecond even once the
-    module is loaded, and scoring a default corpus asks for the solver a few
-    hundred times.
+    module is loaded, and a caller may match many videos.
     """
     from scipy.optimize import linear_sum_assignment
 
     return linear_sum_assignment
+
+
+def _check_same_video(det: Annotation, gt: Annotation) -> None:
+    if det.video_id != gt.video_id or det.num_frames != gt.num_frames:
+        raise DataError(
+            f"matching needs the same video: {det.video_id!r}/{det.num_frames} vs "
+            f"{gt.video_id!r}/{gt.num_frames}"
+        )
 
 
 def match_boundaries(det: Annotation, gt: Annotation, threshold: float) -> list[tuple[int, int]]:
@@ -69,11 +86,7 @@ def match_boundaries(det: Annotation, gt: Annotation, threshold: float) -> list[
     its (detection, truth) index pairs are listed in temporal order and
     never cross.
     """
-    if det.video_id != gt.video_id or det.num_frames != gt.num_frames:
-        raise DataError(
-            f"matching needs the same video: {det.video_id!r}/{det.num_frames} vs "
-            f"{gt.video_id!r}/{gt.num_frames}"
-        )
+    _check_same_video(det, gt)
     if not det.boundaries or not gt.boundaries:
         return []
     dist = np.abs(
@@ -87,6 +100,29 @@ def match_boundaries(det: Annotation, gt: Annotation, threshold: float) -> list[
     # in order keeps every pair within threshold and the total optimal, and
     # resolves distance ties toward the non-crossing matching.
     return list(zip(sorted(rows[kept].tolist()), sorted(cols[kept].tolist())))
+
+
+def _matched_count(
+    det: Sequence[int], gt: Sequence[int], num_frames: int, threshold: float
+) -> int:
+    """Size of a maximum matching, as ``match_boundaries`` finds, in one sweep.
+
+    Both lists are sorted. When the two leftmost unmatched points lie within
+    the threshold, some maximum matching pairs them; otherwise the one
+    further left is out of reach of every point left on the other side.
+    """
+    count = i = j = 0
+    while i < len(det) and j < len(gt):
+        d, g = det[i], gt[j]
+        if abs(d - g) / num_frames <= threshold:
+            count += 1
+            i += 1
+            j += 1
+        elif d < g:
+            i += 1
+        else:
+            j += 1
+    return count
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -112,29 +148,46 @@ def segment_scores(det: Annotation, gt: Annotation) -> tuple[float, float]:
 
     Boundaries b1..bn over F frames split the video into [0,b1), [b1,b2),
     ..., [bn,F). Detected and true segments are paired one-to-one for the
-    largest total frame overlap. MoF is the paired overlap over F; IoU is
-    the mean over true segments of intersection over union, where an
-    unpaired true segment scores 0.
+    largest total frame overlap; among pairings that reach it, the one with
+    the largest IoU counts. MoF is the paired overlap over F; IoU is the mean
+    over true segments of intersection over union, where an unpaired true
+    segment scores 0.
+
+    The pairs that overlap form a staircase from the first two segments to
+    the last two, one boundary a step, so there are at most n + m - 1 of
+    them. Two of its cells can both be paired only if they share neither
+    detected nor true segment; a cell's row and its column are each one run
+    of the staircase, so the best pairing that ends at a cell extends the
+    best one over the cells before both its runs start. One walk along the
+    staircase therefore finds the optimum. Pairs without overlap add 0 to
+    both sums and are left out.
     """
     if det.num_frames != gt.num_frames:
         raise DataError("segment matching needs equal video lengths")
-    det_edges = np.array([0, *det.boundaries, det.num_frames])
-    gt_edges = np.array([0, *gt.boundaries, gt.num_frames])
-    overlaps = np.clip(
-        np.minimum.outer(det_edges[1:], gt_edges[1:])
-        - np.maximum.outer(det_edges[:-1], gt_edges[:-1]),
-        0,
-        None,
-    ).astype(np.float64)
-    rows, cols = _assignment_solver()(-overlaps)
-    inter = overlaps[rows, cols]
-    union = np.diff(det_edges)[rows] + np.diff(gt_edges)[cols] - inter
-    # Added one at a time in ground-truth order; numpy's pairwise sum would
-    # round differently.
-    iou_sum = 0.0
-    for ratio in (inter / union)[np.argsort(cols)].tolist():
-        iou_sum += ratio
-    return float(inter.sum()) / gt.num_frames, iou_sum / (len(gt.boundaries) + 1)
+    num_frames = gt.num_frames
+    det_edges = [0, *det.boundaries, num_frames]
+    gt_edges = [0, *gt.boundaries, num_frames]
+    # best[k]: the (overlap, IoU sum) of the best pairing among the first k
+    # cells, compared in that order. A pairing's cells run in ground-truth
+    # order, so its IoU ratios are added one at a time in that order.
+    best = [(0, 0.0)]
+    i = j = row_start = col_start = 0
+    while True:
+        det_end, gt_end = det_edges[i + 1], gt_edges[j + 1]
+        inter = min(det_end, gt_end) - max(det_edges[i], gt_edges[j])
+        union = det_end - det_edges[i] + gt_end - gt_edges[j] - inter
+        overlap, iou_sum = best[min(row_start, col_start)]
+        best.append(max(best[-1], (overlap + inter, iou_sum + inter / union)))
+        if det_end == gt_end == num_frames:
+            break
+        if det_end <= gt_end:
+            i += 1
+            row_start = len(best) - 1
+        if gt_end <= det_end:
+            j += 1
+            col_start = len(best) - 1
+    overlap, iou_sum = best[-1]
+    return overlap / num_frames, iou_sum / (len(gt.boundaries) + 1)
 
 
 @dataclass
@@ -184,7 +237,11 @@ def evaluate_corpus(
 
     Detection and annotation ids must align exactly; the error lists every
     id missing from either side. Precision/recall/F1 are micro-averaged over
-    boundary counts per threshold; MoF and IoU are means over videos.
+    boundary counts per threshold; each count comes from a two-pointer sweep
+    over the sorted boundaries and equals ``len(match_boundaries(...))``.
+    MoF and IoU are means over videos of ``segment_scores``, one staircase
+    walk each, with its tie rule: the largest IoU among the pairings of
+    largest overlap. Scoring is linear in the boundaries and loads no scipy.
     """
     det_ids = set(detections)
     ann_ids = set(annotations)
@@ -196,8 +253,6 @@ def evaluate_corpus(
             f"missing annotations for {missing_ann}, missing detections for {missing_det}"
         )
     thresholds = [float(t) for t in thresholds]
-    # Pay the solver's one-time import here, not inside the first match.
-    _assignment_solver()
     ids = sorted(det_ids)
     per_video: dict[str, dict] = {}
     tp = [0] * len(thresholds)
@@ -206,13 +261,14 @@ def evaluate_corpus(
     mofs, ious = [], []
     for vid in ids:
         det, gt = detections[vid], annotations[vid]
+        _check_same_video(det, gt)
         n_det_total += len(det.boundaries)
         n_gt_total += len(gt.boundaries)
         video_f1 = []
         video_p = []
         video_r = []
         for k, theta in enumerate(thresholds):
-            matched = len(match_boundaries(det, gt, theta))
+            matched = _matched_count(det.boundaries, gt.boundaries, gt.num_frames, theta)
             tp[k] += matched
             p, r, f = precision_recall_f1(matched, len(det.boundaries), len(gt.boundaries))
             video_p.append(p)

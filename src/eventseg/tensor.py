@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericsError, ShapeError
 
 _FLOAT_TYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -392,11 +392,16 @@ def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale each row (last axis) to unit Euclidean norm.
 
     Rows with norm below ``eps`` are scaled by ``1/eps``, so zero rows stay
-    at zero; the clamp passes no gradient.
+    at zero; the clamp passes no gradient. A row whose squared norm is
+    infinite, because an entry is or because its squares overflow the
+    dtype, is a ``NumericsError``: scaled by 1/inf it would read as zeros.
     """
     xd = x.data
     floor = eps * eps
-    norm_sq = _sum64(xd * xd, -1, True)
+    with np.errstate(over="ignore"):
+        norm_sq = _sum64(xd * xd, -1, True)
+    if np.isinf(norm_sq).any():
+        raise NumericsError("l2_normalize: a squared row norm overflows; inputs too large")
     clamped = np.maximum(norm_sq, floor)
     inv = clamped ** -0.5
     data = xd * inv

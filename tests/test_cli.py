@@ -534,6 +534,33 @@ def test_synth_spread_that_overflows_float32_is_one_config_error(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_features_whose_norm_overflows_exit_5_in_one_line(workspace, capsys):
+    # drift_std = 1e35 gives finite float32 features whose squares overflow.
+    # Their embeddings used to normalise to zeros with numpy's "overflow
+    # encountered" warning: train exited 0 and detect wrote no boundaries.
+    from eventseg import load_model
+
+    _, config, out = workspace
+    config.write_text(config.read_text().replace("drift_std = 0.01", "drift_std = 1e35"))
+    assert _run(["synth", "--config", config, "--out", out]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["train", "--config", config, "--out", out]) == 5
+        assert capsys.readouterr().err == (
+            "error: numerics: training diverged after step 0; "
+            f"last good checkpoint at {out / 'checkpoint.bin'}\n"
+        )
+        _, _, queue, meta = load_model(out / "checkpoint.bin")
+        assert meta["window"] == 6 and len(queue) == 0
+        code = _run(["detect", "--config", config, "--out", out,
+                     "--checkpoint", out / "checkpoint.bin"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerics: l2_normalize") and err.count("\n") == 1, err
+    assert not (out / "detections.json").exists()
+
+
 def test_failed_allocation_is_one_memory_line(workspace):
     # A queue of 10**9 rows needs 60 GiB. Under a 2 GiB address-space limit,
     # set in the child process only, numpy cannot allocate it; that used to

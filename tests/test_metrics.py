@@ -16,6 +16,7 @@ from eventseg import (
     precision_recall_f1,
     segment_scores,
 )
+from eventseg.metrics import _matched_count
 
 
 def brute_force_boundary_match(det, gt, num_frames, threshold):
@@ -169,6 +170,45 @@ def test_match_swapping_sides_swaps_precision_recall():
     assert r1 == pytest.approx(p2)
 
 
+def _random_boundaries(rng, num_frames, most):
+    size = int(rng.integers(0, min(most, num_frames - 1) + 1))
+    return sorted(rng.choice(np.arange(1, num_frames), size=size, replace=False).tolist())
+
+
+def test_sweep_count_equals_match_boundaries():
+    rng = np.random.default_rng(5)
+    thresholds = [round(0.01 * k, 2) for k in range(1, 101)]
+    at_edge = 0
+    for _ in range(400):
+        num_frames = int(rng.integers(20, 1500))
+        det_b = _random_boundaries(rng, num_frames, 30)
+        gt_b = _random_boundaries(rng, num_frames, 30)
+        theta = thresholds[int(rng.integers(len(thresholds)))]
+        # Put some detections exactly threshold * num_frames frames (rounded
+        # down) from a truth, where the predicate's rounding decides.
+        reach = int(theta * num_frames)
+        edge = [g + reach for g in gt_b[::3] if g + reach < num_frames]
+        det_b = sorted(set(det_b) | set(edge))
+        at_edge += bool(edge)
+        det = Annotation("v", num_frames, 25.0, det_b)
+        gt = Annotation("v", num_frames, 25.0, gt_b)
+        for t in (theta, 0.01, 0.05, 0.5, 1.0):
+            assert _matched_count(det_b, gt_b, num_frames, t) == len(
+                match_boundaries(det, gt, t)
+            ), (num_frames, det_b, gt_b, t)
+    assert at_edge >= 100, at_edge
+
+
+def test_sweep_count_uses_the_relative_distance_predicate():
+    # 29 / 100 <= 0.29 holds, while 29 <= 0.29 * 100 = 28.999999999999996
+    # does not: the count follows the relative distance, as matching does.
+    det = Annotation("v", 100, 25.0, [10])
+    gt = Annotation("v", 100, 25.0, [39])
+    assert _matched_count(det.boundaries, gt.boundaries, 100, 0.29) == 1
+    assert len(match_boundaries(det, gt, 0.29)) == 1
+    assert _matched_count(det.boundaries, gt.boundaries, 100, 0.28) == 0
+
+
 def test_precision_recall_f1_reference_rows():
     # Hand-checked (P, R) -> F1 triples used as arithmetic anchors.
     for p, r, expected in [(0.128, 0.338, 0.186), (0.461, 0.811, 0.588),
@@ -226,6 +266,8 @@ def test_hungarian_against_factorial_oracle():
         mof, _ = segment_scores(pred, gt)
         overlaps = segment_overlaps(segments(pred), segments(gt))
         assert mof == brute_force_segment_match(overlaps) / num_frames
+        rows, cols = linear_sum_assignment(-overlaps)
+        assert mof == overlaps[rows, cols].sum() / num_frames
 
 
 def test_mof_iou_identity():
@@ -252,12 +294,38 @@ def test_mof_iou_single_prediction_over_two_events():
     assert iou == pytest.approx(0.25)
 
 
+def scored_pairings(pred, truth):
+    """Every one-to-one pairing of min(n, m) pairs with its (total overlap,
+    IoU sum) key, the IoU ratios added in ground-truth order. Larger
+    pairings are not needed, since a pair without overlap adds 0 to both."""
+    overlaps = segment_overlaps(pred, truth)
+    n, m = overlaps.shape
+    if n <= m:
+        pairings = [list(enumerate(perm)) for perm in itertools.permutations(range(m), n)]
+    else:
+        pairings = [[(i, j) for j, i in enumerate(perm)]
+                    for perm in itertools.permutations(range(n), m)]
+    scored = []
+    for pairs in pairings:
+        iou_sum = 0.0
+        for i, j in sorted(pairs, key=lambda p: p[1]):
+            inter = overlaps[i, j]
+            iou_sum += inter / (pred[i][1] - pred[i][0] + truth[j][1] - truth[j][0] - inter)
+        scored.append(((sum(overlaps[i, j] for i, j in pairs), iou_sum), pairs))
+    return scored
+
+
+def tie_rule_pairs(pred, truth):
+    """Exhaustive oracle of ``segment_scores``' pairing: the largest total
+    overlap, then the largest IoU sum."""
+    return max(scored_pairings(pred, truth), key=lambda scored: scored[0])[1]
+
+
 def former_mof_iou(det, gt):
     """The former dictionary-and-scan MoF/IoU over explicit segment lists and
-    their Hungarian pairs, kept as the exact oracle."""
+    the pairs the tie-rule oracle picks, kept as the exact oracle."""
     pred, truth = segments(det), segments(gt)
-    rows, cols = linear_sum_assignment(-segment_overlaps(pred, truth))
-    pairs = list(zip(rows.tolist(), cols.tolist()))
+    pairs = tie_rule_pairs(pred, truth)
 
     def overlap(a, b):
         return max(0, min(a[1], b[1]) - max(a[0], b[0]))
@@ -287,6 +355,33 @@ def test_mof_iou_bounds_random():
         assert 0.0 <= mof <= 1.0
         assert 0.0 <= iou <= 1.0
         assert (mof, iou) == former_mof_iou(det, gt)
+
+
+def test_segment_tie_takes_the_pairing_of_largest_iou():
+    # [0,7), [7,10) against [0,2), [2,10): pairing in order overlaps 2 + 3
+    # frames, pairing [0,7) with [2,10) alone overlaps 5 as well. In-order
+    # IoU is (2/7 + 3/8) / 2, the other (0 + 5/10) / 2, so in-order wins.
+    det = Annotation("v", 10, 25.0, [7])
+    gt = Annotation("v", 10, 25.0, [2])
+    assert segment_scores(det, gt) == (0.5, (2 / 7 + 3 / 8) / 2)
+    keys = sorted(key for key, _ in scored_pairings(segments(det), segments(gt)))
+    assert keys[-2:] == [(5.0, 5 / 10), (5.0, 2 / 7 + 3 / 8)]
+
+
+def test_staircase_iou_equals_tie_rule_oracle():
+    rng = np.random.default_rng(7)
+    ties = 0
+    for _ in range(800):
+        num_frames = int(rng.integers(6, 60))
+        det = Annotation("v", num_frames, 25.0, _random_boundaries(rng, num_frames, 5))
+        gt = Annotation("v", num_frames, 25.0, _random_boundaries(rng, num_frames, 5))
+        assert segment_scores(det, gt) == former_mof_iou(det, gt)
+        scored = [key for key, _ in scored_pairings(segments(det), segments(gt))]
+        top = max(overlap for overlap, _ in scored)
+        ties += len({iou for overlap, iou in scored if overlap == top}) > 1
+    # Short videos with few frames a segment tie often; the cases must
+    # include ties whose pairings differ in IoU.
+    assert ties >= 20, ties
 
 
 def test_scoring_rejects_videos_of_different_lengths():
@@ -355,6 +450,41 @@ def test_evaluate_corpus_micro_aggregation_hand_case():
     assert report.f1[0] == pytest.approx(2 / 3)
     assert report.per_video["a"]["f1"][0] == pytest.approx(0.5)
     assert report.per_video["b"]["f1"][0] == pytest.approx(1.0)
+
+
+def test_evaluate_corpus_equals_match_boundaries_reference():
+    rng = np.random.default_rng(8)
+    thresholds = [0.01, 0.05, 0.1, 0.29, 0.5, 1.0]
+    for _ in range(40):
+        detections, annotations = {}, []
+        for k in range(int(rng.integers(1, 6))):
+            num_frames = int(rng.integers(20, 1200))
+            vid = f"v{k}"
+            detections[vid] = Annotation(vid, num_frames, 25.0,
+                                         _random_boundaries(rng, num_frames, 20))
+            annotations.append(Annotation(vid, num_frames, 25.0,
+                                          _random_boundaries(rng, num_frames, 20)))
+        report = evaluate_corpus(detections, annotations_by_id(annotations), thresholds)
+        n_det = sum(len(a.boundaries) for a in detections.values())
+        n_gt = sum(len(a.boundaries) for a in annotations)
+        for k, theta in enumerate(thresholds):
+            tp = sum(len(match_boundaries(detections[a.video_id], a, theta))
+                     for a in annotations)
+            p, r, f = precision_recall_f1(tp, n_det, n_gt)
+            assert (report.precision[k], report.recall[k], report.f1[k]) == (p, r, f)
+        mofs = []
+        for ann in sorted(annotations, key=lambda a: a.video_id):
+            overlaps = segment_overlaps(segments(detections[ann.video_id]), segments(ann))
+            rows, cols = linear_sum_assignment(-overlaps)
+            mofs.append(overlaps[rows, cols].sum() / ann.num_frames)
+        assert report.mof == float(np.mean(mofs))
+
+
+def test_evaluate_corpus_rejects_a_record_of_another_video():
+    detections = {"a": Annotation("b", 100, 25.0, [30])}
+    annotations = {"a": Annotation("a", 100, 25.0, [30])}
+    with pytest.raises(DataError, match="same video"):
+        evaluate_corpus(detections, annotations)
 
 
 def test_evaluate_corpus_alignment_errors_list_ids():

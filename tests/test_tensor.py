@@ -2,11 +2,13 @@
 finite differences (the independent oracle for every differentiable op)."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from eventseg import (
+    NumericsError,
     Parameter,
     ShapeError,
     Tensor,
@@ -257,6 +259,22 @@ def test_l2_normalize_cases():
 
     out = l2_normalize(Tensor([[0.0, 0.0], [1.0, 0.0]]))
     np.testing.assert_array_equal(out.data[0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("row", [
+    [2e19, 0.0, 1.0],  # one square overflows float32
+    [1.5e19, 1.5e19, 1.5e19],  # each square is finite, their sum is not
+])
+def test_l2_normalize_refuses_a_squared_norm_that_overflows(row):
+    # Such a row used to normalise to zeros with numpy's overflow warning.
+    x = Tensor(np.array([[1.0, 2.0, 2.0], row], dtype=np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="l2_normalize"):
+            l2_normalize(x)
+        # Just below the limit the row still normalises.
+        big = Tensor(np.array([[1e19, 0.0, 1.0]], dtype=np.float32))
+        np.testing.assert_allclose(l2_normalize(big).data, [[1.0, 0.0, 0.0]], atol=1e-6)
 
 
 def test_l2_normalize_gradient():

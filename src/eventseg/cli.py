@@ -105,10 +105,10 @@ def cmd_detect(cfg: RunConfig, args) -> int:
         traj_dir = out / "trajectories"
         traj_dir.mkdir(parents=True, exist_ok=True)
         for vid, (raw, smoothed, grad) in signals.items():
-            lines = ["frame,error,smoothed,gradient"]
-            for i in range(len(raw)):
-                lines.append(f"{i},{raw[i]:.8f},{smoothed[i]:.8f},{grad[i]:.8f}")
-            (traj_dir / f"{vid}.csv").write_text("\n".join(lines) + "\n")
+            with open(traj_dir / f"{vid}.csv", "w") as fh:
+                fh.write("frame,error,smoothed,gradient\n")
+                for i in range(len(raw)):
+                    fh.write(f"{i},{raw[i]:.8f},{smoothed[i]:.8f},{grad[i]:.8f}\n")
     detections_path = Path(cfg.paths.detections or out / "detections.json")
     save_annotations(detections.values(), detections_path)
     n = sum(len(det.boundaries) for det in detections.values())

@@ -66,6 +66,10 @@ class TrainingConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_videos < 1 or self.snippets_per_video < 1:
             raise ConfigError("steps, batch_videos, snippets_per_video must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"training seed must be >= 0, got {self.seed}")
+        if self.log_every < 1:
+            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
 
 
 @dataclass

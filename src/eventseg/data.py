@@ -136,6 +136,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_videos < 1:
             raise ConfigError("num_videos must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"synth seed must be >= 0, got {self.seed}")
         lo, hi = self.events_per_video
         if not 1 <= lo <= hi:
             raise ConfigError(f"invalid events_per_video range {self.events_per_video}")

@@ -11,23 +11,21 @@ with fewer than ``extrema_range`` neighbours on either side are ineligible,
 so no detection lies within that range of the trajectory ends. A video
 shorter than the window has no trajectory and is a ``DataError``.
 
-``error_trajectory`` walks the windows in blocks of ``BLOCK_WINDOWS``: each
+Every trajectory is computed in blocks of ``BLOCK_WINDOWS`` windows: each
 block encodes only the frames its windows cover and writes its errors into
-its own slice of the preallocated trajectory. No block depends on another,
-so up to ``MAX_THREADS`` blocks run at once, one in the calling thread and
-the rest in worker threads; the bytes are those of running the blocks one
-after another. Working memory is bounded by ``MAX_THREADS`` blocks, and only
-the O(frames) float32 trajectory grows with the video.
+its own slice of its video's preallocated trajectory. Everything here is
+pure over a frozen model, so no block depends on another, and one scheduler
+serves a single video (``error_trajectory``) and a corpus
+(``detect_corpus``) alike: the blocks of every video form one list, and up
+to ``MAX_THREADS`` threads, the calling thread and workers, take them from
+it in turn. The bytes are those of running the blocks one after another.
+Working memory is bounded by ``MAX_THREADS`` blocks, and only the
+O(frames) float32 trajectories grow with the corpus.
 
-``detect_boundaries`` returns each video's boundaries, a ``data.Annotation``
+``detect_boundaries`` returns a video's boundaries, a ``data.Annotation``
 with one gradient-magnitude score per boundary, together with the raw,
 smoothed, and gradient signals they came from; ``detect_corpus`` does the
-same for a corpus. Everything here is pure over a frozen model, so videos
-are processed independently: ``detect_corpus`` runs a video that
-``error_trajectory`` splits into threads on its own, and runs up to
-``MAX_THREADS`` of the shorter videos at once, one per thread. Either way no
-more than ``MAX_THREADS`` blocks are in flight, and the bytes are those of
-running the videos one after another.
+same for every video of a corpus.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -47,7 +44,7 @@ from .errors import ConfigError, DataError
 from .reconstruction import Reconstructor, masked_reconstruct
 from .tensor import no_grad
 
-# Windows per block of ``error_trajectory``: working memory is O(block) per
+# Windows per block of a trajectory: working memory is O(block) per
 # block in flight and only the trajectory grows with the video. On 20k frames
 # (default model, one BLAS thread, one thread) 256 and 512 were fastest, within
 # 2% of each other, against +31% at 64, +5% at 1024 and +29% at 4096; the
@@ -55,9 +52,9 @@ from .tensor import no_grad
 # 43.1k at 128 (two 12k-frame videos, median of 16 alternating rounds).
 BLOCK_WINDOWS = 256
 
-# Most blocks of ``error_trajectory`` in flight at once, the calling thread
-# included; fewer when fewer CPUs are usable or the video has fewer full
-# blocks. Attention blocks are large numpy calls that release the GIL: on two
+# Most blocks in flight at once, the calling thread included; fewer when
+# fewer CPUs are usable or the videos have fewer full blocks in all.
+# Attention blocks are large numpy calls that release the GIL: on two
 # 12k-frame videos (default model, one BLAS thread, 2 CPUs) two threads ran
 # about 1.6x the frames/s of one. Each block holds about 4 MB while it runs.
 MAX_THREADS = 2
@@ -108,72 +105,81 @@ def error_trajectory(
     """Reconstruction error of every frame, masked at the window center.
 
     Centers range over every position with a full window; edge frames copy
-    the nearest computed value. Windows are processed ``BLOCK_WINDOWS`` at a
-    time, so working memory does not grow with the video. Blocks are dealt
-    round-robin to up to ``MAX_THREADS`` threads, the calling thread first,
-    and each thread gets at least one full block: a video of fewer than two
-    full blocks starts no thread. A block's error reaches the caller once
-    every thread has stopped.
+    the nearest computed value. The windows run in blocks, shared out as
+    ``_trajectories`` describes.
+    """
+    return _trajectories([video], enc, rec, cfg)[0]
+
+
+def _trajectories(
+    videos: list[FrameFeatureSequence],
+    enc: EncoderPair,
+    rec: Reconstructor,
+    cfg: DetectorConfig,
+) -> list[ErrorTrajectory]:
+    """Error trajectories of ``videos``, in their order.
+
+    Every video is checked for a full window first. One list then holds the
+    blocks of ``BLOCK_WINDOWS`` windows of every video, video after video.
+    The calling thread and up to ``MAX_THREADS - 1`` workers take blocks
+    from it in list order, each to whichever thread is free first, and each
+    thread gets at least one full block of windows: videos of fewer than
+    two full blocks in all start no thread. After an error on one thread
+    the others start no further block, and the error reaches the caller
+    once every thread has stopped.
     """
     T = cfg.window
-    n = video.num_frames
-    if n < T:
-        raise DataError(f"video {video.video_id!r} has {n} frames, needs >= {T}")
     mid = T // 2
-    # Window s covers frames [s, s + T) and is centred on frame s + mid.
-    count = n - T + 1
-    values = np.empty(n, dtype=np.float32)
-    starts = range(0, count, BLOCK_WINDOWS)
-
-    def run_blocks(k: int, failed: threading.Event) -> None:
-        # Recording is per thread, so every thread turns it off itself.
-        with no_grad():
-            for s in starts[k::threads]:
-                if failed.is_set():
-                    return
-                b = min(BLOCK_WINDOWS, count - s)
-                embeddings = encode_query(video.features[s : s + b + T - 1], enc).data
-                windows = sliding_window_view(embeddings, T, axis=0).transpose(0, 2, 1)
-                recon_mid = masked_reconstruct(windows, np.full(b, mid), rec).data
-                originals = embeddings[mid : mid + b]
-                values[mid + s : mid + s + b] = ((recon_mid - originals) ** 2).sum(axis=1)
-
-    # Starting and joining a worker takes about 0.5 ms, so a worker left with
-    # a part block loses: a 273-window video, the longest of the seed-7 default
-    # corpus, ran 5-16% slower on two threads.
-    threads = max(1, min(MAX_THREADS, _usable_cpus(), count // BLOCK_WINDOWS))
-    _share_out(threads, run_blocks)
-    values[:mid] = values[mid]
-    values[mid + count :] = values[mid + count - 1]
-    return ErrorTrajectory(video.video_id, values)
-
-
-def _share_out(threads: int, share: Callable[[int, threading.Event], None]) -> None:
-    """Run ``share(k, failed)`` for every ``k`` below ``threads``: share 0 in
-    the calling thread, the others in worker threads. A share that raises
-    sets ``failed``, so the others stop at their next unit of work, and its
-    error reaches the caller once every thread has stopped. The pool starts
-    a thread only when a share is submitted, so one share starts none, and
-    leaving the block joins the workers."""
+    for video in videos:
+        if video.num_frames < T:
+            raise DataError(
+                f"video {video.video_id!r} has {video.num_frames} frames, needs >= {T}")
+    # Window s of a video covers frames [s, s + T) and is centred on frame s + mid.
+    counts = [video.num_frames - T + 1 for video in videos]
+    values = [np.empty(video.num_frames, dtype=np.float32) for video in videos]
+    pending = iter([(k, s) for k, n in enumerate(counts) for s in range(0, n, BLOCK_WINDOWS)])
+    lock = threading.Lock()
     failed = threading.Event()
 
-    def guarded(k: int) -> None:
+    def run_blocks() -> None:
         try:
-            share(k, failed)
+            # Recording is per thread, so every thread turns it off itself.
+            with no_grad():
+                while not failed.is_set():
+                    with lock:
+                        k, s = next(pending, (None, None))
+                    if k is None:
+                        return
+                    b = min(BLOCK_WINDOWS, counts[k] - s)
+                    embeddings = encode_query(videos[k].features[s : s + b + T - 1], enc).data
+                    windows = sliding_window_view(embeddings, T, axis=0).transpose(0, 2, 1)
+                    recon_mid = masked_reconstruct(windows, np.full(b, mid), rec).data
+                    originals = embeddings[mid : mid + b]
+                    values[k][mid + s : mid + s + b] = ((recon_mid - originals) ** 2).sum(axis=1)
         except BaseException:
             failed.set()
             raise
 
+    # Starting and joining a worker takes about 0.5 ms, so a worker left with
+    # a part block loses: a 273-window video, the longest of the seed-7 default
+    # corpus, ran 5-16% slower on two threads.
+    threads = max(1, min(MAX_THREADS, _usable_cpus(), sum(counts) // BLOCK_WINDOWS))
+    # The pool starts a thread only when a task is submitted, so one thread
+    # starts none, and leaving the block joins the workers.
     with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        workers = [pool.submit(guarded, k) for k in range(1, threads)]
-        guarded(0)
+        workers = [pool.submit(run_blocks) for _ in range(threads - 1)]
+        run_blocks()
         for worker in workers:
             worker.result()
+    for count, trajectory in zip(counts, values):
+        trajectory[:mid] = trajectory[mid]
+        trajectory[mid + count :] = trajectory[mid + count - 1]
+    return [ErrorTrajectory(video.video_id, v) for video, v in zip(videos, values)]
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; ``error_trajectory``, ``detect_corpus``
-    and ``training.run_training`` size their threads by it."""
+    """CPUs this process may run on; ``_trajectories`` and
+    ``training.run_training`` size their threads by it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -230,7 +236,12 @@ def detect_boundaries(
     detected frame, and the raw, smoothed, and gradient trajectories they
     came from (for CSV dumps and plotting).
     """
-    trajectory = error_trajectory(video, enc, rec, cfg)
+    return _boundaries(video, error_trajectory(video, enc, rec, cfg), cfg)
+
+
+def _boundaries(
+    video: FrameFeatureSequence, trajectory: ErrorTrajectory, cfg: DetectorConfig
+) -> tuple[Annotation, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     smoothed = fir_smooth(trajectory.values, cfg.fir_half_width)
     grad = gradient(smoothed)
     frames = relative_extrema(grad, cfg.extrema_range)
@@ -247,39 +258,13 @@ def detect_corpus(
 ) -> tuple[dict[str, Annotation], dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Detections and signals for every video, keyed in sorted video-id order.
 
-    A video of at least ``2 * BLOCK_WINDOWS`` windows, which
-    ``error_trajectory`` splits across threads, runs alone, one such video
-    after another. The shorter videos go longest first, each to whichever of
-    up to ``MAX_THREADS`` threads (the calling thread and workers) is free
-    first; one usable CPU or a single short video starts no thread. After an
-    error on one thread the others start no further video, and the error
-    reaches the caller once every thread has stopped.
+    The blocks of all videos, in that order, share the threads of one
+    ``_trajectories`` call, so a long video's blocks and short videos'
+    blocks run side by side.
     """
-    order = sorted(range(len(corpus)), key=lambda i: corpus[i].video_id)
-    results: list = [None] * len(corpus)
-    short = []
-    for i in order:
-        if corpus[i].num_frames - cfg.window + 1 >= 2 * BLOCK_WINDOWS:
-            results[i] = detect_boundaries(corpus[i], enc, rec, cfg)
-        else:
-            short.append(i)
-    short.sort(key=lambda i: -corpus[i].num_frames)
-    pending = iter(short)
-    lock = threading.Lock()
-
-    def run_videos(_k: int, failed: threading.Event) -> None:
-        while not failed.is_set():
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                return
-            results[i] = detect_boundaries(corpus[i], enc, rec, cfg)
-
-    # The seed-7 default corpus's videos have 107-273 windows, too few for
-    # ``error_trajectory`` to start a thread, so whole videos are shared out.
-    _share_out(max(1, min(MAX_THREADS, _usable_cpus(), len(short))), run_videos)
+    videos = sorted(corpus, key=lambda video: video.video_id)
     detections: dict[str, Annotation] = {}
     signals: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for i in order:
-        detections[corpus[i].video_id], signals[corpus[i].video_id] = results[i]
+    for video, trajectory in zip(videos, _trajectories(videos, enc, rec, cfg)):
+        detections[video.video_id], signals[video.video_id] = _boundaries(video, trajectory, cfg)
     return detections, signals

@@ -561,6 +561,66 @@ def test_features_whose_norm_overflows_exit_5_in_one_line(workspace, capsys):
     assert not (out / "detections.json").exists()
 
 
+@pytest.mark.parametrize("section, key", [
+    ("optimizer", "learning_rate"),
+    ("optimizer", "weight_decay"),
+    ("reconstruction", "beta"),
+])
+def test_diverged_training_exits_5_in_one_line(workspace, capsys, section, key):
+    # Each of these values overflows the first step. The step checks every
+    # non-finite value itself, but numpy's overflow warnings, from the
+    # calling thread and from the reconstruction branch's worker, used to
+    # come before the error line.
+    from eventseg import load_model
+
+    _, config, out = workspace
+    assert _run(["synth", "--config", config, "--out", out]) == 0
+    config.write_text(config.read_text() + f"\n[{section}]\n{key} = 1e38\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(["train", "--config", config, "--out", out]) == 5
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerics: training diverged after step ") and (
+        err.count("\n") == 1), err
+    assert err.endswith(f"last good checkpoint at {out / 'checkpoint.bin'}\n")
+    load_model(out / "checkpoint.bin")
+
+
+def test_log_every_below_one_is_config_error(workspace, capsys):
+    # log_every = 0 used to end training in a ZeroDivisionError traceback.
+    _, config, out = workspace
+    config.write_text(config.read_text().replace(
+        "snippets_per_video = 2\n", "snippets_per_video = 2\nlog_every = 0\n"))
+    assert _run(["train", "--config", config, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1, err
+    assert "log_every" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["synth", "training", "flag"])
+def test_negative_seed_is_config_error(workspace, capsys, where):
+    # numpy's default_rng refuses a negative seed: each of these used to end
+    # in a ValueError traceback.
+    _, config, out = workspace
+    text = config.read_text()
+    command, flags = ("synth" if where == "synth" else "train"), []
+    if where == "flag":
+        flags = ["--seed", "-1"]
+    else:
+        anchor = "drift_std = 0.01\n" if where == "synth" else "snippets_per_video = 2\n"
+        text = text.replace(anchor + "seed = 3", anchor + "seed = -1")
+        assert "seed = -1" in text
+    config.write_text(text)
+    assert _run([command, "--config", config, "--out", out, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1, err
+    assert "seed must be >= 0, got -1" in err
+    assert not out.exists()
+
+
 def test_failed_allocation_is_one_memory_line(workspace):
     # A queue of 10**9 rows needs 60 GiB. Under a 2 GiB address-space limit,
     # set in the child process only, numpy cannot allocate it; that used to

@@ -331,8 +331,8 @@ def test_train_step_fills_gradients_after_threaded_trajectory(monkeypatch, two_c
         name for name, g in grads.items() if g is None or not np.any(g != 0)]
 
 
-# Ids out of length order; five short videos (of 7 to 2 * BLOCK_WINDOWS - 1
-# windows) and one that error_trajectory splits across threads.
+# Ids out of length order; five videos of fewer than two full blocks (7 to
+# 2 * BLOCK_WINDOWS - 1 windows) and one of three blocks.
 _MIXED_WINDOWS = {"c": 40, "f": 2 * BLOCK_WINDOWS + 3, "a": 300, "e": 7,
                   "b": 2 * BLOCK_WINDOWS - 1, "d": 120}
 
@@ -354,53 +354,66 @@ def _corpus_bytes(detections, signals):
 
 
 @pytest.fixture
-def video_threads(monkeypatch):
-    """Records the video, thread and live thread count of every trajectory."""
+def corpus_blocks(monkeypatch):
+    """Records every block as (features, first frame, frames, thread, live
+    thread count); ``features`` is the array of the video it came from."""
     seen = []
-    real = detection.error_trajectory
+    real = detection.encode_query
 
-    def recording(video, *args):
-        seen.append((video.video_id, threading.get_ident(), threading.active_count()))
-        return real(video, *args)
+    def recording(frames, enc):
+        first = (frames.ctypes.data - frames.base.ctypes.data) // frames.strides[0]
+        seen.append((frames.base, first, len(frames), threading.get_ident(),
+                     threading.active_count()))
+        return real(frames, enc)
 
-    monkeypatch.setattr(detection, "error_trajectory", recording)
+    monkeypatch.setattr(detection, "encode_query", recording)
     return seen
 
 
-def test_detect_corpus_on_two_threads_equals_one(
-    monkeypatch, two_cpus, block_threads, video_threads
-):
+def _blocks_by_video(seen, corpus):
+    """``corpus_blocks`` records as (video id, first frame, frames, thread, count)."""
+    ids = {id(video.features): video.video_id for video in corpus}
+    return [(ids[id(features)], *rest) for features, *rest in seen]
+
+
+def _with_fast_switching(fn):
+    # Switch threads as often as the interpreter allows, so a block that
+    # wrote into another's slice or video would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_detect_corpus_on_two_threads_equals_one(monkeypatch, two_cpus, corpus_blocks):
     enc, rec = _frozen_models(seed=18)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     corpus = _mixed_corpus(cfg)
     before = threading.active_count()
-    # Switch threads as often as the interpreter allows, so a video that
-    # wrote into another's results would show.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
-    finally:
-        sys.setswitchinterval(interval)
+    threaded = _with_fast_switching(lambda: _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg)))
     assert [vid for vid, *_ in threaded] == sorted(_MIXED_WINDOWS)
-    # The long video runs first and alone, its blocks on two threads; the
-    # short ones on the caller and one worker. No more than two threads live.
-    assert video_threads[0][:2] == ("f", threading.get_ident())
-    assert len({ident for _, ident, _ in video_threads[1:]}) == 2
-    assert max(count for _, count in block_threads) == before + 1
-    assert max(count for *_, count in video_threads) == before + 1
+    # The blocks ran on the caller and one worker; no more than two threads lived.
+    assert len({ident for *_, ident, _ in corpus_blocks}) == 2
+    assert max(count for *_, count in corpus_blocks) == before + 1
 
     monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
-    block_threads.clear()
-    video_threads.clear()
+    corpus_blocks.clear()
     alone = _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
-    assert set(block_threads) == {(threading.get_ident(), before)}
-    assert [vid for vid, *_ in video_threads] == ["f", "b", "a", "d", "c", "e"]
+    blocks = _blocks_by_video(corpus_blocks, corpus)
+    assert {(ident, count) for *_, ident, count in blocks} == {(threading.get_ident(), before)}
+    # One thread takes the blocks in list order: video by video in id order,
+    # each video's blocks first to last.
+    assert [(vid, first) for vid, first, *_ in blocks] == [
+        (vid, first) for vid in sorted(_MIXED_WINDOWS)
+        for first in range(0, _MIXED_WINDOWS[vid], BLOCK_WINDOWS)]
     assert threaded == alone
 
 
-def test_detect_corpus_on_more_threads_than_cores(monkeypatch, video_threads):
-    # Four threads share eleven short videos; each must be taken exactly once.
+def test_detect_corpus_on_more_threads_than_cores(monkeypatch, corpus_blocks):
+    # Four threads share the blocks of eleven videos; each window must be
+    # computed exactly once.
     monkeypatch.setattr(detection, "MAX_THREADS", 4)
     monkeypatch.setattr(detection, "_usable_cpus", lambda: 4)
     enc, rec = _frozen_models(seed=21)
@@ -408,44 +421,73 @@ def test_detect_corpus_on_more_threads_than_cores(monkeypatch, video_threads):
     rng = np.random.default_rng(21)
     corpus = [
         FrameFeatureSequence(f"v{k:02d}", 25.0, rng.normal(size=(n, 6)).astype(np.float32))
-        for k, n in enumerate(rng.integers(10, 200, size=11))
+        for k, n in enumerate(rng.integers(10, 400, size=11))
     ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(vid for vid, *_ in video_threads) == [video.video_id for video in corpus]
+    windows = {video.video_id: video.num_frames - cfg.window + 1 for video in corpus}
+    assert sum(windows.values()) >= 4 * BLOCK_WINDOWS  # enough for four threads
+    before = threading.active_count()
+    threaded = _with_fast_switching(lambda: _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg)))
+    assert max(count for *_, count in corpus_blocks) <= before + 3
+    computed = sorted(
+        (vid, first + w)
+        for vid, first, frames, *_ in _blocks_by_video(corpus_blocks, corpus)
+        for w in range(frames - cfg.window + 1))
+    assert computed == sorted((vid, w) for vid, n in windows.items() for w in range(n))
     monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
+    assert threaded == _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
+
+
+def test_long_and_short_videos_share_the_threads(monkeypatch, two_cpus, corpus_blocks):
+    # Video "a" has one part block and "b" three blocks. The block of "a" and
+    # the first block of "b" each wait until the other has started, so they
+    # must run side by side, on different threads of one call.
+    real = detection.encode_query
+    side_by_side = threading.Barrier(2, timeout=10)
+
+    def meeting(frames, enc):
+        if frames.base is corpus[0].features or frames.ctypes.data == frames.base.ctypes.data:
+            side_by_side.wait()
+        return real(frames, enc)
+
+    enc, rec = _frozen_models(seed=22)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    corpus = [FrameFeatureSequence(vid, 25.0, _video_of(windows, cfg, seed).features)
+              for vid, windows, seed in (("a", 40, 22), ("b", 2 * BLOCK_WINDOWS + 3, 23))]
+    monkeypatch.setattr(detection, "encode_query", meeting)
+    threaded = _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
+    blocks = _blocks_by_video(corpus_blocks, corpus)
+    assert [(vid, first) for vid, first, *_ in sorted(blocks, key=lambda b: b[:2])] == [
+        ("a", 0), ("b", 0), ("b", BLOCK_WINDOWS), ("b", 2 * BLOCK_WINDOWS)]
+    assert len({ident for *_, ident, _ in blocks}) == 2
+    monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(detection, "encode_query", real)
     assert threaded == _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
 
 
 @pytest.mark.parametrize("side", ["worker", "caller"])
 def test_error_on_a_detection_thread_reaches_the_caller(monkeypatch, two_cpus, side):
-    # The failing side raises on its first video; the other side finishes
-    # the video it may be in and starts no further one.
-    real = detection.error_trajectory
+    # The failing side raises in its first block; the other side finishes
+    # the block it may be in and starts at most one more.
+    real = detection.encode_query
     raised = threading.Event()
-    other_videos = []
+    other_blocks = []
 
-    def failing(video, *args):
+    def failing(frames, enc):
         if (threading.current_thread() is threading.main_thread()) == (side == "caller"):
             raised.set()
-            raise RuntimeError(f"{side} video failed")
+            raise RuntimeError(f"{side} block failed")
         raised.wait(10)
-        other_videos.append(video.video_id)
-        return real(video, *args)
+        other_blocks.append(len(frames))
+        return real(frames, enc)
 
-    monkeypatch.setattr(detection, "error_trajectory", failing)
+    monkeypatch.setattr(detection, "encode_query", failing)
     enc, rec = _frozen_models(seed=19)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
-    corpus = [video for video in _mixed_corpus(cfg) if video.video_id != "f"]
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"{side} video failed"):
-        detect_corpus(corpus, enc, rec, cfg)
+    with pytest.raises(RuntimeError, match=f"{side} block failed"):
+        detect_corpus(_mixed_corpus(cfg), enc, rec, cfg)
     assert threading.active_count() == before
-    assert len(other_videos) <= 1
+    assert len(other_blocks) <= 1
 
 
 def test_one_video_corpus_starts_no_thread(two_cpus, block_threads):

@@ -11,8 +11,9 @@ exactly: match the two leftmost unmatched points when they lie within the
 threshold, otherwise drop the one further left, which nothing further right
 can reach. ``match_boundaries`` lists the matched (detection, truth)
 index pairs themselves, with the smallest total distance among maximum
-matchings, in temporal order, so no two pairs cross, even where distances
-tie.
+matchings, in temporal order. Swapping two crossing pairs keeps both within
+the threshold and does not grow the total, so some optimal matching has no
+crossings, and a dynamic programme over the two sorted lists finds one.
 
 Segment metrics (MoF, IoU) split each video at its boundaries, pair detected
 with true segments one-to-one for the largest total frame overlap, and score
@@ -23,16 +24,10 @@ the largest overlap. Where several pairings reach it, the one with the
 largest IoU counts. Corpus precision, recall, and F1 are micro-averaged over
 boundary counts; per-video numbers are kept alongside for inspection. A
 corpus with no videos scores 0.0 throughout.
-
-Only ``match_boundaries`` uses scipy's ``linear_sum_assignment``. It is
-imported on first use, because ``scipy.optimize`` takes longer to import
-than the rest of the package: none of ``synth``, ``train``, ``detect`` and
-``eval`` loads it.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -44,8 +39,6 @@ from .errors import ConfigError, DataError
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 11))
 
-_INVALID_COST = 1e9
-
 
 @dataclass
 class EvaluationConfig:
@@ -56,19 +49,6 @@ class EvaluationConfig:
     def __post_init__(self):
         if not self.thresholds or any(not 0 < t <= 1 for t in self.thresholds):
             raise ConfigError(f"thresholds must lie in (0, 1], got {self.thresholds}")
-
-
-@functools.cache
-def _assignment_solver():
-    """scipy's ``linear_sum_assignment``, imported on first use.
-
-    Only ``match_boundaries`` uses it; ``eval`` counts matches without it.
-    Cached: an import statement costs about a microsecond even once the
-    module is loaded, and a caller may match many videos.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment
 
 
 def _check_same_video(det: Annotation, gt: Annotation) -> None:
@@ -84,22 +64,39 @@ def match_boundaries(det: Annotation, gt: Annotation, threshold: float) -> list[
 
     Among maximum matchings the one with the smallest total distance wins;
     its (detection, truth) index pairs are listed in temporal order and
-    never cross.
+    never cross. Ties: among the optimal non-crossing matchings, the one
+    whose pair list, read from the last pair backwards, is smallest, each
+    pair compared by detection index first, then by truth index.
+
+    ``best[i, j]`` scores the best matching of the first i detections with
+    the first j truths as count * weight - total frame distance, with the
+    weight above any total, so one int64 orders by count, then by distance.
+    Walking back from the end, a detection or truth is left unmatched
+    whenever that keeps the score, which gives the tie rule above.
     """
     _check_same_video(det, gt)
-    if not det.boundaries or not gt.boundaries:
-        return []
-    dist = np.abs(
-        np.subtract.outer(np.asarray(det.boundaries, dtype=np.float64), gt.boundaries)
-    ) / gt.num_frames
-    valid = dist <= threshold
-    rows, cols = _assignment_solver()(np.where(valid, dist, _INVALID_COST))
-    kept = valid[rows, cols]
-    # On a line, pairing two equal-size point sets in order minimises both
-    # the total and the largest distance, so re-pairing the matched points
-    # in order keeps every pair within threshold and the total optimal, and
-    # resolves distance ties toward the non-crossing matching.
-    return list(zip(sorted(rows[kept].tolist()), sorted(cols[kept].tolist())))
+    EvaluationConfig((threshold,))
+    gap = np.abs(np.subtract.outer(
+        np.asarray(det.boundaries, dtype=np.int64), np.asarray(gt.boundaries, dtype=np.int64)
+    ))
+    valid = gap / gt.num_frames <= threshold
+    gain = (len(det.boundaries) + len(gt.boundaries)) * gt.num_frames + 1 - gap
+    best = np.zeros((gap.shape[0] + 1, gap.shape[1] + 1), dtype=np.int64)
+    for i in range(gap.shape[0]):
+        row = best[i + 1]
+        row[1:] = np.maximum(best[i, 1:], np.where(valid[i], best[i, :-1] + gain[i], 0))
+        np.maximum.accumulate(row, out=row)
+    pairs = []
+    i, j = gap.shape
+    while i and j:
+        if best[i - 1, j] == best[i, j]:
+            i -= 1
+        elif best[i, j - 1] == best[i, j]:
+            j -= 1
+        else:
+            i, j = i - 1, j - 1
+            pairs.append((i, j))
+    return pairs[::-1]
 
 
 def _matched_count(
@@ -162,8 +159,7 @@ def segment_scores(det: Annotation, gt: Annotation) -> tuple[float, float]:
     staircase therefore finds the optimum. Pairs without overlap add 0 to
     both sums and are left out.
     """
-    if det.num_frames != gt.num_frames:
-        raise DataError("segment matching needs equal video lengths")
+    _check_same_video(det, gt)
     num_frames = gt.num_frames
     det_edges = [0, *det.boundaries, num_frames]
     gt_edges = [0, *gt.boundaries, num_frames]
@@ -241,7 +237,8 @@ def evaluate_corpus(
     over the sorted boundaries and equals ``len(match_boundaries(...))``.
     MoF and IoU are means over videos of ``segment_scores``, one staircase
     walk each, with its tie rule: the largest IoU among the pairings of
-    largest overlap. Scoring is linear in the boundaries and loads no scipy.
+    largest overlap. Scoring is linear in the boundaries. Each threshold must
+    lie in (0, 1], as ``EvaluationConfig`` requires.
     """
     det_ids = set(detections)
     ann_ids = set(annotations)
@@ -252,7 +249,7 @@ def evaluate_corpus(
             "detections and annotations do not align: "
             f"missing annotations for {missing_ann}, missing detections for {missing_det}"
         )
-    thresholds = [float(t) for t in thresholds]
+    thresholds = list(EvaluationConfig(tuple(float(t) for t in thresholds)).thresholds)
     ids = sorted(det_ids)
     per_video: dict[str, dict] = {}
     tp = [0] * len(thresholds)

@@ -21,7 +21,7 @@ forward path: it masks one given row of every snippet, runs the
 reconstructor, and returns the reconstructed rows. Training (``train_step``)
 masks one uniformly drawn frame per snippet and ``reconstruction_loss``
 scores the reconstructions against the detached embeddings; detection
-(``detection.error_trajectory``) masks the middle frame of every window.
+(``detection._trajectories``) masks the middle frame of every window.
 Only the masked rows are ever read, so ``masked_reconstruct`` passes them to
 ``Reconstructor.forward``: the last block computes keys and values for every
 row, but queries, attention, the output projection, the second layer norm,

@@ -79,7 +79,7 @@ def test_tracer_attributes_read_detections_and_annotations():
 
 
 def test_tracer_attributes_read_the_info_nce_queue():
-    # The loss is called the way compute_losses calls it: queue fourth.
+    # The loss is called the way contrastive_loss calls it: queue fourth.
     tracer = _load("tracer")
     rng = np.random.default_rng(1)
 

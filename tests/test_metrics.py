@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from eventseg import (
     Annotation,
+    ConfigError,
     DataError,
     annotations_by_id,
     evaluate_corpus,
@@ -49,29 +50,27 @@ def assignment_pairs(det, gt, num_frames, threshold):
     dist /= num_frames
     valid = dist <= threshold
     rows, cols = linear_sum_assignment(np.where(valid, dist, 1e9))
-    pairs = sorted((int(i), int(j)) for i, j in zip(rows, cols) if valid[i, j])
-    return pairs, valid, dist
+    return sorted((int(i), int(j)) for i, j in zip(rows, cols) if valid[i, j])
 
 
-def fixpoint_match_pairs(det, gt, num_frames, threshold):
-    """The former matcher: the assignment, then a fixpoint loop that swaps
-    crossing pairs while a swap is valid and distance-neutral."""
-    pairs, valid, dist = assignment_pairs(det, gt, num_frames, threshold)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                i1, j1 = pairs[a]
-                i2, j2 = pairs[b]
-                if i1 < i2 and j1 > j2 and valid[i1, j2] and valid[i2, j1]:
-                    if np.isclose(
-                        dist[i1, j1] + dist[i2, j2], dist[i1, j2] + dist[i2, j1]
-                    ):
-                        pairs[a], pairs[b] = (i1, j2), (i2, j1)
-                        pairs.sort()
-                        changed = True
-    return pairs
+def tie_rule_match_pairs(det, gt, num_frames, threshold):
+    """The stated tie rule by enumeration, and how many matchings tie.
+
+    Every non-crossing matching of pairs within threshold is listed; the
+    largest wins, then the smallest total frame distance, then the smallest
+    pair list read from the last pair backwards.
+    """
+    scored = []
+    for size in range(min(len(det), len(gt)) + 1):
+        for rows in itertools.combinations(range(len(det)), size):
+            for cols in itertools.combinations(range(len(gt)), size):
+                pairs = list(zip(rows, cols))
+                if all(abs(det[i] - gt[j]) / num_frames <= threshold for i, j in pairs):
+                    total = sum(abs(det[i] - gt[j]) for i, j in pairs)
+                    scored.append((-size, total, pairs[::-1]))
+    best = min(scored)
+    ties = sum(key[:2] == best[:2] for key in scored)
+    return best[2][::-1], ties
 
 
 def brute_force_segment_match(overlaps):
@@ -135,7 +134,7 @@ def test_match_against_brute_force():
         assert seen_det == sorted(seen_det) and seen_gt == sorted(seen_gt)
 
 
-def test_match_pairs_equal_fixpoint_oracle():
+def test_match_count_and_total_equal_the_assignment():
     rng = np.random.default_rng(4)
     crossed = 0
     for _ in range(2000):
@@ -150,13 +149,37 @@ def test_match_pairs_equal_fixpoint_oracle():
             Annotation("v", num_frames, 25.0, gt_frames),
             threshold,
         )
-        assert pairs == fixpoint_match_pairs(
-            det_frames, gt_frames, num_frames, threshold
+        raw = assignment_pairs(det_frames, gt_frames, num_frames, threshold)
+        assert len(pairs) == len(raw)
+        assert sum(abs(det_frames[i] - gt_frames[j]) for i, j in pairs) == sum(
+            abs(det_frames[i] - gt_frames[j]) for i, j in raw
         )
-        raw, _, _ = assignment_pairs(det_frames, gt_frames, num_frames, threshold)
+        assert [i for i, _ in pairs] == sorted(i for i, _ in pairs)
+        assert [j for _, j in pairs] == sorted(j for _, j in pairs)
         crossed += [j for _, j in raw] != sorted(j for _, j in raw)
-    # The cases must exercise the swaps, not only crossing-free assignments.
+    # The cases must include optimal assignments that cross, so that the
+    # non-crossing pairs are not given for free.
     assert crossed >= 500, crossed
+
+
+def test_match_pairs_follow_the_tie_rule():
+    rng = np.random.default_rng(9)
+    ties = 0
+    for _ in range(3000):
+        num_frames = int(rng.integers(10, 61))
+        det_frames = _random_boundaries(rng, num_frames, 5)
+        gt_frames = _random_boundaries(rng, num_frames, 5)
+        threshold = float(rng.uniform(0.02, 0.4))
+        pairs = match_boundaries(
+            Annotation("v", num_frames, 25.0, det_frames),
+            Annotation("v", num_frames, 25.0, gt_frames),
+            threshold,
+        )
+        expected, tied = tie_rule_match_pairs(det_frames, gt_frames, num_frames, threshold)
+        assert pairs == expected, (num_frames, det_frames, gt_frames, threshold)
+        ties += tied > 1
+    # The rule decides only between optimal matchings that tie.
+    assert ties >= 100, ties
 
 
 def test_match_swapping_sides_swaps_precision_recall():
@@ -391,6 +414,26 @@ def test_scoring_rejects_videos_of_different_lengths():
         match_boundaries(det, gt, 0.05)
     with pytest.raises(DataError):
         segment_scores(det, gt)
+    # Equal lengths, but another video.
+    det, gt = Annotation("x", 100, 25.0, [30]), Annotation("y", 100, 25.0, [30])
+    with pytest.raises(DataError, match="same video"):
+        match_boundaries(det, gt, 0.05)
+    with pytest.raises(DataError, match="same video"):
+        segment_scores(det, gt)
+
+
+@pytest.mark.parametrize(
+    "thresholds", [[], [float("nan")], [0.0], [-1.0], [0.05, 1.5]],
+    ids=["empty", "nan", "zero", "negative", "above-one"],
+)
+def test_thresholds_outside_the_unit_interval_are_config_errors(thresholds):
+    detections, annotations = _perfect_corpus()
+    with pytest.raises(ConfigError, match="thresholds"):
+        evaluate_corpus(detections, annotations, thresholds)
+    for theta in thresholds:
+        if not 0 < theta <= 1:
+            with pytest.raises(ConfigError, match="thresholds"):
+                match_boundaries(detections["a"], annotations["a"], theta)
 
 
 def test_f1_monotone_in_threshold():

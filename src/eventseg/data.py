@@ -18,9 +18,9 @@ same schema plus ``"scores"`` aligned with ``"boundaries"``. Both load into
 sequence does), boundaries strictly increasing inside [1, num_frames) and
 finite scores. Frame 0 starts the first event, so it is never a boundary.
 
-``load_feature_file`` checks the declared size against the file's before it
-reads, and reads the payload straight into the feature matrix, so a video is
-held in memory once.
+``load_feature_file`` names the video after the file stem, checks the
+declared size against the file's before it reads, and reads the payload
+straight into the feature matrix, so a video is held in memory once.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def save_feature_file(seq: FrameFeatureSequence, path) -> None:
         fh.write(header + payload)
 
 
-def load_feature_file(path, video_id: str | None = None) -> FrameFeatureSequence:
+def load_feature_file(path) -> FrameFeatureSequence:
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(_CSGF_HEAD.size)
@@ -233,7 +233,7 @@ def load_feature_file(path, video_id: str | None = None) -> FrameFeatureSequence
         features = np.empty((num_frames, dim), dtype="<f4")
         if fh.readinto(features.data) != features.nbytes:
             raise TruncatedError(f"{path.name}: file shrank while it was read")
-    return FrameFeatureSequence(video_id or path.stem, float(fps), features)
+    return FrameFeatureSequence(path.stem, float(fps), features)
 
 
 def save_corpus(corpus: list[FrameFeatureSequence], directory) -> None:

@@ -8,16 +8,17 @@ video) and from a FIFO memory queue of past key embeddings. The loss treats
 every other frame of the query's own snippet as a positive, one at a time,
 against the shared pool of negatives.
 
-``info_nce_loss`` is one autodiff node. Its forward pass is a single matmul
-of the queries against ``[keys; queue]`` into one buffer that is turned in
-place from logits into the exponentials of exactly the negatives. Its
-backward pass uses the closed-form softmax gradient (van den Oord et al.,
-2018): ``p - 1`` on each positive logit and the negative's share of each
-positive's denominator on each negative logit, mapped back to the queries
-with one matmul against the same pool. The keys and the queue get no
-gradient. ``MemoryQueue(capacity, dim)`` is a ring buffer allocated when it
-is built; ``as_array`` returns its rows oldest first, which is the checkpoint
-layout.
+``info_nce_loss`` is one autodiff node over rows laid out as L snippets of T
+consecutive frames, so its positives lie in the L diagonal T x T blocks of
+the logits. Its forward pass is one matmul of the queries against
+``[keys; queue]`` into a buffer turned in place from logits into the
+exponentials of exactly the negatives. Its backward pass uses the
+closed-form softmax gradient (van den Oord et al., 2018): ``p - 1`` on each
+positive logit and the negative's share of each positive's denominator on
+each negative logit, mapped back with one matmul against the same pool and
+one T x T product per snippet. The keys and the queue get no gradient.
+``MemoryQueue(capacity, dim)`` is a ring buffer allocated when it is built;
+``as_array`` returns its rows oldest first, which is the checkpoint layout.
 
 A training batch is a plain (L, T, in_dim) float32 array of L snippets of
 T frames: ``sample_batch`` draws it, non-overlapping within each video by
@@ -220,60 +221,60 @@ def sample_batch(
 def info_nce_loss(
     queries: Tensor,
     keys: np.ndarray,
-    snippet_ids: np.ndarray,
-    queue_entries: np.ndarray | None,
+    window: int,
+    queue_entries: np.ndarray,
     temperature: float,
 ) -> Tensor:
     """Loss over flattened per-frame embeddings, as one autodiff node.
 
-    ``queries`` is (L*T, D) and differentiable, ``keys`` the matching
-    detached key embeddings, ``snippet_ids`` the snippet index of every row.
-    For each query row, every other row of the same snippet is a positive;
-    rows of other snippets and all queue entries are negatives. With logits
-    ``l = q . k / temperature`` and ``N_i`` the summed exponentials of row
-    i's negatives, the loss is the mean over positives (i, j) of
-    ``-(l_ij - log(exp(l_ij) + N_i))``. The gradient flows into ``queries``
-    only. Without a positive pair the loss is undefined: ``ConfigError``.
+    ``queries`` is (n, D) and differentiable, ``keys`` the matching detached
+    key embeddings, ``queue_entries`` the (Q, D) queue (Q may be 0). The rows
+    are n / ``window`` snippets of ``window`` consecutive frames, as
+    ``sample_batch`` lays them out. For each query row, every other row of
+    the same snippet is a positive; rows of other snippets and all queue
+    entries are negatives. With logits ``l = q . k / temperature`` and ``N_i``
+    the summed exponentials of row i's negatives, the loss is the mean over
+    positives (i, j) of ``-(l_ij - log(exp(l_ij) + N_i))``. The gradient
+    flows into ``queries`` only. Without a positive pair: ``ConfigError``.
     """
     q = queries.data
-    n = q.shape[0]
-    keys = np.asarray(keys)
-    ids = np.asarray(snippet_ids)
-    if keys.shape[0] != n or ids.shape != (n,):
-        raise ShapeError(
-            f"{n} queries need as many keys and snippet ids, got {keys.shape[0]} "
-            f"and {ids.shape}"
-        )
-    pool = keys
-    if queue_entries is not None and len(queue_entries) > 0:
-        pool = np.concatenate((keys, queue_entries))
-    same = ids[:, None] == ids[None, :]
-    rows, cols = np.nonzero(same & ~np.eye(n, dtype=bool))
-    if not rows.size:
+    keys, queue_entries = np.asarray(keys), np.asarray(queue_entries)
+    if q.ndim != 2 or keys.shape != q.shape or queue_entries.shape[1:] != q.shape[1:]:
+        raise ShapeError(f"queries {q.shape} need keys of that shape and queue rows as "
+                         f"wide, got keys {keys.shape} and queue {queue_entries.shape}")
+    n, dim = q.shape
+    if window < 2 or n == 0:
         raise ConfigError("contrastive loss needs a snippet of >= 2 frames to form positives")
+    if n % window:
+        raise ShapeError(f"{n} query rows are not whole snippets of {window} frames")
+    L, T = n // window, window
+    pool = np.concatenate((keys, queue_entries))
+    snippets, off_diagonal = np.arange(L), ~np.eye(T, dtype=bool)
 
     # One n x (n + Q) buffer: logits, then their exponentials, then (with the
-    # same-snippet block zeroed) exactly the negatives' exponentials.
+    # same-snippet blocks zeroed) exactly the negatives' exponentials. In its
+    # no-copy (L, T, L, T) view, [l, :, l] is snippet l against its own keys.
     e = q @ pool.T
     e *= 1.0 / temperature
-    l_pos = e[rows, cols].astype(np.float64)
+    blocks = e[:, :n].reshape(L, T, L, T)
+    l_pos = blocks[snippets, :, snippets][:, off_diagonal].reshape(n, T - 1).astype(np.float64)
     np.exp(e, out=e)
-    e[:, :n][same] = 0.0
-    negatives = e.sum(axis=1, dtype=np.float64)
+    blocks[snippets, :, snippets] = 0.0
     exp_pos = np.exp(l_pos)
-    denom = exp_pos + negatives[rows]
-    scale = 1.0 / rows.size
+    denom = exp_pos + e.sum(axis=1, dtype=np.float64)[:, None]
+    scale = 1.0 / l_pos.size
     loss = -scale * np.sum(l_pos - np.log(denom))
 
     def backward(g):
         # d loss / d logit: (p_ij - 1) on a positive; e_ik * sum_j 1/denom_ij
-        # on a negative k of row i. Both are scaled by 1/temperature.
+        # on a negative k of row i. Both are scaled by 1/temperature. cumsum
+        # adds a row's terms in order; np.sum pairs them from 8 terms on.
         c = float(g) * scale / temperature
-        weight = c * np.bincount(rows, weights=1.0 / denom, minlength=n)
+        weight = c * np.cumsum(1.0 / denom, axis=1)[:, -1]
         grad = (e @ pool) * weight[:, None]
-        d_pos = np.zeros((n, n))
-        d_pos[rows, cols] = c * (exp_pos / denom - 1.0)
-        grad += d_pos @ keys
+        d_pos = np.zeros((L, T, T))
+        d_pos[:, off_diagonal] = (c * (exp_pos / denom - 1.0)).reshape(L, -1)
+        grad += (d_pos @ keys.reshape(L, T, dim)).reshape(n, dim)
         _accumulate(queries, grad)
 
     return queries._result(np.asarray(loss, dtype=q.dtype), (queries,), backward)

@@ -234,11 +234,10 @@ def contrastive_loss(
 ) -> Tensor:
     """The contrastive branch: InfoNCE of the (L*T x D) query embeddings
     ``h`` of the (L x T x in_dim) ``batch`` against its key embeddings and
-    the queue."""
+    the queue, the rows snippet by snippet as the loss expects."""
     L, T, _ = batch.shape
     z = encode_key(batch.reshape(L * T, -1), enc)
-    snippet_ids = np.repeat(np.arange(L), T)
-    return info_nce_loss(h, z.data, snippet_ids, queue.as_array(), contrastive_cfg.temperature)
+    return info_nce_loss(h, z.data, T, queue.as_array(), contrastive_cfg.temperature)
 
 
 def reconstruction_loss(

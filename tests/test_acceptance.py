@@ -143,11 +143,10 @@ def test_criterion_2_contrastive_oracle():
 
         h = Tensor(unit(L * T))
         z = unit(L * T)
-        queue = unit(queue_len) if queue_len else None
-        ids = np.repeat(np.arange(L), T)
+        queue = unit(queue_len)
         tau = float(rng.uniform(0.1, 1.0))
-        fast = info_nce_loss(h, z, ids, queue, tau).item()
-        slow = _brute_contrastive(h.data, z, ids, queue if queue is not None else [], tau, T)
+        fast = info_nce_loss(h, z, T, queue, tau).item()
+        slow = _brute_contrastive(h.data, z, np.repeat(np.arange(L), T), queue, tau, T)
         worst = max(worst, abs(fast - slow))
     assert worst < 1e-5
 
@@ -156,7 +155,7 @@ def test_criterion_2_contrastive_oracle():
     h = Tensor(np.eye(L * T, 16, dtype=np.float32))
     z = np.eye(L * T, 16, dtype=np.float32)
     queue = np.eye(queue_len, 16, dtype=np.float32)
-    limit = info_nce_loss(h, z, np.repeat(np.arange(L), T), queue, 1e6).item()
+    limit = info_nce_loss(h, z, T, queue, 1e6).item()
     expected = math.log(1 + (L - 1) * T + queue_len)
     limit_err = abs(limit - expected)
     ok = worst < 1e-5 and limit_err < 1e-3

@@ -18,14 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
+from eventseg import reconstruction
 from eventseg import (
+    ContrastiveConfig,
     DetectorConfig,
     EncoderPair,
+    MemoryQueue,
     Reconstructor,
     SynthConfig,
-    Tensor,
     build_models,
     detect_boundaries,
+    encode_query,
     error_trajectory,
     info_nce_loss,
     load_config,
@@ -78,19 +81,26 @@ def test_tracer_attributes_read_detections_and_annotations():
     assert attrs == {"frames": video.num_frames}
 
 
-def test_tracer_attributes_read_the_info_nce_queue():
-    # The loss is called the way contrastive_loss calls it: queue fourth.
+def test_tracer_attributes_read_the_info_nce_queue(monkeypatch):
+    # Record the loss call contrastive_loss really makes and read it back.
     tracer = _load("tracer")
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return info_nce_loss(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruction, "info_nce_loss", record)
     rng = np.random.default_rng(1)
-
-    def unit(n):
-        rows = rng.normal(size=(n, 8)).astype(np.float32)
-        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-    queue = unit(7)
-    args = (Tensor(unit(6)), unit(6), np.repeat(np.arange(2), 3), queue, 0.2)
-    attrs = tracer._info_nce_attrs(args, {}, info_nce_loss(*args))
-    assert attrs == {"queue": len(queue)}
+    enc = EncoderPair(6, 8, 0.999, rng)
+    queue = MemoryQueue(16, 8)
+    for row in rng.normal(size=(7, 8)):
+        queue.push(row)
+    batch = rng.normal(size=(2, 3, 6)).astype(np.float32)
+    h = encode_query(batch.reshape(6, 6), enc)
+    loss = reconstruction.contrastive_loss(h, batch, enc, queue, ContrastiveConfig())
+    ((args, kwargs),) = calls
+    assert tracer._info_nce_attrs(args, kwargs, loss) == {"queue": len(queue)}
 
 
 def test_bench_trim_cuts_a_video_and_its_record():

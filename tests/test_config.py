@@ -108,6 +108,33 @@ def test_every_config_field_has_a_parser():
             assert f.type in _PARSERS, f"[{section}] {f.name}: {f.type!r}"
 
 
+# Values at and past the edges of every type a key can hold; a pair or tuple
+# key also gets them inside a list.
+HOSTILE = ("0", "-1", "1e38", "inf", "nan", str(2**40))
+HOSTILE_LISTS = ("1,inf", "nan,nan")
+
+
+def test_every_key_takes_hostile_values_as_a_config_or_a_config_error(tmp_path):
+    path = tmp_path / "hostile.ini"
+    cases = [(section, f.name, value)
+             for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)
+             for value in HOSTILE + (HOSTILE_LISTS if f.type.startswith("tuple") else ())]
+    other = []
+    for section, key, value in cases:
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            continue
+        except Exception as exc:  # any other error is what this test looks for
+            other.append(f"[{section}] {key} = {value}: {type(exc).__name__}: {exc}")
+            continue
+        if not isinstance(cfg, RunConfig):
+            other.append(f"[{section}] {key} = {value}: returned {cfg!r}")
+    assert len(cases) == 31 * len(HOSTILE) + 3 * len(HOSTILE_LISTS)
+    assert not other, "\n".join(other)
+
+
 @pytest.mark.parametrize("value", ["0.05,abc", "0,0.5", "0.5,1.5", "nan", ",", ""])
 def test_bad_thresholds_are_config_errors(tmp_path, value):
     path = tmp_path / "bad.ini"

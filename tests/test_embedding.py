@@ -31,7 +31,7 @@ from eventseg import (
     save_model,
 )
 
-from gradcheck import exp, finite_difference, gradients_close, log
+from gradcheck import exp, finite_difference, gradients_close, id_mask_info_nce, log
 
 
 def brute_force_loss(h, z, snippet_ids, queue, tau, window):
@@ -285,8 +285,7 @@ def test_contrastive_perfect_alignment_floor():
     rng = np.random.default_rng(8)
     h = Tensor(_unit_rows(rng, 2, 8))
     z = _unit_rows(rng, 2, 8)
-    ids = np.zeros(2, dtype=np.int64)
-    loss = info_nce_loss(h, z, ids, None, 0.2)
+    loss = info_nce_loss(h, z, 2, np.zeros((0, 8), np.float32), 0.2)
     assert abs(loss.item()) < 1e-6
 
 
@@ -298,7 +297,7 @@ def test_contrastive_scalar_hand_case():
     h = Tensor(np.stack([e1, e1]))
     z = np.stack([e1, e1])
     queue = np.stack([e2])
-    loss = info_nce_loss(h, z, np.zeros(2, dtype=np.int64), queue, 0.2)
+    loss = info_nce_loss(h, z, 2, queue, 0.2)
     expected = -math.log(math.exp(5.0) / (math.exp(5.0) + 1.0))
     assert abs(loss.item() - expected) < 1e-6
     assert abs(expected - 0.006715) < 5e-7
@@ -313,19 +312,16 @@ def test_contrastive_matches_brute_force():
         queue_len = int(rng.integers(0, 9))
         h = Tensor(_unit_rows(rng, L * T, dim))
         z = _unit_rows(rng, L * T, dim)
-        queue = _unit_rows(rng, queue_len, dim) if queue_len else None
-        ids = np.repeat(np.arange(L), T)
+        queue = _unit_rows(rng, queue_len, dim)
         tau = float(rng.uniform(0.1, 1.0))
-        fast = info_nce_loss(h, z, ids, queue, tau).item()
-        slow = brute_force_loss(
-            h.data, z, ids, queue if queue is not None else [], tau, T
-        )
+        fast = info_nce_loss(h, z, T, queue, tau).item()
+        slow = brute_force_loss(h.data, z, np.repeat(np.arange(L), T), queue, tau, T)
         assert abs(fast - slow) < 1e-5
 
 
 def _assert_matches_composed(h, z, ids, queue, tau, window):
     fused_q = Tensor(h.copy(), requires_grad=True)
-    fused = info_nce_loss(fused_q, z, ids, queue, tau)
+    fused = info_nce_loss(fused_q, z, window, queue, tau)
     fused.backward()
     oracle_q = Tensor(h.copy(), requires_grad=True)
     oracle = composed_info_nce(oracle_q, z, ids, queue, tau, window)
@@ -343,7 +339,7 @@ def test_fused_info_nce_matches_composed_on_random_shapes():
         T = int(rng.integers(2, 6))
         dim = int(rng.integers(2, 9))
         queue_len = int(rng.integers(0, 12))
-        queue = _unit_rows(rng, queue_len, dim) if queue_len else None
+        queue = _unit_rows(rng, queue_len, dim)
         _assert_matches_composed(
             _unit_rows(rng, L * T, dim), _unit_rows(rng, L * T, dim),
             np.repeat(np.arange(L), T), queue, float(rng.uniform(0.1, 1.0)), T,
@@ -369,22 +365,52 @@ def test_fused_info_nce_matches_composed_at_training_size():
 def test_fused_info_nce_matches_composed_on_edge_cases(L, T, queue_len):
     rng = np.random.default_rng(19)
     dim = 6
-    queue = _unit_rows(rng, queue_len, dim) if queue_len else np.zeros((0, dim), np.float32)
+    queue = _unit_rows(rng, queue_len, dim)
     _assert_matches_composed(
         _unit_rows(rng, L * T, dim), _unit_rows(rng, L * T, dim),
         np.repeat(np.arange(L), T), queue, 0.3, T,
     )
 
 
+def _id_mask_cases():
+    yield 32, 10, 16, 4096  # the training shape, full queue
+    yield 32, 10, 16, 0     # the training shape, empty queue
+    yield 1, 6, 8, 7        # one snippet
+    yield 4, 2, 6, 5        # window 2
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        yield tuple(int(rng.integers(lo, hi)) for lo, hi in ((1, 9), (2, 13), (2, 17), (0, 65)))
+
+
+@pytest.mark.parametrize("L, T, dim, queue_len", list(_id_mask_cases()))
+def test_info_nce_matches_the_id_mask_reference_bit_for_bit(L, T, dim, queue_len):
+    # The layout view must alias the logits: were it a copy, the positives
+    # would stay among the negatives and the bytes would part.
+    rng = np.random.default_rng([L, T, dim, queue_len])
+    h, z = _unit_rows(rng, L * T, dim), _unit_rows(rng, L * T, dim)
+    queue = _unit_rows(rng, queue_len, dim)
+    fused_q = Tensor(h.copy(), requires_grad=True)
+    fused = info_nce_loss(fused_q, z, T, queue, 0.2)
+    fused.backward()
+    oracle_q = Tensor(h.copy(), requires_grad=True)
+    oracle = id_mask_info_nce(oracle_q, z, np.repeat(np.arange(L), T), queue, 0.2)
+    oracle.backward()
+    assert fused.data.tobytes() == oracle.data.tobytes()
+    assert fused_q.grad.tobytes() == oracle_q.grad.tobytes()
+
+
 def test_info_nce_rejects_keys_or_ids_not_matching_queries():
     rng = np.random.default_rng(21)
     h = Tensor(_unit_rows(rng, 6, 4))
-    ids = np.repeat(np.arange(3), 2)
     queue = _unit_rows(rng, 5, 4)
     with pytest.raises(ShapeError):
-        info_nce_loss(h, _unit_rows(rng, 4, 4), ids, queue, 0.2)
+        info_nce_loss(h, _unit_rows(rng, 4, 4), 2, queue, 0.2)
+    with pytest.raises(ShapeError):  # 6 rows are not whole snippets of 4
+        info_nce_loss(h, _unit_rows(rng, 6, 4), 4, queue, 0.2)
     with pytest.raises(ShapeError):
-        info_nce_loss(h, _unit_rows(rng, 6, 4), ids[:4], queue, 0.2)
+        info_nce_loss(h, _unit_rows(rng, 6, 5), 2, queue, 0.2)
+    with pytest.raises(ShapeError):
+        info_nce_loss(h, _unit_rows(rng, 6, 4), 2, _unit_rows(rng, 5, 5), 0.2)
 
 
 def test_info_nce_query_gradient_finite_difference():
@@ -393,11 +419,10 @@ def test_info_nce_query_gradient_finite_difference():
     h = _unit_rows(rng, L * T, dim).astype(np.float64)
     z = _unit_rows(rng, L * T, dim).astype(np.float64)
     queue = _unit_rows(rng, 4, dim).astype(np.float64)
-    ids = np.repeat(np.arange(L), T)
     q = Tensor(h, requires_grad=True)
-    info_nce_loss(q, z, ids, queue, 0.5).backward()
+    info_nce_loss(q, z, T, queue, 0.5).backward()
     (numeric,) = finite_difference(
-        lambda: float(info_nce_loss(Tensor(h), z, ids, queue, 0.5).data), [h], 1e-6
+        lambda: float(info_nce_loss(Tensor(h), z, T, queue, 0.5).data), [h], 1e-6
     )
     assert gradients_close(q.grad, numeric, rel_tol=1e-6, abs_tol=1e-9)
 
@@ -408,8 +433,7 @@ def test_contrastive_high_temperature_limit():
     h = Tensor(_unit_rows(rng, L * T, dim))
     z = _unit_rows(rng, L * T, dim)
     queue = _unit_rows(rng, queue_len, dim)
-    ids = np.repeat(np.arange(L), T)
-    loss = info_nce_loss(h, z, ids, queue, 1e6).item()
+    loss = info_nce_loss(h, z, T, queue, 1e6).item()
     n_negatives = (L - 1) * T + queue_len
     assert abs(loss - math.log(1 + n_negatives)) < 1e-3
 
@@ -430,7 +454,7 @@ def test_contrastive_loss_is_nonnegative_and_needs_positives():
     with pytest.raises(ConfigError):
         info_nce_loss(
             Tensor(_unit_rows(rng, 2, 4)), _unit_rows(rng, 2, 4),
-            np.array([0, 1]), None, 0.2,
+            1, np.zeros((0, 4), np.float32), 0.2,
         )
 
 
@@ -439,8 +463,7 @@ def test_queue_entries_receive_no_gradient():
     h = Tensor(_unit_rows(rng, 4, 6), requires_grad=True)
     queue = Parameter(_unit_rows(rng, 3, 6), "queue_probe")
     # The loss consumes the queue as raw values only.
-    loss = info_nce_loss(h, _unit_rows(rng, 4, 6), np.repeat(np.arange(2), 2),
-                         queue.data, 0.2)
+    loss = info_nce_loss(h, _unit_rows(rng, 4, 6), 2, queue.data, 0.2)
     loss.backward()
     np.testing.assert_array_equal(queue.grad, np.zeros_like(queue.data))
 

@@ -17,7 +17,6 @@ import dataclasses
 from eventseg import (
     RunConfig,
     annotations_by_id,
-    detect_boundaries,
     detect_corpus,
     evaluate_corpus,
     run_training,
@@ -38,11 +37,12 @@ ann_map = annotations_by_id(annotations)
 print(f"training on {len(corpus)} videos ...")
 result = run_training(corpus, cfg)
 
+detections, signals = detect_corpus(
+    corpus, result.encoders, result.reconstructor, cfg.detector
+)
 video = corpus[1]
 truth = ann_map[video.video_id].boundaries
-detected, (raw, smoothed, grad) = detect_boundaries(
-    video, result.encoders, result.reconstructor, cfg.detector
-)
+detected, (raw, smoothed, grad) = detections[video.video_id], signals[video.video_id]
 print(f"\n{video.video_id}: {video.num_frames} frames")
 print(f"true boundaries:     {truth}")
 print(f"detected boundaries: {detected.boundaries}")
@@ -59,7 +59,6 @@ for t in range(0, video.num_frames, 4):
         marks += " D"
     print(f"  {t:4d} {bar}{marks}")
 
-detections, _ = detect_corpus(corpus, result.encoders, result.reconstructor, cfg.detector)
 report = evaluate_corpus(detections, ann_map, cfg.evaluation.thresholds)
 print(f"\ncorpus F1@0.05 = {report.f1[0]:.3f}  "
       f"(precision {report.precision[0]:.3f}, recall {report.recall[0]:.3f})")

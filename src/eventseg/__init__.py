@@ -28,7 +28,6 @@ from .data import (
 )
 from .detection import (
     DetectorConfig,
-    detect_boundaries,
     detect_corpus,
     error_trajectory,
     fir_smooth,

@@ -25,7 +25,7 @@ from .data import (
     synth_generate,
 )
 from .detection import detect_corpus
-from .errors import ConfigError, DataError, EventSegError, NumericsError, ShapeError
+from .errors import ConfigError, EventSegError, NumericsError
 from .metrics import evaluate_corpus
 from .training import run_training, write_loss_csv
 
@@ -86,20 +86,8 @@ def cmd_detect(cfg: RunConfig, args) -> int:
             f"detector config uses {cfg.detector.window}"
         )
     # A corpus with no videos yields an empty detections file, not an error.
+    # detect_corpus checks every video's width and length before any block runs.
     corpus = load_corpus(Path(cfg.paths.data_dir), allow_empty=True)
-    # Every video is checked before any detection work: a mismatched width
-    # or a video shorter than the window aborts the whole command.
-    for seq in corpus:
-        if seq.dim != enc.in_dim:
-            raise ShapeError(
-                f"video {seq.video_id!r} has {seq.dim}-wide features, "
-                f"checkpoint expects input_dim {enc.in_dim}"
-            )
-        if seq.num_frames < cfg.detector.window:
-            raise DataError(
-                f"video {seq.video_id!r} has {seq.num_frames} frames, "
-                f"shorter than the detector window {cfg.detector.window}"
-            )
     detections, signals = detect_corpus(corpus, enc, rec, cfg.detector)
     if args.dump_trajectory:
         traj_dir = out / "trajectories"

@@ -8,8 +8,12 @@ computed value. The trajectory is box-filtered, differentiated with central
 differences, and boundaries are the points of the gradient that strictly
 dominate every neighbour within ``extrema_range`` on both sides. Positions
 with fewer than ``extrema_range`` neighbours on either side are ineligible,
-so no detection lies within that range of the trajectory ends. A video
-shorter than the window has no trajectory and is a ``DataError``.
+so no detection lies within that range of the trajectory ends.
+
+One gate checks every video before any block runs: a video whose feature
+width is not the encoder's input width is a ``ShapeError``, and one shorter
+than the window a ``DataError``, each naming the video. The gate reads only
+a video's id, width and frame count, the fields of a CSGF header.
 
 Every trajectory is computed in blocks of ``BLOCK_WINDOWS`` windows: each
 block encodes only the frames its windows cover and writes its errors into
@@ -22,10 +26,10 @@ it in turn. The bytes are those of running the blocks one after another.
 Working memory is bounded by ``MAX_THREADS`` blocks, and only the
 O(frames) float32 trajectories grow with the corpus.
 
-``detect_boundaries`` returns a video's boundaries, a ``data.Annotation``
+``detect_corpus`` returns every video's boundaries, a ``data.Annotation``
 with one gradient-magnitude score per boundary, together with the raw,
-smoothed, and gradient signals they came from; ``detect_corpus`` does the
-same for every video of a corpus.
+smoothed, and gradient signals they came from. One video is the corpus
+``[video]``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Annotation, FrameFeatureSequence, SynthConfig
 from .embedding import EncoderPair, encode_query
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .reconstruction import Reconstructor, masked_reconstruct
 from .tensor import no_grad
 
@@ -105,8 +109,8 @@ def error_trajectory(
     """Reconstruction error of every frame, masked at the window center.
 
     Centers range over every position with a full window; edge frames copy
-    the nearest computed value. The windows run in blocks, shared out as
-    ``_trajectories`` describes.
+    the nearest computed value. The video passes the module's gate first,
+    and the windows run in blocks, shared out as ``_trajectories`` describes.
     """
     return _trajectories([video], enc, rec, cfg)[0]
 
@@ -119,7 +123,7 @@ def _trajectories(
 ) -> list[ErrorTrajectory]:
     """Error trajectories of ``videos``, in their order.
 
-    Every video is checked for a full window first. One list then holds the
+    Every video passes the module's gate first. One list then holds the
     blocks of ``BLOCK_WINDOWS`` windows of every video, video after video.
     The calling thread and up to ``MAX_THREADS - 1`` workers take blocks
     from it in list order, each to whichever thread is free first, and each
@@ -131,9 +135,14 @@ def _trajectories(
     T = cfg.window
     mid = T // 2
     for video in videos:
+        if video.dim != enc.in_dim:
+            raise ShapeError(
+                f"video {video.video_id!r} has {video.dim}-wide features, "
+                f"the encoder expects input_dim {enc.in_dim}")
         if video.num_frames < T:
             raise DataError(
-                f"video {video.video_id!r} has {video.num_frames} frames, needs >= {T}")
+                f"video {video.video_id!r} has {video.num_frames} frames, "
+                f"shorter than the detector window {T}")
     # Window s of a video covers frames [s, s + T) and is centred on frame s + mid.
     counts = [video.num_frames - T + 1 for video in videos]
     values = [np.empty(video.num_frames, dtype=np.float32) for video in videos]
@@ -191,6 +200,8 @@ def fir_smooth(values: np.ndarray, half_width: int) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if half_width < 0:
         raise ConfigError("half_width must be >= 0")
+    if values.size < 1:
+        raise DataError("fir_smooth needs at least 1 sample")
     padded = np.concatenate(
         [np.full(half_width, values[0]), values, np.full(half_width, values[-1])]
     )
@@ -224,47 +235,34 @@ def relative_extrema(values: np.ndarray, extrema_range: int) -> np.ndarray:
     return (np.flatnonzero(fires) + r).astype(np.int64)
 
 
-def detect_boundaries(
-    video: FrameFeatureSequence,
-    enc: EncoderPair,
-    rec: Reconstructor,
-    cfg: DetectorConfig,
-) -> tuple[Annotation, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Full pipeline: error trajectory -> smoothing -> gradient -> extrema.
-
-    Returns the boundaries, scored by the gradient magnitude at each
-    detected frame, and the raw, smoothed, and gradient trajectories they
-    came from (for CSV dumps and plotting).
-    """
-    return _boundaries(video, error_trajectory(video, enc, rec, cfg), cfg)
-
-
-def _boundaries(
-    video: FrameFeatureSequence, trajectory: ErrorTrajectory, cfg: DetectorConfig
-) -> tuple[Annotation, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    smoothed = fir_smooth(trajectory.values, cfg.fir_half_width)
-    grad = gradient(smoothed)
-    frames = relative_extrema(grad, cfg.extrema_range)
-    scores = [float(abs(grad[t])) for t in frames]
-    boundaries = Annotation(video.video_id, video.num_frames, video.fps, frames, scores)
-    return boundaries, (trajectory.values, smoothed, grad)
-
-
 def detect_corpus(
     corpus: list[FrameFeatureSequence],
     enc: EncoderPair,
     rec: Reconstructor,
     cfg: DetectorConfig,
 ) -> tuple[dict[str, Annotation], dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Detections and signals for every video, keyed in sorted video-id order.
+    """Boundaries and signals of every video, keyed in sorted video-id order.
 
-    The blocks of all videos, in that order, share the threads of one
-    ``_trajectories`` call, so a long video's blocks and short videos'
-    blocks run side by side.
+    Per video: error trajectory -> smoothing -> gradient -> extrema, each
+    boundary scored by the gradient magnitude there; the signals are the raw,
+    smoothed, and gradient trajectories (for CSV dumps and plotting). Ids
+    must be unique, a ``DataError`` otherwise, and every video passes the
+    module's gate before any block runs. The blocks of all videos, in id
+    order, share the threads of one ``_trajectories`` call, so a long video's
+    blocks and short videos' blocks run side by side.
     """
     videos = sorted(corpus, key=lambda video: video.video_id)
+    for first, second in zip(videos, videos[1:]):
+        if first.video_id == second.video_id:
+            raise DataError(f"video id {first.video_id!r} appears twice in the corpus")
     detections: dict[str, Annotation] = {}
     signals: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for video, trajectory in zip(videos, _trajectories(videos, enc, rec, cfg)):
-        detections[video.video_id], signals[video.video_id] = _boundaries(video, trajectory, cfg)
+        smoothed = fir_smooth(trajectory.values, cfg.fir_half_width)
+        grad = gradient(smoothed)
+        frames = relative_extrema(grad, cfg.extrema_range)
+        scores = [float(abs(grad[t])) for t in frames]
+        vid = video.video_id
+        detections[vid] = Annotation(vid, video.num_frames, video.fps, frames, scores)
+        signals[vid] = (trajectory.values, smoothed, grad)
     return detections, signals

@@ -24,7 +24,6 @@ from eventseg import (
     RunConfig,
     Tensor,
     annotations_by_id,
-    build_models,
     compute_losses,
     detect_corpus,
     evaluate_corpus,
@@ -33,7 +32,6 @@ from eventseg import (
     load_feature_file,
     match_boundaries,
     run_training,
-    sample_batch,
     save_annotations,
     load_annotations,
     save_feature_file,
@@ -44,6 +42,7 @@ from eventseg.checkpoint import model_records, serialize_records
 from eventseg.detection import fir_smooth, gradient, relative_extrema
 
 from gradcheck import finite_difference
+from quality_sweep import random_detector_f1, step_one_losses
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -320,58 +319,14 @@ def pipeline():
     return _run_pipeline()
 
 
-def _random_detector_f1(annotations, detections, threshold):
-    """Expected F1 of a detector placing each video's detections uniformly.
-
-    Per ground-truth boundary b the tolerance window is [b-w, b+w] clipped to
-    the video, w = floor(threshold * F); with n uniform detections the chance
-    at least one lands inside is 1 - (1 - a_b)^n. Tolerance windows of
-    adjacent boundaries may overlap, so summing per-boundary hit rates is an
-    upper bound for the expected matched count (a conservative baseline).
-    """
-    expected_tp = 0.0
-    total_det = 0
-    total_gt = 0
-    for vid, ann in annotations.items():
-        F = ann.num_frames
-        n_det = len(detections[vid].boundaries)
-        total_det += n_det
-        total_gt += len(ann.boundaries)
-        w = math.floor(threshold * F)
-        for b in ann.boundaries:
-            a_b = (min(F - 1, b + w) - max(0, b - w) + 1) / F
-            expected_tp += 1.0 - (1.0 - a_b) ** n_det
-    precision = expected_tp / total_det if total_det else 0.0
-    recall = expected_tp / total_gt if total_gt else 0.0
-    return f1_score(precision, recall)
-
-
 def test_criterion_7a_loss_halves(pipeline):
-    # The logged losses are not one function at both ends: InfoNCE grows with
-    # the log of the negative count, and the memory queue is empty at step 1
-    # but full at step 2000. So the step-1 batch and mask are redrawn from the
-    # seed in run_training's order (models, batch, mask rows), and the trained
-    # models are scored on them with the same empty queue as at step 1.
+    # The logged losses are not one function at both ends (see
+    # step_one_losses), so step 1's batch and mask are scored under the
+    # initial and the trained models with the same empty queue.
     cfg = pipeline["cfg"]
     result = pipeline["result"]
-    rng = np.random.default_rng(cfg.training.seed)
-    enc0, rec0, _ = build_models(cfg.model, pipeline["corpus"][0].dim, rng)
-    batch = sample_batch(
-        pipeline["corpus"], cfg.training.batch_videos,
-        cfg.training.snippets_per_video, cfg.detector.window, rng,
-    )
-    num_snippets, window, _ = batch.shape
-    mask_rows = rng.integers(0, window, size=num_snippets)
-
-    def total(enc, rec):
-        return compute_losses(
-            batch, enc, MemoryQueue(cfg.model.queue_capacity, cfg.model.embedding_dim), rec,
-            cfg.contrastive, cfg.reconstruction, mask_rows,
-        )[2].item()
-
-    start = total(enc0, rec0)
+    start, end = step_one_losses(cfg, pipeline["corpus"], result)
     assert start == result.history[0]["total"], "rebuilt step-1 batch does not reproduce the log"
-    end = total(result.encoders, result.reconstructor)
     ratio = end / start
     logged = result.history[-1]["total"] / result.history[0]["total"]
     elapsed_ok = result.completed_steps == 2000
@@ -384,7 +339,7 @@ def test_criterion_7a_loss_halves(pipeline):
 def test_criterion_7b_boundary_f1(pipeline):
     report = pipeline["report"]
     f1_at_05 = report.f1[0]
-    baseline = _random_detector_f1(
+    baseline = random_detector_f1(
         pipeline["annotations"], pipeline["detections"], 0.05
     )
     ok = f1_at_05 >= 0.70 and f1_at_05 >= 3.0 * baseline

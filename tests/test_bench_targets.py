@@ -27,7 +27,7 @@ from eventseg import (
     Reconstructor,
     SynthConfig,
     build_models,
-    detect_boundaries,
+    detect_corpus,
     encode_query,
     error_trajectory,
     info_nce_loss,
@@ -67,7 +67,7 @@ def test_tracer_attributes_read_detections_and_annotations():
     rng = np.random.default_rng(0)
     enc, rec = EncoderPair(6, 8, 0.999, rng), Reconstructor(8, 4, 2, rng)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
-    detected, _ = detect_boundaries(video, enc, rec, cfg)
+    detected = detect_corpus([video], enc, rec, cfg)[0][video.video_id]
     n_det, n_gt = len(detected.boundaries), len(truth.boundaries)
     assert n_det and n_gt
 

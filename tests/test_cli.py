@@ -400,7 +400,7 @@ def test_detect_rejects_corpus_width_mismatch(workspace, capsys):
 
 def test_short_video_aborts_detect_before_any_detection(workspace, capsys, monkeypatch):
     from eventseg import FrameFeatureSequence, save_feature_file
-    from eventseg import cli
+    from eventseg import detection
 
     _, config, out = workspace
     _run(["synth", "--config", config, "--out", out])
@@ -411,7 +411,7 @@ def test_short_video_aborts_detect_before_any_detection(workspace, capsys, monke
     def no_detection(*args, **kwargs):
         raise AssertionError("detection ran before the corpus was checked")
 
-    monkeypatch.setattr(cli, "detect_corpus", no_detection)
+    monkeypatch.setattr(detection, "encode_query", no_detection)
     capsys.readouterr()
     code = _run(["detect", "--config", config, "--out", out,
                  "--checkpoint", out / "checkpoint.bin"])

@@ -87,6 +87,19 @@ def test_feature_file_round_trip(tmp_path):
     assert (tmp_path / "again.csgf").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("fps", [1e300, 1e-50])
+def test_feature_file_refuses_fps_the_header_cannot_hold(tmp_path, fps):
+    path = tmp_path / "x.csgf"
+    with pytest.raises(DataError, match="'x'"):
+        save_feature_file(FrameFeatureSequence("x", fps, np.ones((3, 2), np.float32)), path)
+    assert not path.exists()
+    # The ends of the range the header holds still round-trip.
+    info = np.finfo(np.float32)
+    for edge in (float(info.smallest_subnormal), float(info.max)):
+        save_feature_file(FrameFeatureSequence("x", edge, np.ones((3, 2), np.float32)), path)
+        assert load_feature_file(path).fps == edge
+
+
 def test_feature_file_golden_hand_built(tmp_path):
     # 3 frames, 2 dims, handcrafted byte for byte.
     values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]

@@ -45,8 +45,8 @@ def test_exports_are_exactly_these():
         load_feature_file save_annotations save_corpus save_feature_file synth_generate
         ModelConfig RunConfig load_config
         deserialize_records load_model save_model serialize_records
-        DetectorConfig detect_boundaries detect_corpus error_trajectory fir_smooth
-        gradient relative_extrema
+        DetectorConfig detect_corpus error_trajectory fir_smooth gradient
+        relative_extrema
         ContrastiveConfig EncoderPair MemoryQueue encode_key encode_query enqueue_memory
         info_nce_loss momentum_update sample_batch
         BadMagicError ConfigError DataError EventSegError FormatError NumericsError

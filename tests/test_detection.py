@@ -20,7 +20,7 @@ from eventseg import (
     Optimizer,
     ReconstructionConfig,
     Reconstructor,
-    detect_boundaries,
+    ShapeError,
     detect_corpus,
     encode_query,
     error_trajectory,
@@ -48,6 +48,9 @@ def test_fir_smooth_identity_at_zero_width():
 def test_fir_smooth_impulse_with_replicate_padding():
     out = fir_smooth(np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 1)
     np.testing.assert_allclose(out, [0.0, 1 / 3, 1 / 3, 1 / 3, 0.0])
+    # An empty signal has no end value to replicate.
+    with pytest.raises(DataError, match="at least 1 sample"):
+        fir_smooth(np.empty(0), 2)
 
 
 def test_fir_smooth_stays_within_input_range():
@@ -521,23 +524,65 @@ def test_error_trajectory_rejects_short_video():
         error_trajectory(video, enc, rec, DetectorConfig(window=10))
 
 
-def test_detect_boundaries_zero_trajectory_detects_nothing():
+def _with_last(video, cfg):
+    """The mixed corpus, every video of it passing the gate, then ``video``,
+    last in id order."""
+    return [video, *_mixed_corpus(cfg)]
+
+
+def test_too_narrow_video_fails_the_gate_before_any_block(block_threads):
+    enc, rec = _frozen_models(seed=24)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    narrow = FrameFeatureSequence("zz", 25.0, np.ones((60, 4), dtype=np.float32))
+    with pytest.raises(ShapeError, match="video 'zz' has 4-wide features, "
+                                         "the encoder expects input_dim 6"):
+        detect_corpus(_with_last(narrow, cfg), enc, rec, cfg)
+    assert block_threads == []
+
+
+@pytest.mark.parametrize("entry", ["detect_corpus", "error_trajectory"])
+def test_too_short_video_fails_the_gate_before_any_block(block_threads, entry):
+    enc, rec = _frozen_models(seed=25)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    short = FrameFeatureSequence("zz", 25.0, np.ones((5, 6), dtype=np.float32))
+    with pytest.raises(DataError, match="video 'zz' has 5 frames, "
+                                        "shorter than the detector window 10"):
+        if entry == "detect_corpus":
+            detect_corpus(_with_last(short, cfg), enc, rec, cfg)
+        else:
+            error_trajectory(short, enc, rec, cfg)
+    assert block_threads == []
+
+
+def test_two_videos_with_one_id_are_a_data_error(block_threads):
+    enc, rec = _frozen_models(seed=26)
+    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
+    rng = np.random.default_rng(26)
+    corpus = [FrameFeatureSequence("v", 25.0, rng.normal(size=(n, 6)).astype(np.float32))
+              for n in (80, 120)]
+    with pytest.raises(DataError, match="'v' appears twice"):
+        detect_corpus(corpus, enc, rec, cfg)
+    assert block_threads == []
+
+
+def test_detect_corpus_zero_trajectory_detects_nothing():
     enc, rec = _frozen_models(seed=7)
     video = FrameFeatureSequence(
         "v", 25.0, np.tile(np.ones(6, dtype=np.float32), (60, 1))
     )
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
-    result, _ = detect_boundaries(video, enc, rec, cfg)
+    result = detect_corpus([video], enc, rec, cfg)[0]["v"]
     assert result.boundaries == []
 
 
-def test_detect_boundaries_deterministic_and_scored():
+def test_detect_corpus_deterministic_and_scored():
     enc, rec = _frozen_models(seed=8)
     rng = np.random.default_rng(9)
     video = FrameFeatureSequence("v", 25.0, rng.normal(size=(80, 6)).astype(np.float32))
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
-    a, (raw_a, smooth_a, grad_a) = detect_boundaries(video, enc, rec, cfg)
-    b, _ = detect_boundaries(video, enc, rec, cfg)
+    detections, signals = detect_corpus([video], enc, rec, cfg)
+    a, (raw_a, smooth_a, grad_a) = detections["v"], signals["v"]
+    b = detect_corpus([video], enc, rec, cfg)[0]["v"]
     assert a.boundaries == b.boundaries and a.scores == b.scores
     assert (a.num_frames, a.fps) == (80, 25.0)
     assert len(raw_a) == len(smooth_a) == len(grad_a) == 80

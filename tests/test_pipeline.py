@@ -15,7 +15,7 @@ from eventseg import (
     RunConfig,
     SynthConfig,
     annotations_by_id,
-    detect_boundaries,
+    detect_corpus,
     error_trajectory,
     run_training,
     synth_generate,
@@ -72,9 +72,10 @@ def test_end_to_end_detection_on_clean_three_event_stream():
     # two boundaries, each within Rel.Dis 0.05 of ground truth.
     cfg, corpus, ann_map, result = _clean_models(seed=29, events=3)
     det_cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=8)
+    detections, _ = detect_corpus(corpus, result.encoders, result.reconstructor, det_cfg)
     for seq in corpus:
         truth = ann_map[seq.video_id].boundaries
-        detected, _ = detect_boundaries(seq, result.encoders, result.reconstructor, det_cfg)
+        detected = detections[seq.video_id]
         assert len(detected.boundaries) == 2, seq.video_id
         for frame in detected.boundaries:
             assert min(abs(frame - b) / seq.num_frames for b in truth) <= 0.05

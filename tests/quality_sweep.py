@@ -13,8 +13,12 @@ Run from the repository root::
     python3 tests/quality_sweep.py --seeds 7,8 --steps 2000 \\
         --regimes default,noise_std=0.3 --out sweep.csv
 
-A 2000-step run of the default corpus takes about 25 s on one CPU. Runs go
-to at most as many worker processes as the CPUs this process may use.
+Runs go to ``min(usable CPUs, runs)`` worker processes, and each run sizes
+its training and detection threads by its share of the CPUs, so workers do
+not contend for them; ``wall_s`` is a run's wall time on that share. A
+2000-step run of the default corpus takes about 25 s on one CPU. Every
+(seed, regime) builds its configuration before any run starts, so a bad
+regime stops the sweep at once.
 
 The acceptance criteria share two helpers with the sweep:
 ``random_detector_f1``, the F1 of a detector that places the same number
@@ -54,6 +58,7 @@ from eventseg import (  # noqa: E402
     sample_batch,
     synth_generate,
 )
+import eventseg.detection as detection  # noqa: E402
 from eventseg.config import _parse_value  # noqa: E402
 from eventseg.detection import _usable_cpus  # noqa: E402
 
@@ -168,17 +173,26 @@ def run_one(seed: int, regime: str, steps: int) -> dict:
     return dict(zip(COLUMNS, values))
 
 
-def sweep(seeds, regimes, steps, workers=None) -> list[dict]:
-    """One row per (seed, regime), seeds outermost, on at most ``workers``
-    processes and never more than the usable CPUs; one worker runs every
+def _share_cpus(share: int) -> None:
+    """Worker initializer: training and detection size their threads by
+    ``detection._usable_cpus``, which would count every CPU in each worker."""
+    detection._usable_cpus = lambda: share
+
+
+def sweep(seeds, regimes, steps) -> list[dict]:
+    """One row per (seed, regime), seeds outermost; one worker runs every
     run in the calling process."""
     runs = [(seed, regime, steps) for seed in seeds for regime in regimes]
-    workers = max(1, min(workers or _usable_cpus(), _usable_cpus(), len(runs)))
+    for run in runs:
+        run_config(*run)
+    cpus = _usable_cpus()
+    workers = max(1, min(cpus, len(runs)))
     if workers == 1:
         return [run_one(*run) for run in runs]
     # Spawned workers: training and detection start threads, and a forked
     # child of a process with threads can deadlock.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_share_cpus, initargs=(cpus // workers,)) as pool:
         return list(pool.map(run_one, *zip(*runs)))
 
 
@@ -195,11 +209,10 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=2000, help="training steps per run")
     parser.add_argument("--regimes", default=",".join(REGIMES),
                         help="comma-separated regimes: default or [synth] key=value")
-    parser.add_argument("--workers", type=int, help="worker processes (default: usable CPUs)")
     parser.add_argument("--out", default="sweep.csv", help="CSV file to write")
     args = parser.parse_args(argv)
     seeds = [int(seed) for seed in args.seeds.split(",")]
-    rows = sweep(seeds, parse_regimes(args.regimes), args.steps, args.workers)
+    rows = sweep(seeds, parse_regimes(args.regimes), args.steps)
     write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

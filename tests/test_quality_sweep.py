@@ -1,10 +1,15 @@
 """The quality sweep in ``tests/quality_sweep.py`` runs end to end: a few
-training steps on two seeds and two regimes, on one worker."""
+training steps on two seeds and two regimes, in this process and in
+spawned workers."""
 
 import csv
 import math
 
-from quality_sweep import COLUMNS, main, parse_regimes, run_one
+import pytest
+
+import quality_sweep
+from eventseg import ConfigError
+from quality_sweep import COLUMNS, main, parse_regimes, run_one, sweep
 
 
 def test_regime_list_keeps_pair_values_whole():
@@ -12,10 +17,21 @@ def test_regime_list_keeps_pair_values_whole():
         "default", "noise_std=0.3", "events_per_video=10,20", "drift_std=0.05"]
 
 
-def test_sweep_writes_one_finite_row_per_run(tmp_path):
+@pytest.mark.parametrize("regimes", ["default,noise_std=0.3,defualt",
+                                     "noise_std=0.3,3", "default,nosie_std=0.3"])
+def test_a_bad_regime_stops_the_sweep_before_any_run(monkeypatch, regimes):
+    calls = []
+    monkeypatch.setattr(quality_sweep, "run_one", lambda *run: calls.append(run))
+    with pytest.raises((ConfigError, ValueError)):
+        sweep([7], parse_regimes(regimes), 8)
+    assert calls == []
+
+
+def test_sweep_writes_one_finite_row_per_run(monkeypatch, tmp_path):
+    monkeypatch.setattr(quality_sweep, "_usable_cpus", lambda: 1)
     out = tmp_path / "sweep.csv"
     assert main(["--seeds", "7,8", "--steps", "8", "--regimes", "default,noise_std=0.3",
-                 "--workers", "1", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -27,3 +43,13 @@ def test_sweep_writes_one_finite_row_per_run(tmp_path):
         assert int(row["detections"]) > 0 and int(row["truths"]) > 0
     again = {key: str(value) for key, value in run_one(8, "noise_std=0.3", 8).items()}
     assert {**again, "wall_s": ""} == {**rows[3], "wall_s": ""}
+
+
+def test_spawned_workers_give_the_rows_of_one_process(monkeypatch):
+    monkeypatch.setattr(quality_sweep, "_usable_cpus", lambda: 2)
+    rows = sweep([7], ["default", "noise_std=0.3"], 4)
+    assert [(row["seed"], row["regime"]) for row in rows] == [
+        (7, "default"), (7, "noise_std=0.3")]
+    for row in rows:
+        alone = run_one(row["seed"], row["regime"], 4)
+        assert {**alone, "wall_s": 0} == {**row, "wall_s": 0}

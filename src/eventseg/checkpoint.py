@@ -111,8 +111,8 @@ def load_model(path):
     ``meta`` maps each ``ModelConfig`` field, ``input_dim`` and ``window`` to
     its value. A record holding NaN or Inf, ``meta.*`` records that break
     ``ModelConfig``'s rules, an input width below 1 or the detector's window
-    rule, or a parameter or queue whose shape does not fit the model, is a
-    ``FormatError`` naming the record.
+    rule, a missing parameter or queue, or one whose shape does not fit the
+    model, is a ``FormatError`` naming the record.
     """
     with open(path, "rb") as fh:
         records = deserialize_records(fh.read())
@@ -149,11 +149,12 @@ def load_model(path):
             )
         p.data[...] = value
     stored = records.get("ctfe.queue")
-    if stored is not None:
-        if stored.ndim != 2 or stored.shape[1] != enc.dim:
-            raise FormatError(
-                f"checkpoint queue 'ctfe.queue' has shape {stored.shape}, "
-                f"model expects rows of width {enc.dim}"
-            )
-        queue.load(stored)
+    if stored is None:
+        raise FormatError("checkpoint lacks queue 'ctfe.queue'")
+    if stored.ndim != 2 or stored.shape[1] != enc.dim:
+        raise FormatError(
+            f"checkpoint queue 'ctfe.queue' has shape {stored.shape}, "
+            f"model expects rows of width {enc.dim}"
+        )
+    queue.load(stored)
     return enc, rec, queue, meta

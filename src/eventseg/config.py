@@ -139,18 +139,23 @@ def _parse_value(raw: str, annotation, section: str, key: str):
 def load_config(path: str | Path | None = None, seed: int | None = None) -> RunConfig:
     """Build a RunConfig from defaults plus an optional INI file.
 
-    Unknown sections or keys are configuration errors (they are usually
-    typos). ``seed`` overrides the training and synthesis seeds.
+    Values are read literally (``%`` is an ordinary character). Unknown
+    sections or keys, ``[DEFAULT]`` included, are configuration errors (they
+    are usually typos). ``seed`` overrides the training and synthesis seeds.
     """
     cfg = RunConfig()
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             read = parser.read(path, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is malformed: {exc}") from exc
         if not read:
             raise ConfigError(f"config file {path} not found or unreadable")
+        # configparser keeps [DEFAULT] out of sections() and merges its keys
+        # into every other section.
+        if parser.defaults():
+            raise ConfigError("unknown config section [DEFAULT]")
         for section in parser.sections():
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")

@@ -8,10 +8,10 @@ every video and scores the detections, all in one process, the way
 ``--seed`` does on the command line. Runs are deterministic, so two rows of
 one (seed, regime, steps) differ only in ``wall_s``.
 
-Run from the repository root::
+Run from the repository root, one argument per seed and per regime::
 
-    python3 tests/quality_sweep.py --seeds 7,8 --steps 2000 \\
-        --regimes default,noise_std=0.3 --out sweep.csv
+    python3 tests/quality_sweep.py --seeds 7 8 --steps 2000 \\
+        --regimes default noise_std=0.3 events_per_video=10,20 --out sweep.csv
 
 Runs go to ``min(usable CPUs, runs)`` worker processes, and each run sizes
 its training and detection threads by its share of the CPUs, so workers do
@@ -126,18 +126,6 @@ def step_one_losses(cfg, corpus, result):
     return total(enc0, rec0), total(result.encoders, result.reconstructor)
 
 
-def parse_regimes(text: str) -> list[str]:
-    """Split a comma-separated regime list; a part without ``=`` other than
-    ``default`` continues the value before it (``events_per_video=10,20``)."""
-    regimes: list[str] = []
-    for part in text.split(","):
-        if part == "default" or "=" in part or not regimes:
-            regimes.append(part)
-        else:
-            regimes[-1] += "," + part
-    return regimes
-
-
 def run_config(seed: int, regime: str, steps: int) -> RunConfig:
     cfg = load_config(seed=seed)
     cfg.training = dataclasses.replace(cfg.training, steps=steps)
@@ -205,14 +193,13 @@ def write_csv(rows: list[dict], path) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="7", help="comma-separated seeds")
+    parser.add_argument("--seeds", nargs="+", type=int, default=[7], help="seeds")
     parser.add_argument("--steps", type=int, default=2000, help="training steps per run")
-    parser.add_argument("--regimes", default=",".join(REGIMES),
-                        help="comma-separated regimes: default or [synth] key=value")
+    parser.add_argument("--regimes", nargs="+", default=REGIMES,
+                        help="regimes: default or [synth] key=value")
     parser.add_argument("--out", default="sweep.csv", help="CSV file to write")
     args = parser.parse_args(argv)
-    seeds = [int(seed) for seed in args.seeds.split(",")]
-    rows = sweep(seeds, parse_regimes(args.regimes), args.steps)
+    rows = sweep(args.seeds, args.regimes, args.steps)
     write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -6,7 +6,6 @@ session-scoped pipeline run plus a repeat run for determinism; together they
 take a few minutes of CPU time.
 """
 
-import itertools
 import json
 import math
 import time
@@ -43,6 +42,12 @@ from eventseg.detection import fir_smooth, gradient, relative_extrema
 
 from gradcheck import finite_difference
 from quality_sweep import random_detector_f1, step_one_losses
+from test_metrics import (
+    brute_force_boundary_match,
+    brute_force_segment_match,
+    segment_overlaps,
+    segments,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -179,41 +184,6 @@ def test_criterion_3_f1_arithmetic():
 # -- criterion 4: matching oracles ---------------------------------------------
 
 
-def _brute_boundary(det, gt, num_frames, threshold):
-    valid = {}
-    for i, d in enumerate(det):
-        for j, g in enumerate(gt):
-            dist = abs(d - g) / num_frames
-            if dist <= threshold:
-                valid[(i, j)] = dist
-    for size in range(min(len(det), len(gt)), -1, -1):
-        best = None
-        for det_subset in itertools.combinations(range(len(det)), size):
-            for gt_perm in itertools.permutations(range(len(gt)), size):
-                pairs = list(zip(det_subset, gt_perm))
-                if all(p in valid for p in pairs):
-                    total = sum(valid[p] for p in pairs)
-                    if best is None or total < best:
-                        best = total
-        if best is not None:
-            return size, best
-    return 0, 0.0
-
-
-def _brute_overlap(overlaps):
-    n, m = overlaps.shape
-    if n == 0 or m == 0:
-        return 0.0
-    best = 0.0
-    if n <= m:
-        for perm in itertools.permutations(range(m), n):
-            best = max(best, sum(overlaps[i, j] for i, j in enumerate(perm)))
-    else:
-        for perm in itertools.permutations(range(n), m):
-            best = max(best, sum(overlaps[i, j] for j, i in enumerate(perm)))
-    return best
-
-
 def test_criterion_4_matching_oracles():
     rng = np.random.default_rng(400)
     for case in range(1000):
@@ -228,7 +198,7 @@ def test_criterion_4_matching_oracles():
         det = Annotation("v", num_frames, 25.0, det_frames)
         gt = Annotation("v", num_frames, 25.0, gt_frames)
         pairs = match_boundaries(det, gt, threshold)
-        size, total = _brute_boundary(det_frames, gt_frames, num_frames, threshold)
+        size, total = brute_force_boundary_match(det_frames, gt_frames, num_frames, threshold)
         assert len(pairs) == size, f"case {case}"
         got = sum(abs(det_frames[i] - gt_frames[j]) / num_frames for i, j in pairs)
         assert abs(got - total) < 1e-9, f"case {case}"
@@ -239,14 +209,11 @@ def test_criterion_4_matching_oracles():
                                    size=int(rng.integers(0, 6)), replace=False).tolist())
         gt_b = sorted(rng.choice(np.arange(1, num_frames),
                                  size=int(rng.integers(0, 6)), replace=False).tolist())
-        mof, _ = segment_scores(Annotation("v", num_frames, 25.0, pred_b),
-                                Annotation("v", num_frames, 25.0, gt_b))
-        pred_edges = [0, *pred_b, num_frames]
-        gt_edges = [0, *gt_b, num_frames]
-        overlaps = np.array(
-            [[max(0, min(pe, ge) - max(ps, gs)) for gs, ge in zip(gt_edges, gt_edges[1:])]
-             for ps, pe in zip(pred_edges, pred_edges[1:])], dtype=np.float64)
-        assert mof == _brute_overlap(overlaps) / num_frames, f"case {case}"
+        pred = Annotation("v", num_frames, 25.0, pred_b)
+        gt = Annotation("v", num_frames, 25.0, gt_b)
+        mof, _ = segment_scores(pred, gt)
+        overlaps = segment_overlaps(segments(pred), segments(gt))
+        assert mof == brute_force_segment_match(overlaps) / num_frames, f"case {case}"
     _report("4 matching-oracles", True, "2x1000 random instances exact")
 
 

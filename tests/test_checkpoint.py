@@ -165,6 +165,16 @@ def test_load_model_rejects_queue_of_other_width(tmp_path, shape):
     assert "'ctfe.queue'" in str(err.value)
 
 
+def test_load_model_rejects_a_checkpoint_without_its_queue(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(path, *_tiny_model_records())
+    records = deserialize_records(path.read_bytes())
+    del records["ctfe.queue"]
+    path.write_bytes(serialize_records(list(records.items())))
+    with pytest.raises(FormatError, match="'ctfe.queue'"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("record", ["ctfe.query.w1", "ffr.head.b", "ctfe.queue"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_load_model_rejects_non_finite_records(tmp_path, record, bad):

@@ -1,6 +1,7 @@
 """Config defaults, INI round trip, and cross-field validation."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -108,9 +109,10 @@ def test_every_config_field_has_a_parser():
             assert f.type in _PARSERS, f"[{section}] {f.name}: {f.type!r}"
 
 
-# Values at and past the edges of every type a key can hold; a pair or tuple
-# key also gets them inside a list.
-HOSTILE = ("0", "-1", "1e38", "inf", "nan", str(2**40))
+# Values at and past the edges of every type a key can hold, and the two
+# forms configparser would interpolate; a pair or tuple key also gets them
+# inside a list.
+HOSTILE = ("0", "-1", "1e38", "inf", "nan", str(2**40), "%", "%(x)s")
 HOSTILE_LISTS = ("1,inf", "nan,nan")
 
 
@@ -133,6 +135,12 @@ def test_every_key_takes_hostile_values_as_a_config_or_a_config_error(tmp_path):
             other.append(f"[{section}] {key} = {value}: returned {cfg!r}")
     assert len(cases) == 31 * len(HOSTILE) + 3 * len(HOSTILE_LISTS)
     assert not other, "\n".join(other)
+
+
+def test_values_are_read_literally(tmp_path):
+    path = tmp_path / "percent.ini"
+    path.write_text("[paths]\ndata_dir = run%1/%(x)s\n")
+    assert load_config(path).paths.data_dir == "run%1/%(x)s"
 
 
 @pytest.mark.parametrize("value", ["0.05,abc", "0,0.5", "0.5,1.5", "nan", ",", ""])
@@ -165,9 +173,17 @@ def test_reconstruction_beta_zero_is_valid(tmp_path):
 
 def test_unknown_section_rejected(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[modle]\ninput_dim = 4\n")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for text, section in [
+        ("[modle]\ninput_dim = 4\n", "modle"),
+        # configparser would ignore [DEFAULT] keys alone, and apply them to
+        # every other section.
+        ("[DEFAULT]\nsteps = 5\n", "DEFAULT"),
+        ("[DEFAULT]\nseed = 3\n[training]\nsteps = 5\n", "DEFAULT"),
+        ("[DEFAULT]\nsteps = 5\n[paths]\ndata_dir = d\n", "DEFAULT"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config section [{section}]")):
+            load_config(path)
 
 
 def test_training_divergence_stops_with_last_good_state(monkeypatch):

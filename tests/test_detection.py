@@ -1,7 +1,6 @@
 """Signal pipeline units (smoothing, gradient, relative extrema) and the
 error-trajectory contracts."""
 
-import sys
 import threading
 import tracemalloc
 
@@ -240,17 +239,26 @@ def test_error_trajectory_memory_does_not_grow_with_the_video():
 
 
 @pytest.fixture
-def block_threads(monkeypatch):
-    """Records the thread and the live thread count of every block."""
+def corpus_blocks(monkeypatch):
+    """Records every block as (features, first frame, frames, thread, live
+    thread count); ``features`` is the array of the video it came from."""
     seen = []
     real = detection.encode_query
 
     def recording(frames, enc):
-        seen.append((threading.get_ident(), threading.active_count()))
+        first = (frames.ctypes.data - frames.base.ctypes.data) // frames.strides[0]
+        seen.append((frames.base, first, len(frames), threading.get_ident(),
+                     threading.active_count()))
         return real(frames, enc)
 
     monkeypatch.setattr(detection, "encode_query", recording)
     return seen
+
+
+def _blocks_by_video(seen, corpus):
+    """``corpus_blocks`` records as (video id, first frame, frames, thread, count)."""
+    ids = {id(video.features): video.video_id for video in corpus}
+    return [(ids[id(features)], *rest) for features, *rest in seen]
 
 
 def _video_of(windows, cfg, seed):
@@ -261,17 +269,17 @@ def _video_of(windows, cfg, seed):
 
 @pytest.mark.parametrize("windows", [2 * BLOCK_WINDOWS + 3, 5 * BLOCK_WINDOWS - 1])
 def test_threaded_error_trajectory_equals_one_thread(
-    monkeypatch, two_cpus, block_threads, windows
+    monkeypatch, two_cpus, corpus_blocks, windows
 ):
     enc, rec = _frozen_models(seed=14)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     video = _video_of(windows, cfg, windows)
     threaded = error_trajectory(video, enc, rec, cfg).values
-    assert len({ident for ident, _ in block_threads}) == 2
+    assert len({ident for *_, ident, _ in corpus_blocks}) == 2
     monkeypatch.setattr(detection, "MAX_THREADS", 1)
-    block_threads.clear()
+    corpus_blocks.clear()
     alone = error_trajectory(video, enc, rec, cfg).values
-    assert {ident for ident, _ in block_threads} == {threading.get_ident()}
+    assert {ident for *_, ident, _ in corpus_blocks} == {threading.get_ident()}
     assert threaded.tobytes() == alone.tobytes()
 
 
@@ -303,12 +311,12 @@ def test_error_in_a_block_reaches_the_caller(monkeypatch, two_cpus, side):
 
 
 @pytest.mark.parametrize("windows", [BLOCK_WINDOWS, BLOCK_WINDOWS + 17, 2 * BLOCK_WINDOWS - 1])
-def test_video_of_under_two_full_blocks_starts_no_thread(two_cpus, block_threads, windows):
+def test_video_of_under_two_full_blocks_starts_no_thread(two_cpus, corpus_blocks, windows):
     enc, rec = _frozen_models(seed=16)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     before = threading.active_count()
     error_trajectory(_video_of(windows, cfg, 16), enc, rec, cfg)
-    assert set(block_threads) == {(threading.get_ident(), before)}
+    assert {block[-2:] for block in corpus_blocks} == {(threading.get_ident(), before)}
 
 
 def test_train_step_fills_gradients_after_threaded_trajectory(monkeypatch, two_cpus):
@@ -356,46 +364,14 @@ def _corpus_bytes(detections, signals):
     ]
 
 
-@pytest.fixture
-def corpus_blocks(monkeypatch):
-    """Records every block as (features, first frame, frames, thread, live
-    thread count); ``features`` is the array of the video it came from."""
-    seen = []
-    real = detection.encode_query
-
-    def recording(frames, enc):
-        first = (frames.ctypes.data - frames.base.ctypes.data) // frames.strides[0]
-        seen.append((frames.base, first, len(frames), threading.get_ident(),
-                     threading.active_count()))
-        return real(frames, enc)
-
-    monkeypatch.setattr(detection, "encode_query", recording)
-    return seen
-
-
-def _blocks_by_video(seen, corpus):
-    """``corpus_blocks`` records as (video id, first frame, frames, thread, count)."""
-    ids = {id(video.features): video.video_id for video in corpus}
-    return [(ids[id(features)], *rest) for features, *rest in seen]
-
-
-def _with_fast_switching(fn):
-    # Switch threads as often as the interpreter allows, so a block that
-    # wrote into another's slice or video would show.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        return fn()
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_detect_corpus_on_two_threads_equals_one(monkeypatch, two_cpus, corpus_blocks):
+def test_detect_corpus_on_two_threads_equals_one(
+    monkeypatch, two_cpus, corpus_blocks, fast_switching
+):
     enc, rec = _frozen_models(seed=18)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     corpus = _mixed_corpus(cfg)
     before = threading.active_count()
-    threaded = _with_fast_switching(lambda: _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg)))
+    threaded = _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
     assert [vid for vid, *_ in threaded] == sorted(_MIXED_WINDOWS)
     # The blocks ran on the caller and one worker; no more than two threads lived.
     assert len({ident for *_, ident, _ in corpus_blocks}) == 2
@@ -414,7 +390,7 @@ def test_detect_corpus_on_two_threads_equals_one(monkeypatch, two_cpus, corpus_b
     assert threaded == alone
 
 
-def test_detect_corpus_on_more_threads_than_cores(monkeypatch, corpus_blocks):
+def test_detect_corpus_on_more_threads_than_cores(monkeypatch, corpus_blocks, fast_switching):
     # Four threads share the blocks of eleven videos; each window must be
     # computed exactly once.
     monkeypatch.setattr(detection, "MAX_THREADS", 4)
@@ -429,7 +405,7 @@ def test_detect_corpus_on_more_threads_than_cores(monkeypatch, corpus_blocks):
     windows = {video.video_id: video.num_frames - cfg.window + 1 for video in corpus}
     assert sum(windows.values()) >= 4 * BLOCK_WINDOWS  # enough for four threads
     before = threading.active_count()
-    threaded = _with_fast_switching(lambda: _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg)))
+    threaded = _corpus_bytes(*detect_corpus(corpus, enc, rec, cfg))
     assert max(count for *_, count in corpus_blocks) <= before + 3
     computed = sorted(
         (vid, first + w)
@@ -493,13 +469,13 @@ def test_error_on_a_detection_thread_reaches_the_caller(monkeypatch, two_cpus, s
     assert len(other_blocks) <= 1
 
 
-def test_one_video_corpus_starts_no_thread(two_cpus, block_threads):
+def test_one_video_corpus_starts_no_thread(two_cpus, corpus_blocks):
     enc, rec = _frozen_models(seed=20)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     before = threading.active_count()
     detections, _ = detect_corpus([_video_of(300, cfg, 20)], enc, rec, cfg)
     assert list(detections) == ["v"]
-    assert set(block_threads) == {(threading.get_ident(), before)}
+    assert {block[-2:] for block in corpus_blocks} == {(threading.get_ident(), before)}
 
 
 def test_error_trajectory_zero_for_perfect_reconstruction():
@@ -530,18 +506,18 @@ def _with_last(video, cfg):
     return [video, *_mixed_corpus(cfg)]
 
 
-def test_too_narrow_video_fails_the_gate_before_any_block(block_threads):
+def test_too_narrow_video_fails_the_gate_before_any_block(corpus_blocks):
     enc, rec = _frozen_models(seed=24)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     narrow = FrameFeatureSequence("zz", 25.0, np.ones((60, 4), dtype=np.float32))
     with pytest.raises(ShapeError, match="video 'zz' has 4-wide features, "
                                          "the encoder expects input_dim 6"):
         detect_corpus(_with_last(narrow, cfg), enc, rec, cfg)
-    assert block_threads == []
+    assert corpus_blocks == []
 
 
 @pytest.mark.parametrize("entry", ["detect_corpus", "error_trajectory"])
-def test_too_short_video_fails_the_gate_before_any_block(block_threads, entry):
+def test_too_short_video_fails_the_gate_before_any_block(corpus_blocks, entry):
     enc, rec = _frozen_models(seed=25)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     short = FrameFeatureSequence("zz", 25.0, np.ones((5, 6), dtype=np.float32))
@@ -551,10 +527,10 @@ def test_too_short_video_fails_the_gate_before_any_block(block_threads, entry):
             detect_corpus(_with_last(short, cfg), enc, rec, cfg)
         else:
             error_trajectory(short, enc, rec, cfg)
-    assert block_threads == []
+    assert corpus_blocks == []
 
 
-def test_two_videos_with_one_id_are_a_data_error(block_threads):
+def test_two_videos_with_one_id_are_a_data_error(corpus_blocks):
     enc, rec = _frozen_models(seed=26)
     cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
     rng = np.random.default_rng(26)
@@ -562,7 +538,7 @@ def test_two_videos_with_one_id_are_a_data_error(block_threads):
               for n in (80, 120)]
     with pytest.raises(DataError, match="'v' appears twice"):
         detect_corpus(corpus, enc, rec, cfg)
-    assert block_threads == []
+    assert corpus_blocks == []
 
 
 def test_detect_corpus_zero_trajectory_detects_nothing():

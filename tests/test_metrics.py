@@ -268,14 +268,6 @@ def test_boundaries_to_segments():
     assert iou == pytest.approx(0.4 / 3)
 
 
-def test_hungarian_small_case():
-    # [0,40), [40,100) against [0,50), [50,100): pairing in order overlaps
-    # 90 frames, the crossed pairing only 10.
-    det = Annotation("v", 100, 25.0, [40])
-    gt = Annotation("v", 100, 25.0, [50])
-    assert segment_scores(det, gt)[0] == pytest.approx(0.9, abs=1e-9)
-
-
 def test_hungarian_against_factorial_oracle():
     rng = np.random.default_rng(1)
     for _ in range(300):

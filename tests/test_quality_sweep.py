@@ -9,28 +9,26 @@ import pytest
 
 import quality_sweep
 from eventseg import ConfigError
-from quality_sweep import COLUMNS, main, parse_regimes, run_one, sweep
+from quality_sweep import COLUMNS, main, run_one, sweep
 
 
-def test_regime_list_keeps_pair_values_whole():
-    assert parse_regimes("default,noise_std=0.3,events_per_video=10,20,drift_std=0.05") == [
-        "default", "noise_std=0.3", "events_per_video=10,20", "drift_std=0.05"]
-
-
-@pytest.mark.parametrize("regimes", ["default,noise_std=0.3,defualt",
-                                     "noise_std=0.3,3", "default,nosie_std=0.3"])
-def test_a_bad_regime_stops_the_sweep_before_any_run(monkeypatch, regimes):
+@pytest.mark.parametrize("regimes", [["default", "noise_std=0.3", "defualt"],
+                                     ["noise_std=0.3", "3"], ["default", "nosie_std=0.3"]],
+                         ids=",".join)
+def test_a_bad_regime_stops_the_sweep_before_any_run(monkeypatch, tmp_path, regimes):
+    # The last regime is the bad one, and the error names its own key.
     calls = []
     monkeypatch.setattr(quality_sweep, "run_one", lambda *run: calls.append(run))
-    with pytest.raises((ConfigError, ValueError)):
-        sweep([7], parse_regimes(regimes), 8)
+    bad = regimes[-1].partition("=")[0]
+    with pytest.raises((ConfigError, ValueError), match=f"no key '{bad}'"):
+        main(["--steps", "8", "--regimes", *regimes, "--out", str(tmp_path / "sweep.csv")])
     assert calls == []
 
 
 def test_sweep_writes_one_finite_row_per_run(monkeypatch, tmp_path):
     monkeypatch.setattr(quality_sweep, "_usable_cpus", lambda: 1)
     out = tmp_path / "sweep.csv"
-    assert main(["--seeds", "7,8", "--steps", "8", "--regimes", "default,noise_std=0.3",
+    assert main(["--seeds", "7", "8", "--steps", "8", "--regimes", "default", "noise_std=0.3",
                  "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         reader = csv.DictReader(fh)

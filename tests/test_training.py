@@ -3,7 +3,6 @@ the same bytes on one thread or two, and failures that leave no thread and
 no partial update behind."""
 
 import dataclasses
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -60,17 +59,12 @@ def branch_threads(monkeypatch):
     return seen
 
 
-def test_two_threads_train_the_same_bytes_as_one(monkeypatch, two_cpus, branch_threads):
-    # 16 steps of 6 snippets wrap the 64-entry queue. The threaded run
-    # switches threads as often as the interpreter allows, so a branch that
-    # wrote into the other's state would show.
+def test_two_threads_train_the_same_bytes_as_one(
+    monkeypatch, two_cpus, branch_threads, fast_switching
+):
+    # 16 steps of 6 snippets wrap the 64-entry queue.
     corpus, cfg = _small_run(steps=16)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = _state(training.run_training(corpus, cfg))
-    finally:
-        sys.setswitchinterval(interval)
+    threaded = _state(training.run_training(corpus, cfg))
     assert len(branch_threads) == 16
     assert threading.get_ident() not in branch_threads
     monkeypatch.setattr(detection, "_usable_cpus", lambda: 1)

@@ -41,7 +41,8 @@ def serialize_records(records: Sequence[tuple[str, np.ndarray]]) -> bytes:
 
 
 def deserialize_records(blob: bytes) -> dict[str, np.ndarray]:
-    """Parse a checkpoint blob into an insertion-ordered name -> array map."""
+    """Parse a checkpoint blob into an insertion-ordered name -> array map;
+    a name that appears twice is a ``FormatError``."""
     offset = 0
 
     def take(n: int, what: str) -> bytes:
@@ -73,6 +74,8 @@ def deserialize_records(blob: bytes) -> dict[str, np.ndarray]:
         for dim in dims:
             n_values *= dim
         payload = take(4 * n_values, f"payload of {name!r}")
+        if name in records:
+            raise FormatError(f"checkpoint record {name!r} appears twice")
         records[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} trailing bytes after last record")
@@ -109,10 +112,12 @@ def load_model(path):
     """Rebuild (encoders, reconstructor, queue, meta) from a checkpoint.
 
     ``meta`` maps each ``ModelConfig`` field, ``input_dim`` and ``window`` to
-    its value. A record holding NaN or Inf, ``meta.*`` records that break
-    ``ModelConfig``'s rules, an input width below 1 or the detector's window
-    rule, a missing parameter or queue, or one whose shape does not fit the
-    model, is a ``FormatError`` naming the record.
+    its value. The records must be exactly those ``model_records`` gives for
+    the model the ``meta.*`` records describe, the queue holding at most its
+    capacity of rows. A record holding NaN or Inf, ``meta.*`` records that
+    break ``ModelConfig``'s rules, an input width below 1 or the detector's
+    window rule, a missing or unknown record, or one whose shape does not fit
+    the model, is a ``FormatError`` naming the record.
     """
     with open(path, "rb") as fh:
         records = deserialize_records(fh.read())
@@ -138,9 +143,11 @@ def load_model(path):
     if meta["input_dim"] < 1:
         raise FormatError(f"checkpoint record 'meta.input_dim' = {meta['input_dim']} is below 1")
     enc, rec, queue = build_models(model, meta["input_dim"], np.random.default_rng(0))
+    expected = {name for name, _ in model_records(enc, rec, queue, meta["window"])}
+    if set(records) != expected:
+        raise FormatError(f"checkpoint lacks records {sorted(expected - set(records))} "
+                          f"and holds unknown records {sorted(set(records) - expected)}")
     for p in enc.parameters() + rec.parameters():
-        if p.name not in records:
-            raise FormatError(f"checkpoint lacks parameter {p.name!r}")
         value = records[p.name]
         if value.shape != p.data.shape:
             raise FormatError(
@@ -148,13 +155,11 @@ def load_model(path):
                 f"model expects {p.data.shape}"
             )
         p.data[...] = value
-    stored = records.get("ctfe.queue")
-    if stored is None:
-        raise FormatError("checkpoint lacks queue 'ctfe.queue'")
-    if stored.ndim != 2 or stored.shape[1] != enc.dim:
+    stored = records["ctfe.queue"]
+    if stored.ndim != 2 or stored.shape[1] != enc.dim or len(stored) > queue.capacity:
         raise FormatError(
-            f"checkpoint queue 'ctfe.queue' has shape {stored.shape}, "
-            f"model expects rows of width {enc.dim}"
+            f"checkpoint queue 'ctfe.queue' has shape {stored.shape}, model expects "
+            f"at most {queue.capacity} rows of width {enc.dim}"
         )
     queue.load(stored)
     return enc, rec, queue, meta

@@ -37,6 +37,7 @@ def _exit_code(category: str) -> int:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
+    cfg.validate()
     out = Path(args.out)
     corpus, annotations = synth_generate(cfg.synth)
     save_corpus(corpus, out / "features")

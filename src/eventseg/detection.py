@@ -13,7 +13,9 @@ so no detection lies within that range of the trajectory ends.
 One gate checks every video before any block runs: a video whose feature
 width is not the encoder's input width is a ``ShapeError``, and one shorter
 than the window a ``DataError``, each naming the video. The gate reads only
-a video's id, width and frame count, the fields of a CSGF header.
+a video's id, width and frame count, the fields of a CSGF header. Features
+are finite, so a non-finite trajectory means the model overflows: a
+``NumericsError`` naming the video, without numpy's warnings.
 
 Every trajectory is computed in blocks of ``BLOCK_WINDOWS`` windows: each
 block encodes only the frames its windows cover and writes its errors into
@@ -44,7 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Annotation, FrameFeatureSequence, SynthConfig
 from .embedding import EncoderPair, encode_query
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .reconstruction import Reconstructor, masked_reconstruct
 from .tensor import no_grad
 
@@ -93,11 +95,9 @@ class ErrorTrajectory:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 1:
-            raise DataError("error trajectory must be 1-d")
-        if not np.isfinite(self.values).all() or (self.values < 0).any():
-            raise DataError(f"trajectory for {self.video_id!r} must be finite and >= 0")
+        if not np.isfinite(self.values).all():
+            raise NumericsError(
+                f"trajectory for {self.video_id!r} is not finite: the model overflows")
 
 
 def error_trajectory(
@@ -152,8 +152,9 @@ def _trajectories(
 
     def run_blocks() -> None:
         try:
-            # Recording is per thread, so every thread turns it off itself.
-            with no_grad():
+            # Recording and numpy's error state are per thread, so every
+            # thread sets both itself (overflow: see the module docstring).
+            with no_grad(), np.errstate(over="ignore", invalid="ignore"):
                 while not failed.is_set():
                     with lock:
                         k, s = next(pending, (None, None))

@@ -60,9 +60,9 @@ class MlpEncoder:
         hidden = 2 * out_dim
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.w1 = Parameter(_uniform_init(rng, (in_dim, hidden)), f"{prefix}.w1")
+        self.w1 = uniform_weight(rng, in_dim, hidden, f"{prefix}.w1")
         self.b1 = Parameter(np.zeros(hidden, dtype=np.float32), f"{prefix}.b1")
-        self.w2 = Parameter(_uniform_init(rng, (hidden, out_dim)), f"{prefix}.w2")
+        self.w2 = uniform_weight(rng, hidden, out_dim, f"{prefix}.w2")
         self.b2 = Parameter(np.zeros(out_dim, dtype=np.float32), f"{prefix}.b2")
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -76,9 +76,10 @@ class MlpEncoder:
             dst.data[...] = src.data
 
 
-def _uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
-    scale = 1.0 / np.sqrt(shape[0])
-    return rng.uniform(-scale, scale, size=shape).astype(np.float32)
+def uniform_weight(rng: np.random.Generator, fan_in: int, fan_out: int, name: str) -> Parameter:
+    """Every weight matrix of both models: float32, U(+-1/sqrt(fan_in))."""
+    scale = 1.0 / np.sqrt(fan_in)
+    return Parameter(rng.uniform(-scale, scale, size=(fan_in, fan_out)).astype(np.float32), name)
 
 
 class EncoderPair:

@@ -57,6 +57,7 @@ from .embedding import (
     enqueue_memory,
     info_nce_loss,
     momentum_update,
+    uniform_weight,
 )
 from .errors import ConfigError, NumericsError, ShapeError
 from .optim import Optimizer, sgd_step
@@ -99,25 +100,20 @@ class AttentionBlock:
         self.head_dim = dim // heads
         self.ln1_gamma = Parameter(np.ones(dim, dtype=np.float32), f"{prefix}.ln1.gamma")
         self.ln1_beta = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.ln1.beta")
-        self.wq = self._linear(dim, dim, rng, f"{prefix}.msa.wq")
+        self.wq = uniform_weight(rng, dim, dim, f"{prefix}.msa.wq")
         self.bq = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.msa.bq")
-        self.wk = self._linear(dim, dim, rng, f"{prefix}.msa.wk")
+        self.wk = uniform_weight(rng, dim, dim, f"{prefix}.msa.wk")
         self.bk = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.msa.bk")
-        self.wv = self._linear(dim, dim, rng, f"{prefix}.msa.wv")
+        self.wv = uniform_weight(rng, dim, dim, f"{prefix}.msa.wv")
         self.bv = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.msa.bv")
-        self.wo = self._linear(dim, dim, rng, f"{prefix}.msa.wo")
+        self.wo = uniform_weight(rng, dim, dim, f"{prefix}.msa.wo")
         self.bo = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.msa.bo")
         self.ln2_gamma = Parameter(np.ones(dim, dtype=np.float32), f"{prefix}.ln2.gamma")
         self.ln2_beta = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.ln2.beta")
-        self.w1 = self._linear(dim, 4 * dim, rng, f"{prefix}.mlp.w1")
+        self.w1 = uniform_weight(rng, dim, 4 * dim, f"{prefix}.mlp.w1")
         self.b1 = Parameter(np.zeros(4 * dim, dtype=np.float32), f"{prefix}.mlp.b1")
-        self.w2 = self._linear(4 * dim, dim, rng, f"{prefix}.mlp.w2")
+        self.w2 = uniform_weight(rng, 4 * dim, dim, f"{prefix}.mlp.w2")
         self.b2 = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.mlp.b2")
-
-    @staticmethod
-    def _linear(n_in, n_out, rng, name) -> Parameter:
-        scale = 1.0 / np.sqrt(n_in)
-        return Parameter(rng.uniform(-scale, scale, size=(n_in, n_out)).astype(np.float32), name)
 
     def parameters(self) -> list[Parameter]:
         return [
@@ -170,10 +166,7 @@ class Reconstructor:
         self.blocks = [
             AttentionBlock(dim, heads, rng, f"ffr.layer{i}") for i in range(layers)
         ]
-        scale = 1.0 / np.sqrt(dim)
-        self.head_w = Parameter(
-            rng.uniform(-scale, scale, size=(dim, dim)).astype(np.float32), "ffr.head.w"
-        )
+        self.head_w = uniform_weight(rng, dim, dim, "ffr.head.w")
         self.head_b = Parameter(np.zeros(dim, dtype=np.float32), "ffr.head.b")
 
     def parameters(self) -> list[Parameter]:

@@ -4,9 +4,11 @@ Small and deliberately explicit: every operation records a closure that
 scatters the upstream gradient back to its operands, and ``backward`` walks
 the recorded graph once in reverse topological order. Tensors wrap numpy
 arrays, float32 by default (float64 is supported for high-precision gradient
-checks); reductions accumulate in float64 before casting back. Storage is
-row-major throughout. A tensor holding NaN or Inf is an error state; callers
-that can produce one (losses, optimizer steps) check explicitly.
+checks); a plain number or array operand of ``+``, ``-``, ``*`` or ``@``
+becomes a constant of the tensor's dtype, and reductions accumulate in
+float64 before casting back. Storage is row-major throughout. A tensor
+holding NaN or Inf is an error state; callers that can produce one (losses,
+optimizer steps) check explicitly.
 
 Gradient accumulation is additive across uses of a tensor; ``sgd_step``
 resets parameter gradients after each update.
@@ -62,9 +64,7 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
-def _coerce(data, dtype=None) -> np.ndarray:
-    if dtype is not None:
-        return np.asarray(data).astype(dtype, copy=False)
+def _coerce(data) -> np.ndarray:
     if isinstance(data, np.ndarray) and data.dtype in _FLOAT_TYPES:
         return data
     return np.asarray(data, dtype=np.float32)
@@ -101,8 +101,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _coerce(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _coerce(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
@@ -170,7 +170,7 @@ class Tensor:
     # -- elementwise arithmetic ------------------------------------------------
 
     def _binary(self, other, fwd, bwd_self, bwd_other) -> "Tensor":
-        other = as_tensor(other, self.data.dtype)
+        other = other if isinstance(other, Tensor) else Tensor(np.asarray(other, self.data.dtype))
         data = fwd(self.data, other.data)
 
         def backward(g):
@@ -193,7 +193,7 @@ class Tensor:
     # -- matrix product ----------------------------------------------------
 
     def __matmul__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = other if isinstance(other, Tensor) else Tensor(np.asarray(other, self.data.dtype))
         a, b = self.data, other.data
         if a.ndim < 2 or b.ndim < 2:
             raise ShapeError("matmul operands must have at least 2 dimensions")
@@ -291,12 +291,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
-def as_tensor(value, dtype=np.float32) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value), dtype=np.result_type(dtype))
-
-
 class Parameter(Tensor):
     """A named leaf tensor with a gradient buffer and a momentum buffer.
 
@@ -317,14 +311,16 @@ class Parameter(Tensor):
 
 # -- fused operations used throughout the model -------------------------------
 
+LAYER_NORM_EPS = 1e-5  # the variance shift of LayerNorm (Ba et al., 2016)
+L2_NORM_EPS = 1e-12  # the smallest row norm l2_normalize divides by
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply affine.
 
-    ``gamma`` and ``beta`` must be vectors matching the last dimension of x.
+    The variance is shifted by ``LAYER_NORM_EPS``. ``gamma`` and ``beta``
+    must be vectors matching the last dimension of x.
     """
-    if eps <= 0:
-        raise ShapeError("layer_norm eps must be positive")
     dim = x.data.shape[-1]
     if gamma.data.shape != (dim,) or beta.data.shape != (dim,):
         raise ShapeError(
@@ -335,7 +331,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     scale = xd.dtype.type(1.0 / dim)
     mu = _sum64(xd, -1, True) * scale
     centered = xd - mu
-    shifted_var = _sum64(centered * centered, -1, True) * scale + xd.dtype.type(eps)
+    shifted_var = _sum64(centered * centered, -1, True) * scale + xd.dtype.type(LAYER_NORM_EPS)
     inv = shifted_var ** -0.5
     normalized = centered * inv
     data = normalized * gamma.data + beta.data
@@ -388,16 +384,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x._result(data, (x,), backward)
 
 
-def l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
+def l2_normalize(x: Tensor) -> Tensor:
     """Scale each row (last axis) to unit Euclidean norm.
 
-    Rows with norm below ``eps`` are scaled by ``1/eps``, so zero rows stay
-    at zero; the clamp passes no gradient. A row whose squared norm is
-    infinite, because an entry is or because its squares overflow the
-    dtype, is a ``NumericsError``: scaled by 1/inf it would read as zeros.
+    Rows with norm below ``L2_NORM_EPS`` are scaled by its inverse, so zero
+    rows stay at zero; the clamp passes no gradient. A row whose squared
+    norm is infinite, because an entry is or because its squares overflow
+    the dtype, is a ``NumericsError``: scaled by 1/inf it would read as zeros.
     """
     xd = x.data
-    floor = eps * eps
+    floor = L2_NORM_EPS * L2_NORM_EPS
     with np.errstate(over="ignore"):
         norm_sq = _sum64(xd * xd, -1, True)
     if np.isinf(norm_sq).any():

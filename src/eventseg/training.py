@@ -56,7 +56,6 @@ def run_training(
     ``train_step``). With one CPU every step runs in the calling thread. The
     bytes are the same either way.
     """
-    cfg.validate()
     widths = sorted({seq.dim for seq in corpus})
     if len(widths) != 1:
         raise DataError(f"training needs one feature width, the corpus has widths {widths}")

@@ -187,3 +187,35 @@ def test_load_model_rejects_non_finite_records(tmp_path, record, bad):
     with pytest.raises(FormatError) as err:
         load_model(path)
     assert repr(record) in str(err.value)
+
+
+@pytest.mark.parametrize("extra", ["junk", "ffr.layer7.msa.wq", "meta.extra"])
+def test_load_model_rejects_a_record_the_model_does_not_read(tmp_path, extra):
+    path = tmp_path / "model.bin"
+    save_model(path, *_tiny_model_records())
+    records = deserialize_records(path.read_bytes())
+    records[extra] = np.zeros((8, 8), dtype=np.float32)
+    path.write_bytes(serialize_records(list(records.items())))
+    with pytest.raises(FormatError, match=f"unknown records \\['{extra}'\\]"):
+        load_model(path)
+
+
+def test_load_model_rejects_a_queue_beyond_its_capacity(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(path, *_tiny_model_records())
+    records = deserialize_records(path.read_bytes())
+    records["ctfe.queue"] = np.full((9, 8), 8**-0.5, dtype=np.float32)
+    path.write_bytes(serialize_records(list(records.items())))
+    with pytest.raises(FormatError, match="'ctfe.queue' has shape \\(9, 8\\)"):
+        load_model(path)
+
+
+def test_a_repeated_record_name_is_a_format_error(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(path, *_tiny_model_records())
+    records = list(deserialize_records(path.read_bytes()).items())
+    name, value = records[0]
+    # A second, different copy placed before the real one.
+    path.write_bytes(serialize_records([(name, value + 1.0), *records]))
+    with pytest.raises(FormatError, match=f"{name!r} appears twice"):
+        load_model(path)

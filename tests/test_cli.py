@@ -118,11 +118,7 @@ def test_detect_rejects_window_mismatch(workspace, tmp_path, capsys):
     _run(["synth", "--config", config, "--out", out])
     _run(["train", "--config", config, "--out", out])
     bad = tmp_path / "bad.ini"
-    bad.write_text(
-        config.read_text()
-        .replace("window = 6", "window = 8")
-        .replace("event_length = 12,20", "event_length = 12,20")
-    )
+    bad.write_text(config.read_text().replace("window = 6", "window = 8"))
     code = _run(["detect", "--config", bad, "--out", out,
                  "--checkpoint", out / "checkpoint.bin"])
     assert code == 2
@@ -586,6 +582,34 @@ def test_diverged_training_exits_5_in_one_line(workspace, capsys, section, key):
         err.count("\n") == 1), err
     assert err.endswith(f"last good checkpoint at {out / 'checkpoint.bin'}\n")
     load_model(out / "checkpoint.bin")
+
+
+def test_overflowing_model_ends_detect_in_one_numerics_line(
+    workspace, capsys, monkeypatch, two_cpus
+):
+    # Finite weights whose products overflow float32: numpy's overflow
+    # warnings, from the caller and from a detection worker, used to come
+    # before a data error about the trajectory.
+    from eventseg import deserialize_records, detection, serialize_records
+
+    _, config, out = workspace
+    _run(["synth", "--config", config, "--out", out])
+    _run(["train", "--config", config, "--out", out])
+    checkpoint = out / "checkpoint.bin"
+    records = deserialize_records(checkpoint.read_bytes())
+    for name in ("ffr.head.w", "ffr.layer1.mlp.w2"):
+        records[name] = records[name] * np.float32(1e36)
+    checkpoint.write_bytes(serialize_records(list(records.items())))
+    # Small blocks, so the six short videos keep a worker busy too.
+    monkeypatch.setattr(detection, "BLOCK_WINDOWS", 16)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(["detect", "--config", config, "--out", out, "--checkpoint", checkpoint])
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerics: trajectory for ") and err.count("\n") == 1, err
 
 
 def test_log_every_below_one_is_config_error(workspace, capsys):

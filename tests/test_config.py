@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from eventseg import (
+    Annotation,
     ConfigError,
     ContrastiveConfig,
     NumericsError,
     ReconstructionConfig,
     RunConfig,
     load_config,
+    save_annotations,
     synth_generate,
 )
+from eventseg.cli import main
 from eventseg.config import _PARSERS, _SECTIONS
 
 
@@ -51,11 +54,25 @@ def test_window_is_a_detector_key_only(tmp_path, section):
         load_config(path)
 
 
-def test_event_length_must_cover_window(tmp_path):
+def test_event_length_must_cover_window(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[synth]\nevent_length = 4,8\n")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config: synthetic event_length minimum 4 is shorter than the window 10\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_command_that_does_not_synthesise_ignores_the_synth_window_rule(tmp_path, capsys):
+    # The default [synth] events (30 frames at least) are shorter than this
+    # window, which eval does not read either.
+    truth = tmp_path / "truth.json"
+    save_annotations([Annotation("v", 100, 25.0, [40, 70])], truth)
+    path = tmp_path / "run.ini"
+    path.write_text(f"[detector]\nwindow = 40\n[paths]\ndetections = {truth}\n"
+                    f"annotations = {truth}\n")
+    assert main(["eval", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("value", ["30", "30,60,90", "30.5,60", "30,", "a,b"])

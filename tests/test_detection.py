@@ -283,33 +283,6 @@ def test_threaded_error_trajectory_equals_one_thread(
     assert threaded.tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize("side", ["worker", "caller"])
-def test_error_in_a_block_reaches_the_caller(monkeypatch, two_cpus, side):
-    # The failing side raises in its first block; the other side finishes the
-    # block it may be in and starts no further one. The worker is gone after.
-    real = detection.encode_query
-    raised = threading.Event()
-    other_blocks = []
-
-    def failing(frames, enc):
-        if (threading.current_thread() is threading.main_thread()) == (side == "caller"):
-            raised.set()
-            raise RuntimeError(f"{side} block failed")
-        raised.wait(10)
-        other_blocks.append(len(frames))
-        return real(frames, enc)
-
-    monkeypatch.setattr(detection, "encode_query", failing)
-    enc, rec = _frozen_models(seed=15)
-    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
-    video = _video_of(8 * BLOCK_WINDOWS, cfg, 15)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"{side} block failed"):
-        error_trajectory(video, enc, rec, cfg)
-    assert threading.active_count() == before
-    assert len(other_blocks) <= 1
-
-
 @pytest.mark.parametrize("windows", [BLOCK_WINDOWS, BLOCK_WINDOWS + 17, 2 * BLOCK_WINDOWS - 1])
 def test_video_of_under_two_full_blocks_starts_no_thread(two_cpus, corpus_blocks, windows):
     enc, rec = _frozen_models(seed=16)
@@ -467,15 +440,6 @@ def test_error_on_a_detection_thread_reaches_the_caller(monkeypatch, two_cpus, s
         detect_corpus(_mixed_corpus(cfg), enc, rec, cfg)
     assert threading.active_count() == before
     assert len(other_blocks) <= 1
-
-
-def test_one_video_corpus_starts_no_thread(two_cpus, corpus_blocks):
-    enc, rec = _frozen_models(seed=20)
-    cfg = DetectorConfig(window=10, fir_half_width=2, extrema_range=5)
-    before = threading.active_count()
-    detections, _ = detect_corpus([_video_of(300, cfg, 20)], enc, rec, cfg)
-    assert list(detections) == ["v"]
-    assert {block[-2:] for block in corpus_blocks} == {(threading.get_ident(), before)}
 
 
 def test_error_trajectory_zero_for_perfect_reconstruction():

@@ -108,7 +108,7 @@ def test_l2_normalize_matches_composed(shape, dtype):
 
 def _awkward_rows(dtype):
     """Rows holding NaN, +-inf, all zeros, mixed signed zeros, values whose
-    squares overflow float32, norms below l2_normalize's eps, and one entry
+    squares overflow float32, norms below ``L2_NORM_EPS``, and one entry
     that dominates its row."""
     rows = np.array([
         [0.3, -1.2, 2.0, 0.7, -0.1, 1.5],

@@ -27,9 +27,19 @@ _RANK = struct.Struct("<B")
 
 
 def serialize_records(records: Sequence[tuple[str, np.ndarray]]) -> bytes:
+    """The blob of the (name, array) records in order; a name that appears
+    twice, or whose UTF-8 form does not fit the u16 length field, is a
+    ``FormatError``, as ``deserialize_records`` would find it."""
     chunks = [_HEAD.pack(MAGIC, VERSION, len(records))]
+    seen = set()
     for name, value in records:
         name_b = name.encode("utf-8")
+        if name in seen:
+            raise FormatError(f"checkpoint record {name!r} appears twice")
+        if len(name_b) > 0xFFFF:
+            raise FormatError(f"checkpoint record name of {len(name_b)} UTF-8 bytes "
+                              f"does not fit the u16 length field")
+        seen.add(name)
         arr = np.asarray(value, dtype="<f4", order="C")
         chunks.append(_NAME_LEN.pack(len(name_b)))
         chunks.append(name_b)

@@ -19,11 +19,20 @@ each negative logit, mapped back with one matmul against the same pool and
 one T x T product per snippet. The keys and the queue get no gradient.
 ``MemoryQueue(capacity, dim)`` is a ring buffer allocated when it is built;
 ``as_array`` returns its rows oldest first, which is the checkpoint layout.
+``extend`` appends a block of rows in at most two slice assignments, with
+the contents one ``push`` per row would leave; ``enqueue_memory`` pushes a
+step's L keys that way.
+
+Each encoder packs its parameters into one arena (``tensor.ParameterArena``)
+in ``parameters()`` order, and the query and key encoders' arenas share a
+layout, so ``momentum_update`` is two whole-array calls on the key arena.
 
 A training batch is a plain (L, T, in_dim) float32 array of L snippets of
 T frames: ``sample_batch`` draws it, non-overlapping within each video by
-construction. ``info_nce_loss`` and the encoders are pure given parameters;
-the training losses on a batch are put together in ``reconstruction``.
+construction, with one ``rng.integers`` call and one sort for the offsets
+of every chosen video (the values one call per video would draw).
+``info_nce_loss`` and the encoders are pure given parameters; the training
+losses on a batch are put together in ``reconstruction``.
 ``momentum_update`` and ``enqueue_memory`` mutate shared state and expect a
 single writer per training step.
 """
@@ -37,7 +46,7 @@ import numpy as np
 
 from .data import FrameFeatureSequence
 from .errors import ConfigError, DataError, NumericsError, ShapeError
-from .tensor import Parameter, Tensor, _accumulate, l2_normalize, no_grad
+from .tensor import Parameter, ParameterArena, Tensor, _accumulate, l2_normalize, no_grad
 
 
 @dataclass
@@ -64,6 +73,7 @@ class MlpEncoder:
         self.b1 = Parameter(np.zeros(hidden, dtype=np.float32), f"{prefix}.b1")
         self.w2 = uniform_weight(rng, hidden, out_dim, f"{prefix}.w2")
         self.b2 = Parameter(np.zeros(out_dim, dtype=np.float32), f"{prefix}.b2")
+        self.arena = ParameterArena(self.parameters())
 
     def __call__(self, x: Tensor) -> Tensor:
         return (x @ self.w1 + self.b1).relu() @ self.w2 + self.b2
@@ -72,8 +82,7 @@ class MlpEncoder:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def copy_values_from(self, other: "MlpEncoder") -> None:
-        for dst, src in zip(self.parameters(), other.parameters()):
-            dst.data[...] = src.data
+        self.arena.values[...] = other.arena.values
 
 
 def uniform_weight(rng: np.random.Generator, fan_in: int, fan_out: int, name: str) -> Parameter:
@@ -103,11 +112,11 @@ class EncoderPair:
 
 
 def momentum_update(enc: EncoderPair) -> None:
-    """key <- alpha * key + (1 - alpha) * query, elementwise."""
-    a = enc.alpha
-    for k, q in zip(enc.key.parameters(), enc.query.parameters()):
-        k.data *= a
-        k.data += (1.0 - a) * q.data
+    """key <- alpha * key + (1 - alpha) * query, elementwise, over the two
+    encoders' arenas, which have the same layout."""
+    a, key = enc.alpha, enc.key.arena.values
+    key *= a
+    key += (1.0 - a) * enc.query.arena.values
 
 
 def _as_input(frames, enc: EncoderPair) -> Tensor:
@@ -149,16 +158,28 @@ class MemoryQueue:
         return self._len
 
     def push(self, vector: np.ndarray) -> None:
+        """Append one (dim,) row, evicting the oldest once full."""
         row = np.asarray(vector, dtype=np.float32)
         if row.shape != self._rows.shape[1:]:
             raise ShapeError(
                 f"queue holds rows of width {self._rows.shape[1]}, got shape {row.shape}"
             )
-        self._rows[(self._head + self._len) % self.capacity] = row
-        if self._len < self.capacity:
-            self._len += 1
-        else:
-            self._head = (self._head + 1) % self.capacity
+        self.extend(row[None])
+
+    def extend(self, matrix: np.ndarray) -> None:
+        """Append the rows of a (k, dim) ``matrix`` in order, as k pushes
+        would, in at most two slice assignments into the ring."""
+        rows = self._as_rows(matrix)
+        # Row i of k lands at (head + len + i) % capacity, so of more than
+        # capacity rows only the last capacity survive.
+        end = self._head + self._len + len(rows)
+        kept = rows[max(0, len(rows) - self.capacity):]
+        start = (end - len(kept)) % self.capacity
+        split = min(len(kept), self.capacity - start)
+        self._rows[start : start + split] = kept[:split]
+        self._rows[: len(kept) - split] = kept[split:]
+        self._len = min(self._len + len(rows), self.capacity)
+        self._head = (end - self._len) % self.capacity
 
     def as_array(self) -> np.ndarray:
         """A fresh (len, dim) copy, oldest entry first."""
@@ -171,17 +192,19 @@ class MemoryQueue:
         A non-finite row is a ``NumericsError`` raised before any change, as
         in ``enqueue_memory``.
         """
+        rows = self._as_rows(matrix)
+        if not np.isfinite(rows).all():
+            raise NumericsError("non-finite queue row")
+        self._head = self._len = 0
+        self.extend(rows)
+
+    def _as_rows(self, matrix) -> np.ndarray:
         rows = np.asarray(matrix, dtype=np.float32)
         if rows.ndim != 2 or rows.shape[1] != self._rows.shape[1]:
             raise ShapeError(
                 f"queue holds rows of width {self._rows.shape[1]}, got shape {rows.shape}"
             )
-        if not np.isfinite(rows).all():
-            raise NumericsError("non-finite queue row")
-        kept = rows[max(0, len(rows) - self.capacity):]
-        self._rows[: len(kept)] = kept
-        self._head = 0
-        self._len = len(kept)
+        return rows
 
 
 def sample_batch(
@@ -205,18 +228,15 @@ def sample_batch(
             f"corpus too small: {len(eligible)} videos with >= {need} frames, "
             f"need {batch_videos}"
         )
-    chosen = rng.choice(len(eligible), size=batch_videos, replace=False)
-    frames = []
-    for idx in chosen:
-        seq = eligible[int(idx)]
-        slack = seq.num_frames - need
-        # Sorted offsets into the slack, then each window shifted by its
-        # predecessors' length: uniform non-overlapping windows.
-        offsets = np.sort(rng.integers(0, slack + 1, size=snippets_per_video))
-        for k, off in enumerate(offsets):
-            start = int(off) + k * window
-            frames.append(seq.features[start : start + window])
-    return np.stack(frames)
+    chosen = [eligible[i] for i in rng.choice(len(eligible), size=batch_videos, replace=False)]
+    # Sorted offsets into each video's slack, then each window shifted by its
+    # predecessors' length: uniform non-overlapping windows. One draw for
+    # all videos takes the same values from the stream as one per video.
+    slack = np.array([seq.num_frames - need for seq in chosen])
+    offsets = np.sort(rng.integers(0, slack[:, None] + 1, size=(batch_videos, snippets_per_video)))
+    starts = offsets + np.arange(snippets_per_video) * window
+    frames = [seq.features[s : s + window] for seq, row in zip(chosen, starts.tolist()) for s in row]
+    return np.concatenate(frames).reshape(len(frames), window, -1)
 
 
 def info_nce_loss(
@@ -299,5 +319,4 @@ def enqueue_memory(
     encoded = encode_key(selected, enc).data
     if not np.isfinite(encoded).all():
         raise NumericsError("non-finite key embedding")
-    for row in encoded:
-        queue.push(row)
+    queue.extend(encoded)

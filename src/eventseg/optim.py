@@ -1,4 +1,11 @@
-"""SGD with classic momentum and L2 weight decay folded into the gradient."""
+"""SGD with classic momentum and L2 weight decay folded into the gradient.
+
+The update runs on parameter arenas (``tensor.ParameterArena``): each model
+keeps its parameters' values, gradients and momentum buffers as views of
+three flat arrays, so ``sgd_step`` updates a whole model in a few
+whole-array numpy calls. Elementwise, these are the per-parameter update's
+float32 operations in the same order, so the bytes are the same.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, ShapeError
 from .tensor import Parameter
 
 
@@ -42,28 +49,42 @@ class Optimizer:
 def sgd_step(params: Iterable[Parameter], opt: Optimizer) -> None:
     """Apply one update to every parameter, then zero the gradients.
 
+    ``params`` must be whole arenas, one after another, each in its own
+    order: a list that covers only part of an arena is a ``ShapeError``.
     Aborts before touching any state if a gradient is non-finite, or if the
     update would write a non-finite momentum buffer or value: every new
-    buffer and value is built and checked before any is written.
+    buffer and value is built and checked before any is written, and the
+    error names the first offending parameter in list order.
     """
-    params = list(params)
-    for p in params:
-        if p.grad is None:
-            raise NumericsError(f"parameter {p.name!r} has no gradient buffer")
-        if not np.isfinite(p.grad).all():
-            raise NumericsError(f"non-finite gradient for parameter {p.name!r}")
+    params = tuple(params)
+    arenas, start = [], 0
+    while start < len(params):
+        arena = params[start].arena
+        end = start + len(arena.params)
+        if params[start:end] != arena.params:
+            raise ShapeError(
+                f"sgd_step needs whole parameter arenas in order; parameter "
+                f"{params[start].name!r} starts an arena of {len(arena.params)} "
+                f"that the list does not hold whole"
+            )
+        arenas.append(arena)
+        start = end
+    for arena in arenas:
+        if not np.isfinite(arena.grads).all():
+            name = arena.first_non_finite(arena.grads).name
+            raise NumericsError(f"non-finite gradient for parameter {name!r}")
     updates = []
-    for p in params:
-        buf = p.momentum_buffer * opt.momentum
-        buf += p.grad + opt.weight_decay * p.data
-        updates.append((buf, p.data - opt.learning_rate * buf))
+    for arena in arenas:
+        buf = arena.buffers * opt.momentum
+        buf += arena.grads + opt.weight_decay * arena.values
+        updates.append((buf, arena.values - opt.learning_rate * buf))
     # A non-finite buffer makes its value non-finite too (the rate is finite),
-    # so checking the values, all in one pass, covers both.
-    if not np.isfinite(np.concatenate([value.ravel() for _, value in updates])).all():
-        name = next(p.name for p, (_, value) in zip(params, updates)
-                    if not np.isfinite(value).all())
-        raise NumericsError(f"update overflows parameter {name!r}")
-    for p, (buf, value) in zip(params, updates):
-        p.momentum_buffer[...] = buf
-        p.data[...] = value
-        p.grad[...] = 0.0
+    # so checking the values covers both.
+    for arena, (_, value) in zip(arenas, updates):
+        if not np.isfinite(value).all():
+            name = arena.first_non_finite(value).name
+            raise NumericsError(f"update overflows parameter {name!r}")
+    for arena, (buf, value) in zip(arenas, updates):
+        arena.buffers[...] = buf
+        arena.values[...] = value
+        arena.grads[...] = 0.0

@@ -61,7 +61,7 @@ from .embedding import (
 )
 from .errors import ConfigError, NumericsError, ShapeError
 from .optim import Optimizer, sgd_step
-from .tensor import Parameter, Tensor, layer_norm, softmax
+from .tensor import Parameter, ParameterArena, Tensor, layer_norm, softmax
 
 
 @dataclass
@@ -168,6 +168,7 @@ class Reconstructor:
         ]
         self.head_w = uniform_weight(rng, dim, dim, "ffr.head.w")
         self.head_b = Parameter(np.zeros(dim, dtype=np.float32), "ffr.head.b")
+        self.arena = ParameterArena(self.parameters())
 
     def parameters(self) -> list[Parameter]:
         params = [self.mask_token]
@@ -346,8 +347,7 @@ def train_step(
     if not np.isfinite(total):
         # A finite reconstruction loss has been backpropagated whatever the
         # contrastive one was: clear what it wrote into the reconstructor.
-        for p in rec.parameters():
-            p.grad[...] = 0.0
+        rec.arena.grads[...] = 0.0
         raise NumericsError(
             f"non-finite training loss (contrastive={lc.item()!r}, "
             f"reconstruction={lr.item()!r})"

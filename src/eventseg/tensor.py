@@ -72,6 +72,8 @@ def _coerce(data) -> np.ndarray:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum out broadcasted axes so ``grad`` matches ``shape`` again."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -295,18 +297,55 @@ class Parameter(Tensor):
     """A named leaf tensor with a gradient buffer and a momentum buffer.
 
     ``grad`` and ``momentum_buffer`` always have the same shape as the value.
+    All three are views of the flat arrays of ``arena``: a parameter built
+    alone owns an arena of one, and a model packs its parameters into one
+    arena (``ParameterArena``).
     """
 
-    __slots__ = ("name", "momentum_buffer")
+    __slots__ = ("name", "momentum_buffer", "arena")
 
     def __init__(self, value, name: str = ""):
         super().__init__(value, requires_grad=True)
         self.name = name
-        self.grad = np.zeros_like(self.data)
-        self.momentum_buffer = np.zeros_like(self.data)
+        ParameterArena((self,))
 
     def __repr__(self):
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
+
+
+class ParameterArena:
+    """Values, gradients and momentum buffers of a fixed list of parameters
+    as three flat arrays: ``values``, ``grads`` and ``buffers``.
+
+    Each parameter's ``data``, ``grad`` and ``momentum_buffer`` become views
+    of its span of them, the spans laid out in list order, so a whole-array
+    operation on the arena acts on every parameter at once (``sgd_step``,
+    ``momentum_update``). Packing keeps the values and starts the gradients
+    and buffers at zero; a model's parameters are all float32. Rebinding a
+    parameter's ``data`` or ``grad`` to another array takes it out of the
+    arena's reach, as the gradient checks do with throwaway float64 models.
+    """
+
+    __slots__ = ("params", "values", "grads", "buffers", "ends")
+
+    def __init__(self, params: Sequence[Parameter]):
+        self.params = tuple(params)
+        self.values = np.concatenate([p.data.ravel() for p in self.params])
+        self.grads = np.zeros_like(self.values)
+        self.buffers = np.zeros_like(self.values)
+        self.ends = np.cumsum([p.data.size for p in self.params])
+        for p, end in zip(self.params, self.ends):
+            span, shape = slice(end - p.data.size, end), p.data.shape
+            p.data, p.grad, p.momentum_buffer = (
+                flat[span].reshape(shape) for flat in (self.values, self.grads, self.buffers)
+            )
+            p.arena = self
+
+    def first_non_finite(self, flat: np.ndarray) -> Parameter:
+        """The first parameter whose span of ``flat``, an array laid out like
+        ``values``, holds a non-finite value; ``flat`` must hold one."""
+        index = np.flatnonzero(~np.isfinite(flat))[0]
+        return self.params[int(np.searchsorted(self.ends, index, side="right"))]
 
 
 # -- fused operations used throughout the model -------------------------------

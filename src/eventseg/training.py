@@ -63,9 +63,10 @@ def run_training(
     enc, rec, queue = build_models(cfg.model, widths[0], rng)
     history: list[dict[str, float]] = []
     diverged = False
-    # Starting and joining a thread costs about 0.5 ms against a step of
-    # about 8 ms, so one worker serves the whole run. The pool starts its
-    # thread at the first submit, so with one CPU it starts none.
+    # Starting and joining a thread costs about 0.5 ms against a default
+    # step of about 6 ms (167 steps/s on a 2-vCPU host, one BLAS thread), so
+    # one worker serves the whole run. The pool starts its thread at the
+    # first submit, so with one CPU it starts none.
     with ThreadPoolExecutor(1) as pool:
         worker = pool if detection._usable_cpus() >= 2 else None
         for step in range(1, cfg.training.steps + 1):

@@ -11,13 +11,18 @@ arithmetic of ``composed_layer_norm``, ``composed_softmax`` and
 ``composed_l2_normalize``, which build those ops from such nodes: the
 bit-exact oracles for the fused nodes. ``id_mask_info_nce`` is the
 bit-exact oracle for ``info_nce_loss``.
+
+``loop_sgd_step``, ``loop_momentum_update`` and ``loop_sample_batch`` are
+the per-parameter and per-video loops that the package's whole-array
+``sgd_step``, ``momentum_update`` and ``sample_batch`` replace: their
+bit-exact oracles.
 """
 
 from typing import Iterable
 
 import numpy as np
 
-from eventseg import Tensor
+from eventseg import NumericsError, Tensor
 from eventseg.tensor import _accumulate
 
 
@@ -156,3 +161,46 @@ def gradients_close(
     diff = np.abs(analytic - numeric)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
     return bool(np.all(diff <= np.maximum(rel_tol * scale, abs_tol)))
+
+
+def loop_sgd_step(params, opt) -> None:
+    """``sgd_step`` one parameter at a time: every gradient, then every new
+    buffer and value, is checked before any is written."""
+    params = list(params)
+    for p in params:
+        if not np.isfinite(p.grad).all():
+            raise NumericsError(f"non-finite gradient for parameter {p.name!r}")
+    updates = []
+    for p in params:
+        buf = p.momentum_buffer * opt.momentum
+        buf += p.grad + opt.weight_decay * p.data
+        updates.append((buf, p.data - opt.learning_rate * buf))
+    for p, (_, value) in zip(params, updates):
+        if not np.isfinite(value).all():
+            raise NumericsError(f"update overflows parameter {p.name!r}")
+    for p, (buf, value) in zip(params, updates):
+        p.momentum_buffer[...] = buf
+        p.data[...] = value
+        p.grad[...] = 0.0
+
+
+def loop_momentum_update(enc) -> None:
+    """``momentum_update`` one key parameter at a time."""
+    a = enc.alpha
+    for k, q in zip(enc.key.parameters(), enc.query.parameters()):
+        k.data *= a
+        k.data += (1.0 - a) * q.data
+
+
+def loop_sample_batch(corpus, batch_videos, snippets_per_video, window, rng) -> np.ndarray:
+    """``sample_batch`` with one offset draw and one sort per video."""
+    need = snippets_per_video * window
+    eligible = [seq for seq in corpus if seq.num_frames >= need]
+    frames = []
+    for idx in rng.choice(len(eligible), size=batch_videos, replace=False):
+        seq = eligible[int(idx)]
+        offsets = np.sort(rng.integers(0, seq.num_frames - need + 1, size=snippets_per_video))
+        for k, off in enumerate(offsets):
+            start = int(off) + k * window
+            frames.append(seq.features[start : start + window])
+    return np.stack(frames)

@@ -1,6 +1,7 @@
 """Checkpoint wire format: byte-exact round trips and error taxonomy."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -213,9 +214,24 @@ def test_load_model_rejects_a_queue_beyond_its_capacity(tmp_path):
 def test_a_repeated_record_name_is_a_format_error(tmp_path):
     path = tmp_path / "model.bin"
     save_model(path, *_tiny_model_records())
-    records = list(deserialize_records(path.read_bytes()).items())
-    name, value = records[0]
-    # A second, different copy placed before the real one.
-    path.write_bytes(serialize_records([(name, value + 1.0), *records]))
+    blob = path.read_bytes()
+    name, value = next(iter(deserialize_records(blob).items()))
+    # A second, different copy placed before the real one, spliced in by
+    # hand: the writer refuses a repeated name.
+    magic, version, count = struct.unpack_from("<4sHI", blob)
+    extra = serialize_records([(name, value + 1.0)])[10:]
+    path.write_bytes(struct.pack("<4sHI", magic, version, count + 1) + extra + blob[10:])
     with pytest.raises(FormatError, match=f"{name!r} appears twice"):
         load_model(path)
+
+
+def test_the_writer_refuses_a_repeated_or_overlong_record_name():
+    x = np.zeros(2, dtype=np.float32)
+    with pytest.raises(FormatError, match="'a' appears twice"):
+        serialize_records([("a", x), ("b", x), ("a", x)])
+    longest = "n" * 0xFFFF
+    assert list(deserialize_records(serialize_records([(longest, x)]))) == [longest]
+    # Both are one byte over the u16 length field, the second in UTF-8 only.
+    for name in ("n" * 0x10000, "\u00e9" * 0x8000):
+        with pytest.raises(FormatError, match="u16 length field"):
+            serialize_records([(name, x)])

@@ -32,7 +32,15 @@ from eventseg import (
     save_model,
 )
 
-from gradcheck import exp, finite_difference, gradients_close, id_mask_info_nce, log
+from gradcheck import (
+    exp,
+    finite_difference,
+    gradients_close,
+    id_mask_info_nce,
+    log,
+    loop_momentum_update,
+    loop_sample_batch,
+)
 
 
 def composed_info_nce(queries, keys, snippet_ids, queue_entries, temperature, window):
@@ -146,6 +154,38 @@ def test_momentum_update_is_contraction():
     momentum_update(enc)
     gap_after = np.linalg.norm(enc.key.w1.data - enc.query.w1.data)
     assert gap_after < gap_before
+
+
+def test_momentum_update_matches_the_per_parameter_loop_bit_for_bit():
+    packed, oracle = (EncoderPair(6, 8, 0.99, np.random.default_rng(3)) for _ in range(2))
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        for p, q in zip(packed.query.parameters(), oracle.query.parameters()):
+            p.data[...] = q.data[...] = rng.normal(size=p.data.shape)
+        momentum_update(packed)
+        loop_momentum_update(oracle)
+        for p, q in zip(packed.key.parameters(), oracle.key.parameters()):
+            assert p.data.tobytes() == q.data.tobytes(), p.name
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 5])
+def test_block_push_matches_one_push_per_row(capacity):
+    """``extend`` against single pushes from every fill level and head
+    position, with blocks that wrap the ring and blocks of capacity rows
+    or more."""
+    rng = np.random.default_rng(capacity)
+    for pushed_before in range(2 * capacity):
+        for rows in sorted({0, 1, capacity - 1, capacity, capacity + 1, 2 * capacity + 3}):
+            block, single = MemoryQueue(capacity, 3), MemoryQueue(capacity, 3)
+            for row in rng.normal(size=(pushed_before, 3)).astype(np.float32):
+                block.push(row)
+                single.push(row)
+            new = rng.normal(size=(rows, 3)).astype(np.float32)
+            block.extend(new)
+            for row in new:
+                single.push(row)
+            assert (block._head, len(block)) == (single._head, len(single))
+            assert block.as_array().tobytes() == single.as_array().tobytes()
 
 
 def test_queue_fifo_and_capacity():
@@ -478,3 +518,18 @@ def test_sample_batch_skips_short_videos_and_errors_when_too_few():
 
     with pytest.raises(DataError):
         sample_batch(corpus, 4, 2, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("snippets", [1, 2, 3])
+def test_one_call_offset_draws_match_one_draw_per_video(snippets):
+    # Videos of exactly snippets * 10 frames have zero slack.
+    sizes = [10 * snippets, 10 * snippets, 10 * snippets + 1, 10 * snippets + 3, 5,
+             10 * snippets + 40, 10 * snippets + 97, 10 * snippets]
+    corpus = _corpus(np.random.default_rng(20 + snippets), sizes)
+    for seed in range(200):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = sample_batch(corpus, 5, snippets, 10, rng)
+        expected = loop_sample_batch(corpus, 5, snippets, 10, oracle_rng)
+        assert batch.shape == expected.shape and batch.dtype == expected.dtype
+        assert batch.tobytes() == expected.tobytes(), seed
+        assert rng.integers(0, 2**62, size=4).tolist() == oracle_rng.integers(0, 2**62, size=4).tolist()

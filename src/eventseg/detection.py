@@ -26,7 +26,10 @@ serves a single video (``error_trajectory``) and a corpus
 to ``MAX_THREADS`` threads, the calling thread and workers, take them from
 it in turn. The bytes are those of running the blocks one after another.
 Working memory is bounded by ``MAX_THREADS`` blocks, and only the
-O(frames) float32 trajectories grow with the corpus.
+O(frames) float32 trajectories grow with the corpus. A block's temporaries
+are freed when it ends and stay on the heap for the next block under the
+heap policy that ``import eventseg`` sets, so a block does not fault its
+memory in afresh.
 
 ``detect_corpus`` returns every video's boundaries, a ``data.Annotation``
 with one gradient-magnitude score per boundary, together with the raw,
@@ -56,6 +59,9 @@ from .tensor import no_grad
 # 2% of each other, against +31% at 64, +5% at 1024 and +29% at 4096; the
 # smaller keeps memory lower. On two threads 256 ran 51.6k frames/s against
 # 43.1k at 128 (two 12k-frame videos, median of 16 alternating rounds).
+# Under the heap policy 512 detected those videos faster (a median of 281
+# against 307 ms per call, 24 calls each), but a fresh `eventseg detect` on
+# them peaked at 57.4 MB RSS against 48.9 MB (+17%), so 256 stays.
 BLOCK_WINDOWS = 256
 
 # Most blocks in flight at once, the calling thread included; fewer when

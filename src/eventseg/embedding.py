@@ -182,9 +182,11 @@ class MemoryQueue:
         self._head = (end - self._len) % self.capacity
 
     def as_array(self) -> np.ndarray:
-        """A fresh (len, dim) copy, oldest entry first."""
-        order = np.arange(self._head, self._head + self._len)
-        return self._rows.take(order, axis=0, mode="wrap")
+        """A fresh (len, dim) copy, oldest entry first: the rows from the
+        head to the ring's end, then those that wrapped to its start."""
+        end = self._head + self._len
+        return np.concatenate(
+            [self._rows[self._head : end], self._rows[: max(0, end - self.capacity)]])
 
     def load(self, matrix: np.ndarray) -> None:
         """Replace the contents with the newest ``capacity`` rows of ``matrix``.

@@ -15,7 +15,8 @@ bit-exact oracle for ``info_nce_loss``.
 ``loop_sgd_step``, ``loop_momentum_update`` and ``loop_sample_batch`` are
 the per-parameter and per-video loops that the package's whole-array
 ``sgd_step``, ``momentum_update`` and ``sample_batch`` replace: their
-bit-exact oracles.
+bit-exact oracles. ``wrap_gather_queue`` is the index gather that
+``MemoryQueue.as_array``'s two slices replace.
 """
 
 from typing import Iterable
@@ -204,3 +205,10 @@ def loop_sample_batch(corpus, batch_videos, snippets_per_video, window, rng) -> 
             start = int(off) + k * window
             frames.append(seq.features[start : start + window])
     return np.stack(frames)
+
+
+def wrap_gather_queue(queue) -> np.ndarray:
+    """``MemoryQueue.as_array`` as one gather of the ring's live rows,
+    indices taken modulo the capacity."""
+    order = np.arange(queue._head, queue._head + len(queue))
+    return queue._rows.take(order, axis=0, mode="wrap")

@@ -1,12 +1,8 @@
 """End-to-end command-line pipeline on a tiny corpus."""
 
 import json
-import os
 import struct
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -645,7 +641,7 @@ def test_negative_seed_is_config_error(workspace, capsys, where):
     assert not out.exists()
 
 
-def test_failed_allocation_is_one_memory_line(workspace):
+def test_failed_allocation_is_one_memory_line(workspace, fresh_python):
     # A queue of 10**9 rows needs 60 GiB. Under a 2 GiB address-space limit,
     # set in the child process only, numpy cannot allocate it; that used to
     # end in an 18-line traceback.
@@ -654,12 +650,7 @@ def test_failed_allocation_is_one_memory_line(workspace):
     config.write_text(config.read_text().replace("capacity = 64", "capacity = 1000000000"))
     script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
               "import eventseg.cli; sys.exit(eventseg.cli.main(sys.argv[1:]))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script, "train", "--config", str(config), "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
-    )
+    result = fresh_python("-c", script, "train", "--config", config, "--out", out, timeout=120)
     assert result.returncode == 1
     err = result.stderr
     assert err.startswith("error: memory:") and err.count("\n") == 1, err

@@ -1,19 +1,21 @@
-"""The package runs without scipy.
+"""What a fresh interpreter gets from ``import eventseg``.
 
-numpy is the package's one runtime dependency; scipy serves only the tests
-as an oracle. A fresh interpreter that cannot import scipy runs ``synth``,
-``train``, ``detect`` and ``eval`` and lists the matched boundary pairs
-with ``match_boundaries``. Its ``metrics.json`` and pairs must equal those
-of the same scoring in this test process, which has scipy loaded. The
-third-party modules that the package imports are exactly the runtime
-dependencies that ``pyproject.toml`` declares.
+The package runs without scipy. numpy is the package's one runtime
+dependency; scipy serves only the tests as an oracle. A fresh interpreter
+that cannot import scipy runs ``synth``, ``train``, ``detect`` and ``eval``
+and lists the matched boundary pairs with ``match_boundaries``. Its
+``metrics.json`` and pairs must equal those of the same scoring in this test
+process, which has scipy loaded. The third-party modules that the package
+imports are exactly the runtime dependencies that ``pyproject.toml``
+declares.
+
+Importing the package gives BLAS one thread unless the user set the count,
+since the package's own threads are its parallelism.
 """
 
 import ast
 import json
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -48,18 +50,13 @@ print(json.dumps([match_boundaries(detections[gt.video_id], gt, 0.5) for gt in t
 """
 
 
-def test_commands_and_matching_run_without_scipy(tmp_path):
+def test_commands_and_matching_run_without_scipy(tmp_path, fresh_python):
     out = tmp_path / "out"
     config = tmp_path / "run.ini"
     config.write_text(
         TINY_CONFIG.format(data_dir=out / "features", annotations=out / "annotations.json")
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(config), str(out)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    result = fresh_python("-c", SCRIPT, config, out)
     assert result.returncode == 0, result.stderr
     pairs = json.loads(result.stdout.splitlines()[-1])
 
@@ -89,3 +86,22 @@ def test_package_imports_exactly_its_declared_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"]}
     assert third_party == declared == {"numpy"}
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PRINT_BLAS_THREADS = f"""
+import os
+import eventseg
+print(*(os.environ.get(name) for name in {BLAS_THREADS!r}))
+"""
+
+
+def test_import_gives_blas_one_thread_unless_the_user_chose(fresh_python):
+    result = fresh_python("-c", PRINT_BLAS_THREADS, unset=BLAS_THREADS)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "1", "1"]
+
+    chosen = f"import os; os.environ['OPENBLAS_NUM_THREADS'] = '3'\n{PRINT_BLAS_THREADS}"
+    result = fresh_python("-c", chosen, unset=BLAS_THREADS)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["3", "1", "1"]

@@ -7,9 +7,6 @@ directory, with ``src`` on the import path.
 """
 
 import inspect
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -25,13 +22,8 @@ def test_demos_are_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+def test_demo_runs(demo, fresh_python):
+    result = fresh_python(demo)
     assert result.returncode == 0, result.stderr
 
 

@@ -1,6 +1,8 @@
 """Signal pipeline units (smoothing, gradient, relative extrema) and the
 error-trajectory contracts."""
 
+import platform
+import sys
 import threading
 import tracemalloc
 
@@ -236,6 +238,34 @@ def test_error_trajectory_memory_does_not_grow_with_the_video():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+DETECT_FOUR_TIMES = """
+import resource
+import eventseg
+import numpy as np
+cfg = eventseg.RunConfig()
+dim = cfg.synth.feature_dim
+enc, rec, _ = eventseg.build_models(cfg.model, dim, np.random.default_rng(0))
+features = np.random.default_rng(1).normal(size=(3000, dim)).astype(np.float32)
+video = eventseg.FrameFeatureSequence("v", 25.0, features)
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    eventseg.detect_corpus([video], enc, rec, cfg.detector)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is glibc's mallopt")
+def test_repeated_detection_reuses_its_block_memory(fresh_python):
+    # Each block frees ~4 MB of temporaries. With glibc's default thresholds
+    # that went back to the OS after every block, and a detect of 3000
+    # frames faulted about 13.5k pages in again; kept on the heap, 3-4.
+    result = fresh_python("-c", DETECT_FOUR_TIMES)
+    assert result.returncode == 0, result.stderr
+    faults = [int(line) for line in result.stdout.split()]
+    assert len(faults) == 4 and max(faults[1:]) < 500, faults
 
 
 @pytest.fixture

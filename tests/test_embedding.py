@@ -40,6 +40,7 @@ from gradcheck import (
     log,
     loop_momentum_update,
     loop_sample_batch,
+    wrap_gather_queue,
 )
 
 
@@ -186,6 +187,19 @@ def test_block_push_matches_one_push_per_row(capacity):
                 single.push(row)
             assert (block._head, len(block)) == (single._head, len(single))
             assert block.as_array().tobytes() == single.as_array().tobytes()
+
+
+@pytest.mark.parametrize("pushed", [0, 3, 5, 7, 13], ids=[
+    "empty", "partial", "full", "wrapped", "wrapped-twice"])
+def test_as_array_equals_the_wrapping_gather(pushed):
+    queue = MemoryQueue(5, 3)
+    queue.extend(np.random.default_rng(pushed).normal(size=(pushed, 3)).astype(np.float32))
+    for _ in range(2):  # and once more after one push more
+        rows = queue.as_array()
+        oracle = wrap_gather_queue(queue)
+        assert rows.shape == oracle.shape == (len(queue), 3)
+        assert rows.dtype == oracle.dtype and rows.tobytes() == oracle.tobytes()
+        queue.push(np.full(3, -1.0, dtype=np.float32))
 
 
 def test_queue_fifo_and_capacity():

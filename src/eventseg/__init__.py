@@ -9,15 +9,45 @@ boundary F1 at relative-distance thresholds plus segment-level MoF/IoU.
 
 import ctypes
 import os
+import sys
 
-# The package's own threads are the parallelism: training runs its two
-# branches and detection its blocks on up to ``detection._usable_cpus()``
-# threads, so BLAS gets one thread of its own in each. Unpinned, OpenBLAS
-# starts a pool per CPU under each of training's two threads. This takes
-# effect only when numpy is not yet loaded, and a user's own setting wins.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-del _name
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _one_blas_thread() -> None:
+    """Give BLAS one thread unless the user set a count.
+
+    The package's own threads are the parallelism: training runs its two
+    branches and detection its blocks on up to ``detection._usable_cpus()``
+    threads, so BLAS gets one thread of its own in each. Unpinned, OpenBLAS
+    starts a pool per CPU under each of training's two threads. If numpy is
+    not loaded yet, the three variables set the count when it loads. If it
+    is, OpenBLAS read them already, so its own ``set_num_threads`` entry,
+    found through numpy's extension module, sets one thread; a build without
+    such an entry keeps its count. A count the user set in any of the
+    three variables wins; the others still default to one.
+    """
+    user_set = any(name in os.environ for name in _BLAS_THREAD_VARIABLES)
+    for name in _BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(name, "1")
+    numpy = sys.modules.get("numpy")
+    if user_set or numpy is None:
+        return
+    try:
+        core = getattr(numpy, "_core", None) or numpy.core  # numpy 2, numpy 1
+        blas = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return
+    for entry in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                  "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        setter = getattr(blas, entry, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
+            return
+
+
+_one_blas_thread()
 
 
 def _keep_freed_memory() -> None:
@@ -44,6 +74,7 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+del ctypes, os, sys  # used only by the two policies above
 
 from .checkpoint import (  # noqa: E402
     deserialize_records,

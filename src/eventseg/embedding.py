@@ -10,13 +10,16 @@ against the shared pool of negatives.
 
 ``info_nce_loss`` is one autodiff node over rows laid out as L snippets of T
 consecutive frames, so its positives lie in the L diagonal T x T blocks of
-the logits. Its forward pass is one matmul of the queries against
-``[keys; queue]`` into a buffer turned in place from logits into the
-exponentials of exactly the negatives. Its backward pass uses the
-closed-form softmax gradient (van den Oord et al., 2018): ``p - 1`` on each
-positive logit and the negative's share of each positive's denominator on
-each negative logit, mapped back with one matmul against the same pool and
-one T x T product per snippet. The keys and the queue get no gradient.
+the logits. Its forward pass is one matmul of the queries, scaled by
+1/temperature, against ``[keys; queue]`` into a buffer turned in place from
+logits into the exponentials of exactly the negatives, then one matmul of
+that buffer against ``[keys; queue | 1]``, which gives each row's negative
+sum and the product the backward pass needs; the buffer is freed then.
+Its backward pass uses the closed-form softmax gradient (van den Oord et
+al., 2018): ``p - 1`` on each positive logit and the negative's share of
+each positive's denominator on each negative logit, mapped back through
+that product and one T x T product per snippet. It computes in the
+queries' dtype. The keys and the queue get no gradient.
 ``MemoryQueue(capacity, dim)`` is a ring buffer allocated when it is built;
 ``as_array`` returns its rows oldest first, which is the checkpoint layout.
 ``extend`` appends a block of rows in at most two slice assignments, with
@@ -46,7 +49,9 @@ import numpy as np
 
 from .data import FrameFeatureSequence
 from .errors import ConfigError, DataError, NumericsError, ShapeError
-from .tensor import Parameter, ParameterArena, Tensor, _accumulate, l2_normalize, no_grad
+from .tensor import (
+    Parameter, ParameterArena, Tensor, _accumulate, l2_normalize, linear, no_grad,
+)
 
 
 @dataclass
@@ -76,7 +81,7 @@ class MlpEncoder:
         self.arena = ParameterArena(self.parameters())
 
     def __call__(self, x: Tensor) -> Tensor:
-        return (x @ self.w1 + self.b1).relu() @ self.w2 + self.b2
+        return linear(linear(x, self.w1, self.b1).relu(), self.w2, self.b2)
 
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -257,8 +262,9 @@ def info_nce_loss(
     the same snippet is a positive; rows of other snippets and all queue
     entries are negatives. With logits ``l = q . k / temperature`` and ``N_i``
     the summed exponentials of row i's negatives, the loss is the mean over
-    positives (i, j) of ``-(l_ij - log(exp(l_ij) + N_i))``. The gradient
-    flows into ``queries`` only. Without a positive pair: ``ConfigError``.
+    positives (i, j) of ``-(l_ij - log(exp(l_ij) + N_i))``, computed in the
+    dtype of ``queries``. The gradient flows into ``queries`` only. Without a
+    positive pair: ``ConfigError``.
     """
     q = queries.data
     keys, queue_entries = np.asarray(keys), np.asarray(queue_entries)
@@ -271,20 +277,26 @@ def info_nce_loss(
     if n % window:
         raise ShapeError(f"{n} query rows are not whole snippets of {window} frames")
     L, T = n // window, window
-    pool = np.concatenate((keys, queue_entries))
     snippets, off_diagonal = np.arange(L), ~np.eye(T, dtype=bool)
+    # [keys; queue] next to a column of ones: one product with it gives the
+    # negatives' row sums and the backward's product with the pool at once.
+    pool = np.empty((n + len(queue_entries), dim + 1), q.dtype)
+    pool[:n, :dim], pool[n:, :dim], pool[:, dim] = keys, queue_entries, 1.0
 
     # One n x (n + Q) buffer: logits, then their exponentials, then (with the
     # same-snippet blocks zeroed) exactly the negatives' exponentials. In its
     # no-copy (L, T, L, T) view, [l, :, l] is snippet l against its own keys.
-    e = q @ pool.T
-    e *= 1.0 / temperature
+    # It is dropped once multiplied into ``summed``, so the backward pass
+    # holds only n x (D + 1) of it.
+    e = (q * (1.0 / temperature)) @ pool[:, :dim].T
     blocks = e[:, :n].reshape(L, T, L, T)
-    l_pos = blocks[snippets, :, snippets][:, off_diagonal].reshape(n, T - 1).astype(np.float64)
+    l_pos = blocks[snippets, :, snippets][:, off_diagonal].reshape(n, T - 1)
     np.exp(e, out=e)
     blocks[snippets, :, snippets] = 0.0
+    summed = e @ pool
+    del e, blocks
     exp_pos = np.exp(l_pos)
-    denom = exp_pos + e.sum(axis=1, dtype=np.float64)[:, None]
+    denom = exp_pos + summed[:, dim:]
     scale = 1.0 / l_pos.size
     loss = -scale * np.sum(l_pos - np.log(denom))
 
@@ -294,8 +306,8 @@ def info_nce_loss(
         # adds a row's terms in order; np.sum pairs them from 8 terms on.
         c = float(g) * scale / temperature
         weight = c * np.cumsum(1.0 / denom, axis=1)[:, -1]
-        grad = (e @ pool) * weight[:, None]
-        d_pos = np.zeros((L, T, T))
+        grad = summed[:, :dim] * weight[:, None]
+        d_pos = np.zeros((L, T, T), q.dtype)
         d_pos[:, off_diagonal] = (c * (exp_pos / denom - 1.0)).reshape(L, -1)
         grad += (d_pos @ keys.reshape(L, T, dim)).reshape(n, dim)
         _accumulate(queries, grad)

@@ -61,7 +61,7 @@ from .embedding import (
 )
 from .errors import ConfigError, NumericsError, ShapeError
 from .optim import Optimizer, sgd_step
-from .tensor import Parameter, ParameterArena, Tensor, layer_norm, softmax
+from .tensor import Parameter, ParameterArena, Tensor, layer_norm, linear, softmax
 
 
 @dataclass
@@ -137,9 +137,9 @@ class AttentionBlock:
         def split(t: Tensor) -> Tensor:
             return t.reshape((batch, -1, self.heads, self.head_dim)).transpose((0, 2, 1, 3))
 
-        q = split(y_query @ self.wq + self.bq)
-        k = split(y @ self.wk + self.bk)
-        v = split(y @ self.wv + self.bv)
+        q = split(linear(y_query, self.wq, self.bq))
+        k = split(linear(y, self.wk, self.bk))
+        v = split(linear(y, self.wv, self.bv))
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
         attention = softmax(scores, axis=-1)
         # Dropped as soon as they are used, so the largest buffers, batch x
@@ -147,10 +147,10 @@ class AttentionBlock:
         del scores
         context = (attention @ v).transpose((0, 2, 1, 3)).reshape((batch, -1, dim))
         del attention, q, k, v
-        x = x + (context @ self.wo + self.bo)
+        x = x + linear(context, self.wo, self.bo)
         y2 = layer_norm(x, self.ln2_gamma, self.ln2_beta)
-        hidden = (y2 @ self.w1 + self.b1).relu()
-        return x + (hidden @ self.w2 + self.b2)
+        hidden = linear(y2, self.w1, self.b1).relu()
+        return x + linear(hidden, self.w2, self.b2)
 
 
 class Reconstructor:
@@ -184,7 +184,7 @@ class Reconstructor:
         for block in self.blocks[:-1]:
             x = block(x)
         x = self.blocks[-1](x, rows)
-        return x @ self.head_w + self.head_b
+        return linear(x, self.head_w, self.head_b)
 
 
 def assemble_masked_input(h3, mask_rows, rec: Reconstructor) -> Tensor:

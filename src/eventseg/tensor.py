@@ -5,25 +5,29 @@ scatters the upstream gradient back to its operands, and ``backward`` walks
 the recorded graph once in reverse topological order. Tensors wrap numpy
 arrays, float32 by default (float64 is supported for high-precision gradient
 checks); a plain number or array operand of ``+``, ``-``, ``*`` or ``@``
-becomes a constant of the tensor's dtype, and reductions accumulate in
-float64 before casting back. Storage is row-major throughout. A tensor
-holding NaN or Inf is an error state; callers that can produce one (losses,
-optimizer steps) check explicitly.
+becomes a constant of the tensor's dtype, and every sum and product runs in
+the arrays' own dtype, so float32 training computes in float32 and the
+float64 gradient checks in float64. Storage is row-major throughout. A
+tensor holding NaN or Inf is an error state; callers that can produce one
+(losses, optimizer steps) check explicitly.
 
 Gradient accumulation is additive across uses of a tensor; ``sgd_step``
-resets parameter gradients after each update.
+resets parameter gradients after each update. The gradient of a 2-D right
+operand of a product, a weight matrix, is one 2-D product over all rows of
+the left operand, whatever its leading axes.
 
-``layer_norm``, ``softmax`` and ``l2_normalize`` are fused: each is one
-graph node instead of the eleven, four and five nodes that composing them
-from elementwise nodes would record. Their forward passes make the
-composition's numpy calls in the same order and dtypes (softmax finds its
-row max by a sweep of ``np.maximum`` over the columns, which gives the same
-values). Their backward passes replay the composed graph's gradient
-arithmetic step for step, in the order the graph walk would accumulate it,
-rather than a closed form, so outputs and gradients are bit-identical to the
-composition: one code path serves training and ``no_grad`` detection alike.
-The composed forms, and the ``exp``, ``div`` and ``power`` nodes that only
-they use, are test oracles in ``tests/gradcheck.py``.
+``linear``, ``layer_norm``, ``softmax`` and ``l2_normalize`` are fused: each
+is one graph node instead of the two, eleven, four and five nodes that
+composing them from elementwise nodes would record. Their forward passes
+make the composition's numpy calls in the same order and dtypes (softmax
+finds its row max by a sweep of ``np.maximum`` over the columns, which gives
+the same values; ``linear`` adds the bias into the product in place). Their
+backward passes replay the composed graph's gradient arithmetic step for
+step, in the order the graph walk would accumulate it, rather than a closed
+form, so outputs and gradients are bit-identical to the composition: one
+code path serves training and ``no_grad`` detection alike. The composed
+forms, and the ``exp``, ``div`` and ``power`` nodes that only they use, are
+test oracles in ``tests/gradcheck.py``.
 
 One recorded graph belongs to one thread. Separate graphs are independent.
 Whether operations record is a per-thread flag: ``no_grad`` switches it off
@@ -82,9 +86,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _sum64(a: np.ndarray, axis, keepdims: bool) -> np.ndarray:
-    """``a`` summed over ``axis`` in float64 and cast back to its dtype."""
-    return np.asarray(a.sum(axis=axis, dtype=np.float64, keepdims=keepdims)).astype(a.dtype)
+def _right_grad(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of ``b`` in ``a @ b`` given the output's gradient ``g``.
+
+    A 2-D ``b`` gets one 2-D product over every row of ``a``'s leading
+    axes, rather than one product per leading index summed afterwards.
+    """
+    if b.ndim == 2:
+        return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
 
 
 def _accumulate(t: "Tensor", grad: np.ndarray) -> None:
@@ -212,7 +222,7 @@ class Tensor:
             if self.requires_grad:
                 _accumulate(self, _unbroadcast(g @ b.swapaxes(-1, -2), a.shape))
             if other.requires_grad:
-                _accumulate(other, _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+                _accumulate(other, _right_grad(a, b, g))
 
         return self._result(data, (self, other), backward)
 
@@ -271,7 +281,7 @@ class Tensor:
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = _sum64(self.data, axis, keepdims)
+        data = np.asarray(self.data.sum(axis=axis, keepdims=keepdims))
         src_shape = self.data.shape
 
         def backward(g):
@@ -350,6 +360,24 @@ class ParameterArena:
 
 # -- fused operations used throughout the model -------------------------------
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 2-D weight ``w`` and a bias vector ``b``, as one
+    node: the bias is added into the product in place."""
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.shape[-1:] != wd.shape[:1] or b.data.shape != wd.shape[1:]:
+        raise ShapeError(f"linear shapes disagree: {xd.shape} @ {wd.shape} + {b.data.shape}")
+    data = xd @ wd
+    data += b.data
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, g @ wd.T)
+        _accumulate(w, _right_grad(xd, wd, g))
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+
+    return x._result(data, (x, w, b), backward)
+
+
 LAYER_NORM_EPS = 1e-5  # the variance shift of LayerNorm (Ba et al., 2016)
 L2_NORM_EPS = 1e-12  # the smallest row norm l2_normalize divides by
 
@@ -368,9 +396,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         )
     xd = x.data
     scale = xd.dtype.type(1.0 / dim)
-    mu = _sum64(xd, -1, True) * scale
+    mu = xd.sum(axis=-1, keepdims=True) * scale
     centered = xd - mu
-    shifted_var = _sum64(centered * centered, -1, True) * scale + xd.dtype.type(LAYER_NORM_EPS)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    shifted_var = var + xd.dtype.type(LAYER_NORM_EPS)
     inv = shifted_var ** -0.5
     normalized = centered * inv
     data = normalized * gamma.data + beta.data
@@ -412,7 +441,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     for i in range(1, xd.shape[axis]):
         shift = np.maximum(shift, xd[lead + (slice(i, i + 1),)])
     exps = np.exp(xd - shift)
-    total = _sum64(exps, axis, True)
+    total = exps.sum(axis=axis, keepdims=True)
     data = exps / total
 
     def backward(g):
@@ -434,7 +463,7 @@ def l2_normalize(x: Tensor) -> Tensor:
     xd = x.data
     floor = L2_NORM_EPS * L2_NORM_EPS
     with np.errstate(over="ignore"):
-        norm_sq = _sum64(xd * xd, -1, True)
+        norm_sq = (xd * xd).sum(axis=-1, keepdims=True)
     if np.isinf(norm_sq).any():
         raise NumericsError("l2_normalize: a squared row norm overflows; inputs too large")
     clamped = np.maximum(norm_sq, floor)

@@ -6,11 +6,12 @@ reduces two tensors to a scalar loss.
 
 ``exp``, ``log``, ``div``, ``power`` and ``clamp_min`` are autodiff nodes
 that the oracles below need and no package path uses. The package's
-fused ``layer_norm``, ``softmax`` and ``l2_normalize`` replay the
-arithmetic of ``composed_layer_norm``, ``composed_softmax`` and
-``composed_l2_normalize``, which build those ops from such nodes: the
-bit-exact oracles for the fused nodes. ``id_mask_info_nce`` is the
-bit-exact oracle for ``info_nce_loss``.
+fused ``linear``, ``layer_norm``, ``softmax`` and ``l2_normalize`` replay
+the arithmetic of ``composed_linear``, ``composed_layer_norm``,
+``composed_softmax`` and ``composed_l2_normalize``, which build those ops
+from ``@``, ``+`` and such nodes: the bit-exact oracles for the fused
+nodes. ``id_mask_info_nce`` is the bit-exact oracle for ``info_nce_loss``,
+whose arithmetic, like every node's, runs in the queries' dtype.
 
 ``loop_sgd_step``, ``loop_momentum_update`` and ``loop_sample_batch`` are
 the per-parameter and per-video loops that the package's whole-array
@@ -69,6 +70,10 @@ def clamp_min(t: Tensor, floor: float) -> Tensor:
     return t._result(np.maximum(t.data, floor), (t,), backward)
 
 
+def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return x @ w + b
+
+
 def composed_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
@@ -92,39 +97,44 @@ def composed_l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
 def id_mask_info_nce(queries, keys, snippet_ids, queue_entries, temperature):
     """``info_nce_loss`` with its positives given by a per-row snippet id
     instead of the layout: an n x n same-snippet mask, its ``np.nonzero``
-    pairs, and a dense n x n ``d_pos`` in the backward pass.
+    pairs, ``np.add.at`` row sums over them, and a dense n x n ``d_pos`` in
+    the backward pass, multiplied into the keys one id's block at a time.
+    Its pool is a contiguous ``[keys; queue]``, joined to a column of ones
+    by a second concatenation, where the node writes one array and reads
+    its first D columns as a strided view.
 
-    Its sums run in the node's order except in ``d_pos @ keys``, which BLAS
-    may round differently from the node's per-snippet T x T products. With
-    OpenBLAS 0.3.31 on x86-64 the float64 gradients agree for D = 16 up to
-    n = 640 and part by an ulp for D = 4 or 12 or n = 1000; rounded to the
-    float32 gradient of float32 queries, they matched on every tested case.
+    Every sum runs in the node's order and dtype, so the two agree bit for
+    bit. ``d_pos @ keys`` as one dense product would not: BLAS rounds an
+    n-deep product with zeros differently from the T-deep ones.
     """
     q = queries.data
     n = q.shape[0]
     ids = np.asarray(snippet_ids)
-    pool = np.concatenate((keys, queue_entries))
+    pool = np.concatenate((keys, queue_entries)).astype(q.dtype)
     same = ids[:, None] == ids[None, :]
     rows, cols = np.nonzero(same & ~np.eye(n, dtype=bool))
 
-    e = q @ pool.T
-    e *= 1.0 / temperature
-    l_pos = e[rows, cols].astype(np.float64)
+    e = (q * (1.0 / temperature)) @ pool.T
+    l_pos = e[rows, cols]
     np.exp(e, out=e)
     e[:, :n][same] = 0.0
-    negatives = e.sum(axis=1, dtype=np.float64)
+    summed = e @ np.concatenate((pool, np.ones((len(pool), 1), q.dtype)), axis=1)
     exp_pos = np.exp(l_pos)
-    denom = exp_pos + negatives[rows]
+    denom = exp_pos + summed[rows, -1]
     scale = 1.0 / rows.size
     loss = -scale * np.sum(l_pos - np.log(denom))
 
     def backward(g):
         c = float(g) * scale / temperature
-        weight = c * np.bincount(rows, weights=1.0 / denom, minlength=n)
-        grad = (e @ pool) * weight[:, None]
-        d_pos = np.zeros((n, n))
+        per_row = np.zeros(n, q.dtype)
+        np.add.at(per_row, rows, 1.0 / denom)
+        weight = c * per_row
+        grad = summed[:, :-1] * weight[:, None]
+        d_pos = np.zeros((n, n), q.dtype)
         d_pos[rows, cols] = c * (exp_pos / denom - 1.0)
-        grad += d_pos @ keys
+        for i in np.unique(ids):
+            block = np.flatnonzero(ids == i)
+            grad[block] += d_pos[np.ix_(block, block)] @ keys[block]
         _accumulate(queries, grad)
 
     return queries._result(np.asarray(loss, dtype=q.dtype), (queries,), backward)

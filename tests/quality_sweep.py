@@ -13,6 +13,14 @@ Run from the repository root, one argument per seed and per regime::
     python3 tests/quality_sweep.py --seeds 7 8 --steps 2000 \\
         --regimes default noise_std=0.3 events_per_video=10,20 --out sweep.csv
 
+To compare two sweeps of the same seeds and regimes, say before and after a
+change::
+
+    python3 tests/quality_sweep.py --compare before.csv after.csv
+
+prints, for each regime, the median of each of ``COMPARED`` on both sides
+and the change of each seed's value.
+
 Runs go to ``min(usable CPUs, runs)`` worker processes, and each run sizes
 its training and detection threads by its share of the CPUs, so workers do
 not contend for them; ``wall_s`` is a run's wall time on that share. A
@@ -70,6 +78,8 @@ REGIMES = ["default", "noise_std=0.3", "drift_std=0.05", "num_prototypes=2",
 COLUMNS = ["seed", "regime", *(f"f1@{t:g}" for t in RunConfig().evaluation.thresholds),
            "avg_f1", "mof", "iou", "random_f1@0.05", "ratio_to_random", "loss_ratio_7a",
            "detections", "truths", "wall_s"]
+# The columns ``--compare`` reads.
+COMPARED = ["f1@0.05", "ratio_to_random", "mof"]
 
 
 def random_detector_f1(annotations, detections, threshold):
@@ -191,6 +201,33 @@ def write_csv(rows: list[dict], path) -> None:
         writer.writerows(rows)
 
 
+def read_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def compare(before: list[dict], after: list[dict]) -> list[str]:
+    """One line per (regime, column of ``COMPARED``): the median before and
+    after over the seeds both sweeps ran, and each seed's change, regimes
+    in the order ``before`` first names them."""
+    def by_run(rows):
+        return {(row["regime"], int(row["seed"])): row for row in rows}
+
+    old, new = by_run(before), by_run(after)
+    lines = []
+    for regime in dict.fromkeys(row["regime"] for row in before):
+        seeds = sorted(seed for r, seed in old if r == regime and (r, seed) in new)
+        if not seeds:
+            continue
+        for column in COMPARED:
+            was = [float(old[regime, seed][column]) for seed in seeds]
+            now = [float(new[regime, seed][column]) for seed in seeds]
+            changes = " ".join(f"{seed}:{b - a:+.4f}" for seed, a, b in zip(seeds, was, now))
+            lines.append(f"{regime:<24} {column:<16} {np.median(was):8.4f} -> "
+                         f"{np.median(now):8.4f}  per seed {changes}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", nargs="+", type=int, default=[7], help="seeds")
@@ -198,7 +235,12 @@ def main(argv=None) -> int:
     parser.add_argument("--regimes", nargs="+", default=REGIMES,
                         help="regimes: default or [synth] key=value")
     parser.add_argument("--out", default="sweep.csv", help="CSV file to write")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two sweep CSVs instead of running a sweep")
     args = parser.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*map(read_csv, args.compare))))
+        return 0
     rows = sweep(args.seeds, args.regimes, args.steps)
     write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

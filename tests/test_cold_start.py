@@ -10,7 +10,8 @@ imports are exactly the runtime dependencies that ``pyproject.toml``
 declares.
 
 Importing the package gives BLAS one thread unless the user set the count,
-since the package's own threads are its parallelism.
+since the package's own threads are its parallelism, also when numpy was
+imported first.
 """
 
 import ast
@@ -105,3 +106,34 @@ def test_import_gives_blas_one_thread_unless_the_user_chose(fresh_python):
     result = fresh_python("-c", chosen, unset=BLAS_THREADS)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["3", "1", "1"]
+
+
+LOADED_BLAS_THREADS = """
+import ctypes
+import os
+import sys
+
+chosen, package = sys.argv[1:]
+if chosen:
+    os.environ["OPENBLAS_NUM_THREADS"] = chosen
+import numpy
+if package == "eventseg":
+    import eventseg
+blas = ctypes.CDLL(numpy._core._multiarray_umath.__file__)
+getter = getattr(blas, "scipy_openblas_get_num_threads64_", None)
+print(getter() if getter is not None else "unknown")
+"""
+
+
+def test_import_after_numpy_gives_blas_one_thread_unless_the_user_chose(fresh_python):
+    def threads(chosen, package):
+        result = fresh_python("-c", LOADED_BLAS_THREADS, chosen, package, unset=BLAS_THREADS)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.strip()
+
+    if threads("", "numpy") == "unknown":
+        pytest.skip("numpy's BLAS does not report its thread count")
+    assert threads("", "eventseg") == "1"
+    # A count the user chose is what numpy alone gets: 2 on a host of two
+    # or more CPUs.
+    assert threads("2", "eventseg") == threads("2", "numpy")

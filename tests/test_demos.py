@@ -50,3 +50,8 @@ def test_exports_are_exactly_these():
         Parameter Tensor l2_normalize layer_norm no_grad softmax
         build_models run_training
     """.split())
+
+
+def test_package_leaks_no_module_it_imported():
+    for name in ("os", "sys", "ctypes"):
+        assert not hasattr(eventseg, name), name

@@ -417,6 +417,20 @@ def test_info_nce_matches_the_id_mask_reference_bit_for_bit(L, T, dim, queue_len
     assert fused_q.grad.tobytes() == oracle_q.grad.tobytes()
 
 
+def test_info_nce_backward_holds_no_logit_sized_array():
+    # The n x (n + Q) exponentials are multiplied into an n x (D + 1)
+    # product in the forward pass and freed, so the graph kept until the
+    # walk holds nothing of that size.
+    rng = np.random.default_rng(24)
+    L, T, dim, queue_len = 32, 10, 16, 4096
+    h = Tensor(_unit_rows(rng, L * T, dim), requires_grad=True)
+    loss = info_nce_loss(h, _unit_rows(rng, L * T, dim), T, _unit_rows(rng, queue_len, dim), 0.2)
+    held = [cell.cell_contents for cell in loss._backward_fn.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    arrays += [t.data for t in held if isinstance(t, Tensor)]
+    assert arrays and max(a.size for a in arrays) < L * T * (L * T + queue_len)
+
+
 def test_info_nce_rejects_keys_or_ids_not_matching_queries():
     rng = np.random.default_rng(21)
     h = Tensor(_unit_rows(rng, 6, 4))

@@ -1,4 +1,4 @@
-"""The fused ``layer_norm``, ``softmax`` and ``l2_normalize`` nodes against
+"""The fused ``linear``, ``layer_norm``, ``softmax`` and ``l2_normalize`` nodes against
 their composed oracles in ``gradcheck``: the forward values and the gradient
 of every input must be the same bits, not merely close, so that training and
 detection give byte-identical checkpoints and trajectories."""
@@ -25,8 +25,9 @@ from eventseg import (
     train_step,
 )
 from eventseg.detection import BLOCK_WINDOWS
+from eventseg.tensor import linear
 
-from gradcheck import composed_l2_normalize, composed_layer_norm, composed_softmax
+from gradcheck import composed_l2_normalize, composed_layer_norm, composed_linear, composed_softmax
 
 DTYPES = [np.float32, np.float64]
 
@@ -37,6 +38,9 @@ SOFTMAX_SHAPES = [(256, 8, 10, 10), (256, 8, 1, 10), (32, 8, 10, 10), (32, 8, 1,
 LAYER_NORM_SHAPES = [(256, 10, 16), (256, 1, 16), (32, 10, 16), (32, 1, 16)]
 # Encoder outputs: a detection block's frames, a training batch, an enqueue.
 L2_SHAPES = [(265, 16), (320, 16), (32, 16)]
+# Inputs of the attention projections in detection and in training, and of
+# the encoder on a training batch.
+LINEAR_SHAPES = [(256, 10, 16), (32, 10, 16), (320, 32)]
 
 
 def _assert_same_bits(got: np.ndarray, want: np.ndarray, what: str) -> None:
@@ -83,6 +87,17 @@ def test_layer_norm_matches_composed(shape, dtype):
     arrays = _layer_norm_inputs(rng, shape, dtype)
     weights = rng.normal(size=shape).astype(dtype)
     _assert_matches_composed(layer_norm, composed_layer_norm, arrays, weights)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", LINEAR_SHAPES)
+def test_linear_matches_composed(shape, dtype):
+    rng = np.random.default_rng(30)
+    dim = shape[-1]
+    arrays = [rng.normal(size=shape).astype(dtype), rng.normal(size=(dim, dim)).astype(dtype),
+              rng.normal(size=dim).astype(dtype)]
+    weights = rng.normal(size=shape).astype(dtype)
+    _assert_matches_composed(linear, composed_linear, arrays, weights)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -211,6 +226,8 @@ def _train_then_detect():
 
 def test_training_and_detection_identical_with_composed_ops(monkeypatch):
     fused = _train_then_detect()
+    monkeypatch.setattr(embedding, "linear", composed_linear)
+    monkeypatch.setattr(reconstruction, "linear", composed_linear)
     monkeypatch.setattr(reconstruction, "layer_norm", composed_layer_norm)
     monkeypatch.setattr(reconstruction, "softmax", composed_softmax)
     monkeypatch.setattr(embedding, "l2_normalize", composed_l2_normalize)

@@ -1,6 +1,6 @@
 """The quality sweep in ``tests/quality_sweep.py`` runs end to end: a few
 training steps on two seeds and two regimes, in this process and in
-spawned workers."""
+spawned workers. Its comparison of two sweeps reads hand-made CSVs."""
 
 import csv
 import math
@@ -51,3 +51,38 @@ def test_spawned_workers_give_the_rows_of_one_process(monkeypatch):
     for row in rows:
         alone = run_one(row["seed"], row["regime"], 4)
         assert {**alone, "wall_s": 0} == {**row, "wall_s": 0}
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["seed", "regime", "f1@0.05", "ratio_to_random",
+                                                "mof", "wall_s"])
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def test_compare_prints_medians_and_per_seed_changes(tmp_path, capsys):
+    def row(seed, regime, f1, ratio, mof):
+        return {"seed": seed, "regime": regime, "f1@0.05": f1, "ratio_to_random": ratio,
+                "mof": mof, "wall_s": 1.0}
+
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    _write_rows(before, [row(7, "default", 0.8, 3.0, 0.9), row(8, "default", 0.6, 2.0, 0.7),
+                         row(9, "default", 0.7, 2.5, 0.8), row(7, "noise_std=0.3", 0.5, 1.5, 0.6)])
+    # Seed 10 ran only after; the noisy regime lost 0.1 of F1.
+    _write_rows(after, [row(8, "default", 0.6, 2.0, 0.75), row(7, "default", 0.9, 3.5, 0.9),
+                        row(9, "default", 0.7, 2.5, 0.8), row(10, "default", 0.1, 0.1, 0.1),
+                        row(7, "noise_std=0.3", 0.4, 1.5, 0.6)])
+    assert main(["--compare", str(before), str(after)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:5] for line in lines] == [
+        ["default", "f1@0.05", "0.7000", "->", "0.7000"],
+        ["default", "ratio_to_random", "2.5000", "->", "2.5000"],
+        ["default", "mof", "0.8000", "->", "0.8000"],
+        ["noise_std=0.3", "f1@0.05", "0.5000", "->", "0.4000"],
+        ["noise_std=0.3", "ratio_to_random", "1.5000", "->", "1.5000"],
+        ["noise_std=0.3", "mof", "0.6000", "->", "0.6000"],
+    ]
+    assert lines[0].endswith("per seed 7:+0.1000 8:+0.0000 9:+0.0000")
+    assert lines[2].endswith("per seed 7:+0.0000 8:+0.0500 9:+0.0000")
+    assert lines[3].endswith("per seed 7:-0.1000")

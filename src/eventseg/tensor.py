@@ -372,8 +372,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             _accumulate(x, g @ wd.T)
-        _accumulate(w, _right_grad(xd, wd, g))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if w.requires_grad:
+            _accumulate(w, _right_grad(xd, wd, g))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return x._result(data, (x, w, b), backward)
 

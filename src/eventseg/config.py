@@ -52,6 +52,11 @@ class ModelConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.queue_capacity < 1:
             raise ConfigError("queue_capacity must be >= 1")
+        # A checkpoint keeps each setting in a float32 record, which holds
+        # every integer only up to 2**24: a larger capacity would load as
+        # another one.
+        if self.queue_capacity > 2**24:
+            raise ConfigError(f"queue_capacity must be <= 2**24, got {self.queue_capacity}")
         if self.layers < 1:
             raise ConfigError("layers must be >= 1")
 

@@ -72,8 +72,6 @@ class MlpEncoder:
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, prefix: str):
         hidden = 2 * out_dim
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.w1 = uniform_weight(rng, in_dim, hidden, f"{prefix}.w1")
         self.b1 = Parameter(np.zeros(hidden, dtype=np.float32), f"{prefix}.b1")
         self.w2 = uniform_weight(rng, hidden, out_dim, f"{prefix}.w2")
@@ -85,9 +83,6 @@ class MlpEncoder:
 
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]
-
-    def copy_values_from(self, other: "MlpEncoder") -> None:
-        self.arena.values[...] = other.arena.values
 
 
 def uniform_weight(rng: np.random.Generator, fan_in: int, fan_out: int, name: str) -> Parameter:
@@ -107,10 +102,7 @@ class EncoderPair:
         self.alpha = alpha
         self.query = MlpEncoder(in_dim, dim, rng, "ctfe.query")
         self.key = MlpEncoder(in_dim, dim, rng, "ctfe.key")
-        self.key.copy_values_from(self.query)
-
-    def trainable_parameters(self) -> list[Parameter]:
-        return self.query.parameters()
+        self.key.arena.values[...] = self.query.arena.values
 
     def parameters(self) -> list[Parameter]:
         return self.query.parameters() + self.key.parameters()

@@ -90,12 +90,13 @@ def positional_embedding(window: int, dim: int) -> np.ndarray:
 
 
 class AttentionBlock:
-    """Pre-norm residual block: x + MSA(LN(x)), then x + MLP(LN(x))."""
+    """Pre-norm residual block: x + MSA(LN(x)), then x + MLP(LN(x)). The
+    keys split straight into (batch, heads, head_dim, T), so the scores are
+    one product, softmax-normalised over their last axis."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, prefix: str):
         if dim % heads != 0:
             raise ShapeError(f"dim {dim} not divisible by {heads} heads")
-        self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
         self.ln1_gamma = Parameter(np.ones(dim, dtype=np.float32), f"{prefix}.ln1.gamma")
@@ -134,19 +135,19 @@ class AttentionBlock:
             picked = (np.arange(batch)[:, None], rows)
             x, y_query = x[picked], y[picked]
 
-        def split(t: Tensor) -> Tensor:
-            return t.reshape((batch, -1, self.heads, self.head_dim)).transpose((0, 2, 1, 3))
+        def split(t: Tensor, axes=(0, 2, 1, 3)) -> Tensor:
+            return t.reshape((batch, -1, self.heads, self.head_dim)).transpose(axes)
 
         q = split(linear(y_query, self.wq, self.bq))
-        k = split(linear(y, self.wk, self.bk))
+        k_t = split(linear(y, self.wk, self.bk), (0, 2, 3, 1))
         v = split(linear(y, self.wv, self.bv))
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.head_dim))
-        attention = softmax(scores, axis=-1)
+        scores = (q @ k_t) * (1.0 / np.sqrt(self.head_dim))
+        attention = softmax(scores)
         # Dropped as soon as they are used, so the largest buffers, batch x
         # heads x rows x T each, are not alive together through the MLP.
         del scores
         context = (attention @ v).transpose((0, 2, 1, 3)).reshape((batch, -1, dim))
-        del attention, q, k, v
+        del attention, q, k_t, v
         x = x + linear(context, self.wo, self.bo)
         y2 = layer_norm(x, self.ln2_gamma, self.ln2_beta)
         hidden = linear(y2, self.w1, self.b1).relu()
@@ -234,25 +235,16 @@ def contrastive_loss(
     return info_nce_loss(h, z.data, T, queue.as_array(), contrastive_cfg.temperature)
 
 
-def reconstruction_loss(
-    h3: Tensor,
-    mask_rows: np.ndarray,
-    rec: Reconstructor,
-    recon_targets: np.ndarray | None = None,
-) -> Tensor:
+def reconstruction_loss(h3: Tensor, mask_rows: np.ndarray, rec: Reconstructor) -> Tensor:
     """The reconstruction branch: mean squared error of the reconstructed
     masked rows of the (L x T x D) embeddings ``h3``, one row per snippet.
 
-    The target is the (detached) embedding of the masked rows;
-    ``recon_targets`` overrides it with a fixed (L x D) array. Gradient
-    checks need that: under perturbation the detached target would otherwise
-    move with the parameters, which the analytic gradient ignores by
-    construction.
+    The target is the embedding of the masked rows, detached: no gradient
+    flows through it. A gradient check that perturbs the parameters must
+    hold the target fixed itself, or it moves with them.
     """
     recon_rows = masked_reconstruct(h3, mask_rows, rec)
-    if recon_targets is None:
-        recon_targets = h3.data[np.arange(len(mask_rows)), mask_rows]
-    diff = recon_rows - Tensor(recon_targets)
+    diff = recon_rows - Tensor(h3.data[np.arange(len(mask_rows)), mask_rows])
     return (diff * diff).sum(axis=-1).mean()
 
 
@@ -264,19 +256,18 @@ def compute_losses(
     contrastive_cfg: ContrastiveConfig,
     recon_cfg: ReconstructionConfig,
     mask_rows: np.ndarray,
-    recon_targets: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Pure joint forward pass, one graph for both branches: no state is
     mutated.
 
     ``mask_rows`` holds the masked position of each of the L snippets.
-    Returns (contrastive, reconstruction, total) loss tensors;
-    ``recon_targets`` is passed to ``reconstruction_loss``.
+    Returns (contrastive, reconstruction, total) loss tensors; the
+    reconstruction target is the detached embedding, as in ``train_step``.
     """
     L, T, _ = batch.shape
     h = encode_query(batch.reshape(L * T, -1), enc)
     lc = contrastive_loss(h, batch, enc, queue, contrastive_cfg)
-    lr = reconstruction_loss(h.reshape((L, T, enc.dim)), mask_rows, rec, recon_targets)
+    lr = reconstruction_loss(h.reshape((L, T, enc.dim)), mask_rows, rec)
     total = lc + lr * float(recon_cfg.beta)
     return lc, lr, total
 
@@ -353,7 +344,7 @@ def train_step(
             f"reconstruction={lr.item()!r})"
         )
     h.backward(h_contrastive.grad + h_reconstruction.grad.reshape(h.data.shape))
-    sgd_step(enc.trainable_parameters() + rec.parameters(), opt)
+    sgd_step(enc.query.parameters() + rec.parameters(), opt)
     momentum_update(enc)
     enqueue_memory(batch, enc, queue, rng)
     return {

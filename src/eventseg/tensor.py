@@ -11,6 +11,11 @@ float64 gradient checks in float64. Storage is row-major throughout. A
 tensor holding NaN or Inf is an error state; callers that can produce one
 (losses, optimizer steps) check explicitly.
 
+The node set is what training and detection record: ``+``, ``-``, ``*``,
+``@``, ``reshape``, ``transpose``, indexing, ``relu``, ``sum`` (over any
+axes), ``mean`` (over every entry) and the fused nodes below, of which
+``softmax`` normalises the last axis only.
+
 Gradient accumulation is additive across uses of a tensor; ``sgd_step``
 resets parameter gradients after each update. The gradient of a 2-D right
 operand of a product, a weight matrix, is one 2-D product over all rows of
@@ -247,14 +252,6 @@ class Tensor:
 
         return self._result(data, (self,), backward)
 
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        data = self.data.swapaxes(a, b)
-
-        def backward(g):
-            _accumulate(self, g.swapaxes(a, b))
-
-        return self._result(data, (self,), backward)
-
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
         if isinstance(data, np.ndarray) and data.base is not None:
@@ -292,15 +289,9 @@ class Tensor:
 
         return self._result(data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = 1
-            for ax in axes:
-                count *= self.data.shape[ax]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self) -> "Tensor":
+        """The average of every entry: a 0-d tensor."""
+        return self.sum() * (1.0 / self.data.size)
 
 
 class Parameter(Tensor):
@@ -425,25 +416,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return x._result(data, (x, gamma, beta), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Rows sum to one; computed with (detached) max subtraction for stability.
+def softmax(x: Tensor) -> Tensor:
+    """Each row (last axis) sums to one; computed with (detached) max
+    subtraction for stability. A 0-d input or an empty last axis is a
+    ``ShapeError``.
 
-    The max is a sweep of ``np.maximum`` over the columns of ``axis``: the
-    same values as ``np.max`` (NaN propagates) at a tenth of its cost on the
-    short attention rows.
+    The max is a sweep of ``np.maximum`` over the columns: the same values
+    as ``np.max`` (NaN propagates) at a tenth of its cost on the short
+    attention rows.
     """
     xd = x.data
-    if not -xd.ndim <= axis < xd.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for shape {xd.shape}")
-    axis %= xd.ndim
-    if xd.shape[axis] == 0:
-        raise ShapeError(f"softmax over the empty axis {axis} of shape {xd.shape}")
-    lead = (slice(None),) * axis
-    shift = xd[lead + (slice(0, 1),)]
-    for i in range(1, xd.shape[axis]):
-        shift = np.maximum(shift, xd[lead + (slice(i, i + 1),)])
+    if xd.ndim == 0 or xd.shape[-1] == 0:
+        raise ShapeError(f"softmax needs a non-empty last axis, got shape {xd.shape}")
+    shift = xd[..., 0:1]
+    for i in range(1, xd.shape[-1]):
+        shift = np.maximum(shift, xd[..., i:i + 1])
     exps = np.exp(xd - shift)
-    total = exps.sum(axis=axis, keepdims=True)
+    total = exps.sum(axis=-1, keepdims=True)
     data = exps / total
 
     def backward(g):

@@ -9,9 +9,11 @@ that the oracles below need and no package path uses. The package's
 fused ``linear``, ``layer_norm``, ``softmax`` and ``l2_normalize`` replay
 the arithmetic of ``composed_linear``, ``composed_layer_norm``,
 ``composed_softmax`` and ``composed_l2_normalize``, which build those ops
-from ``@``, ``+`` and such nodes: the bit-exact oracles for the fused
-nodes. ``id_mask_info_nce`` is the bit-exact oracle for ``info_nce_loss``,
-whose arithmetic, like every node's, runs in the queries' dtype.
+from ``@``, ``+``, ``sum`` and such nodes: the bit-exact oracles for the
+fused nodes. Each takes its fused node's arguments, and the three
+normalisations act on the last axis, as the fused nodes do.
+``id_mask_info_nce`` is the bit-exact oracle for ``info_nce_loss``, whose
+arithmetic, like every node's, runs in the queries' dtype.
 
 ``loop_sgd_step``, ``loop_momentum_update`` and ``loop_sample_batch`` are
 the per-parameter and per-video loops that the package's whole-array
@@ -75,17 +77,18 @@ def composed_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def composed_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
+    scale = 1.0 / x.data.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * scale
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
     normalized = centered * power(var + eps, -0.5)
     return normalized * gamma + beta
 
 
-def composed_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shift = Tensor(np.max(x.data, axis=axis, keepdims=True))
+def composed_softmax(x: Tensor) -> Tensor:
+    shift = Tensor(np.max(x.data, axis=-1, keepdims=True))
     exps = exp(x - shift)
-    return div(exps, exps.sum(axis=axis, keepdims=True))
+    return div(exps, exps.sum(axis=-1, keepdims=True))
 
 
 def composed_l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:

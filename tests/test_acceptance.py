@@ -23,7 +23,6 @@ from eventseg import (
     RunConfig,
     Tensor,
     annotations_by_id,
-    compute_losses,
     detect_corpus,
     evaluate_corpus,
     f1_score,
@@ -68,7 +67,7 @@ def test_criterion_1_full_model_gradient_check():
     # Check at activation scale and in float64: the finite-difference oracle
     # needs headroom that float32 storage does not offer.
     rec.mask_token.data = master.uniform(-0.5, 0.5, size=dim).astype(np.float32)
-    params = enc.trainable_parameters() + rec.parameters()
+    params = enc.query.parameters() + rec.parameters()
     for p in params:
         p.data = p.data.astype(np.float64)
         p.grad = np.zeros_like(p.data)
@@ -85,16 +84,19 @@ def test_criterion_1_full_model_gradient_check():
 
     # Freeze the reconstruction target at the unperturbed point: the target
     # is detached by design, so the derivative through it must not appear on
-    # either side of the comparison.
-    from eventseg import encode_query
+    # either side of the comparison. The total is the joint loss of
+    # ``compute_losses`` with that fixed target.
+    from eventseg import encode_query, masked_reconstruct
+    from eventseg.reconstruction import contrastive_loss
 
     h0 = encode_query(batch.reshape(-1, dim), enc).data.reshape(snippets, window, dim)
-    targets = h0[np.arange(snippets), mask_rows].copy()
+    targets = Tensor(h0[np.arange(snippets), mask_rows].copy())
 
     def total():
-        return compute_losses(
-            batch, enc, queue, rec, ccfg, rcfg, mask_rows, recon_targets=targets
-        )[2]
+        h = encode_query(batch.reshape(-1, dim), enc)
+        lc = contrastive_loss(h, batch, enc, queue, ccfg)
+        diff = masked_reconstruct(h.reshape((snippets, window, dim)), mask_rows, rec) - targets
+        return lc + (diff * diff).sum(axis=-1).mean() * float(rcfg.beta)
 
     total().backward()
     analytic = [p.grad.copy() for p in params]

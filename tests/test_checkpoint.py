@@ -107,6 +107,17 @@ def test_saved_meta_is_the_models_config(tmp_path):
     assert load_model(path)[3] == expected
 
 
+def test_largest_queue_capacity_survives_a_round_trip(tmp_path):
+    # 2**24 is the largest capacity a float32 meta record holds exactly. The
+    # ring comes from np.empty and is never written, so it costs no memory.
+    model = ModelConfig(embedding_dim=2, heads=1, layers=1, queue_capacity=2**24)
+    enc, rec, queue = build_models(model, 3, np.random.default_rng(5))
+    path = tmp_path / "model.bin"
+    save_model(path, enc, rec, queue, 4)
+    _, _, loaded, meta = load_model(path)
+    assert meta["queue_capacity"] == loaded.capacity == 2**24
+
+
 def test_checkpoint_names_follow_scheme():
     rng = np.random.default_rng(2)
     enc = EncoderPair(6, 8, 0.999, rng)

@@ -641,20 +641,60 @@ def test_negative_seed_is_config_error(workspace, capsys, where):
     assert not out.exists()
 
 
+# The CLI in a child process under a 2 GiB address-space limit.
+LIMITED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+               "import eventseg.cli; sys.exit(eventseg.cli.main(sys.argv[1:]))")
+
+
 def test_failed_allocation_is_one_memory_line(workspace, fresh_python):
-    # A queue of 10**9 rows needs 60 GiB. Under a 2 GiB address-space limit,
-    # set in the child process only, numpy cannot allocate it; that used to
-    # end in an 18-line traceback.
+    # A queue of 2**24 rows, the largest capacity, of width 64 needs 4 GiB.
+    # Under a 2 GiB address-space limit, set in the child process only,
+    # numpy cannot allocate it; that used to end in an 18-line traceback.
     _, config, out = workspace
     assert _run(["synth", "--config", config, "--out", out]) == 0
-    config.write_text(config.read_text().replace("capacity = 64", "capacity = 1000000000"))
-    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
-              "import eventseg.cli; sys.exit(eventseg.cli.main(sys.argv[1:]))")
-    result = fresh_python("-c", script, "train", "--config", config, "--out", out, timeout=120)
+    model = "embedding_dim = 8\nheads = 4\nqueue_capacity = 64\n"
+    assert model in config.read_text()
+    config.write_text(config.read_text().replace(
+        model, "embedding_dim = 64\nheads = 4\nqueue_capacity = 16777216\n"))
+    result = fresh_python("-c", LIMITED_CLI, "train", "--config", config, "--out", out, timeout=120)
     assert result.returncode == 1
     err = result.stderr
     assert err.startswith("error: memory:") and err.count("\n") == 1, err
     assert not (out / "checkpoint.bin").exists()
+
+
+# Hostile [detector] values, each with the exit code it must end in: the
+# checkpoint's window is 6, and fir_smooth pads with half_width entries on
+# each side whatever the video's length, so 10**9 asks for 8 GB a side.
+@pytest.mark.parametrize("key, value, code", [
+    ("window", 0, 2),
+    ("window", 2, 2),
+    ("window", 7, 2),
+    ("fir_half_width", -1, 2),
+    ("fir_half_width", 10**9, 1),
+    ("extrema_range", 0, 2),
+    ("extrema_range", 10**9, 0),
+])
+def test_hostile_detector_value_ends_in_one_line(workspace, fresh_python, key, value, code):
+    # Each case runs alone in a child process under a 2 GiB address-space
+    # limit, so a value that asks for more memory fails to allocate.
+    tmp_path, config, out = workspace
+    assert _run(["synth", "--config", config, "--out", out]) == 0
+    assert _run(["train", "--config", config, "--out", out]) == 0
+    defaults = {"window": 6, "fir_half_width": 1, "extrema_range": 3}
+    hostile = tmp_path / "hostile.ini"
+    text = config.read_text()
+    assert f"{key} = {defaults[key]}\n" in text
+    hostile.write_text(text.replace(f"{key} = {defaults[key]}\n", f"{key} = {value}\n"))
+    result = fresh_python("-c", LIMITED_CLI, "detect", "--config", hostile, "--out",
+                          tmp_path / "det", "--checkpoint", out / "checkpoint.bin", timeout=120)
+    assert result.returncode == code, result.stderr
+    err = result.stderr
+    if code == 0:
+        assert err == ""
+    else:
+        category = "memory" if code == 1 else "config"
+        assert err.startswith(f"error: {category}:") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("model", [
@@ -663,7 +703,9 @@ def test_failed_allocation_is_one_memory_line(workspace, fresh_python):
     "input_dim = 0",
     "embedding_dim = -4\nheads = 4",
     "heads = 0",
-], ids=["odd-dim", "zero-dim", "zero-input-dim", "negative-dim", "zero-heads"])
+    "queue_capacity = 16777217",
+], ids=["odd-dim", "zero-dim", "zero-input-dim", "negative-dim", "zero-heads",
+        "queue-beyond-float32"])
 def test_unbuildable_model_is_config_error(tmp_path, capsys, model):
     config = tmp_path / "bad.ini"
     config.write_text(f"[model]\n{model}\n")

@@ -48,8 +48,7 @@ def composed_info_nce(queries, keys, snippet_ids, queue_entries, temperature, wi
     """The loss built from generic autodiff ops (exp, masked sums, log): the
     gradient oracle for the fused ``info_nce_loss``."""
     n = queries.data.shape[0]
-    keys_t = Tensor(keys)
-    logits = (queries @ keys_t.swapaxes(0, 1)) * (1.0 / temperature)
+    logits = (queries @ Tensor(keys.T)) * (1.0 / temperature)
     exp_logits = exp(logits)
 
     same = (snippet_ids[:, None] == snippet_ids[None, :]).astype(queries.data.dtype)

@@ -109,7 +109,7 @@ def _models(seed=0, input_dim=12):
 
 
 def _trainable(enc, rec):
-    return enc.trainable_parameters() + rec.parameters()
+    return enc.query.parameters() + rec.parameters()
 
 
 def _state(params):

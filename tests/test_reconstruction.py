@@ -12,15 +12,18 @@ from eventseg import (
     Optimizer,
     ReconstructionConfig,
     Reconstructor,
+    RunConfig,
     ShapeError,
     Tensor,
     assemble_masked_input,
+    build_models,
     compute_losses,
     encode_query,
     masked_reconstruct,
     positional_embedding,
     train_step,
 )
+from eventseg.reconstruction import reconstruction_loss
 
 from gradcheck import finite_difference, gradients_close
 
@@ -212,13 +215,15 @@ def test_position_sensitivity_and_permutation_covariance():
 
 def test_reconstruction_loss_cases():
     # A pass-through reconstructor outputs the mask token (zero here) at every
-    # masked row, so fixed targets set each row's squared error exactly.
+    # masked row, so the embeddings' masked rows, the targets, set each row's
+    # squared error exactly.
     enc, rec, queue, batch, ccfg, _ = _training_setup(seed=8, videos=2)
     _pass_through(rec)
 
     def recon_loss(mask_rows, targets):
-        return compute_losses(batch, enc, queue, rec, ccfg, ReconstructionConfig(),
-                              np.asarray(mask_rows), targets)[1].item()
+        h3 = np.zeros((2, 5, 8), dtype=np.float32)
+        h3[np.arange(2), mask_rows] = targets
+        return reconstruction_loss(Tensor(h3), np.asarray(mask_rows), rec).item()
 
     assert recon_loss([2, 2], np.zeros((2, 8), dtype=np.float32)) == 0.0
 
@@ -299,12 +304,12 @@ def test_train_step_deterministic():
 
 def test_train_step_zero_lr_keeps_parameters():
     enc, rec, queue, batch, ccfg, rcfg = _training_setup(seed=1)
-    before = [p.data.copy() for p in enc.trainable_parameters() + rec.parameters()]
+    before = [p.data.copy() for p in enc.query.parameters() + rec.parameters()]
     opt = Optimizer(learning_rate=0.0, weight_decay=0.0)
     losses = train_step(batch, enc, queue, rec, ccfg, rcfg, opt,
                         np.random.default_rng(0))
     assert losses["total"] > 0
-    for p, b in zip(enc.trainable_parameters() + rec.parameters(), before):
+    for p, b in zip(enc.query.parameters() + rec.parameters(), before):
         np.testing.assert_array_equal(p.data, b)
     # The step still feeds the queue and reports all three losses.
     assert len(queue) == len(batch)
@@ -325,6 +330,26 @@ def test_train_step_updates_parameters_and_key_encoder():
         0.999 * k_before + 0.001 * enc.query.w1.data,
         atol=1e-6,
     )
+
+
+def test_reconstruction_branch_graph_stays_small():
+    # The reconstruction branch of train_step on the default model: every
+    # recorded tensor costs bookkeeping on each training step.
+    cfg = RunConfig()
+    rng = np.random.default_rng(0)
+    _, rec, _ = build_models(cfg.model, 8, rng)
+    L = cfg.training.batch_videos * cfg.training.snippets_per_video
+    T, D = cfg.detector.window, cfg.model.embedding_dim
+    h3 = Tensor(rng.normal(size=(L, T, D)).astype(np.float32), requires_grad=True)
+    lr = reconstruction_loss(h3, rng.integers(0, T, size=L), rec)
+    weighted = lr * float(cfg.reconstruction.beta)
+    seen, stack = set(), [weighted]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) <= 96
 
 
 def test_masked_row_input_gets_no_reconstruction_gradient():

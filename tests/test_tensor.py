@@ -90,7 +90,7 @@ def test_backward_rejects_non_scalar():
 
 def _seeded_graph(x, w, gamma, beta):
     y = layer_norm(x @ w, gamma, beta).relu()
-    return l2_normalize(softmax(y, axis=-1) + y)
+    return l2_normalize(softmax(y) + y)
 
 
 def test_seeded_backward_matches_the_weighted_sum():
@@ -208,9 +208,9 @@ def test_softmax_gradient():
     w = rng.uniform(-1, 1, size=(2, 5))
 
     def fn():
-        return float((softmax(x, axis=-1) * Tensor(w)).sum().data)
+        return float((softmax(x) * Tensor(w)).sum().data)
 
-    (softmax(x, axis=-1) * Tensor(w)).sum().backward()
+    (softmax(x) * Tensor(w)).sum().backward()
     (fd,) = finite_difference(fn, [x.data])
     assert gradients_close(x.grad, fd)
 

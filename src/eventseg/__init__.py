@@ -148,7 +148,6 @@ from .tensor import (  # noqa: E402
     l2_normalize,
     layer_norm,
     no_grad,
-    softmax,
 )
 from .training import build_models, run_training  # noqa: E402
 

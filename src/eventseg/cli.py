@@ -101,7 +101,15 @@ def cmd_detect(cfg: RunConfig, args) -> int:
     detections_path = Path(cfg.paths.detections or out / "detections.json")
     save_annotations(detections.values(), detections_path)
     n = sum(len(det.boundaries) for det in detections.values())
-    print(f"wrote {n} boundaries for {len(detections)} videos to {detections_path}")
+    summary = f"wrote {n} boundaries for {len(detections)} videos to {detections_path}"
+    # An extremum needs extrema_range frames on each side, so a shorter
+    # video can have no boundary whatever its trajectory.
+    span = 2 * cfg.detector.extrema_range + 1
+    ruled_out = sum(video.num_frames < span for video in corpus)
+    if ruled_out:
+        summary += (f"; extrema_range {cfg.detector.extrema_range} rules out every frame "
+                    f"of {ruled_out} of them (fewer than {span} frames)")
+    print(summary)
     return 0
 
 

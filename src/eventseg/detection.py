@@ -54,21 +54,21 @@ from .reconstruction import Reconstructor, masked_reconstruct
 from .tensor import no_grad
 
 # Windows per block of a trajectory: working memory is O(block) per
-# block in flight and only the trajectory grows with the video. On 20k frames
-# (default model, one BLAS thread, one thread) 256 and 512 were fastest, within
-# 2% of each other, against +31% at 64, +5% at 1024 and +29% at 4096; the
-# smaller keeps memory lower. On two threads 256 ran 51.6k frames/s against
-# 43.1k at 128 (two 12k-frame videos, median of 16 alternating rounds).
-# Under the heap policy 512 detected those videos faster (a median of 281
-# against 307 ms per call, 24 calls each), but a fresh `eventseg detect` on
-# them peaked at 57.4 MB RSS against 48.9 MB (+17%), so 256 stays.
+# block in flight and only the trajectory grows with the video. Larger
+# blocks run faster but hold more. Default model, one BLAS thread, 2-vCPU
+# host, in-process medians of interleaved rounds: on a 20k-frame video and
+# one thread, 512 and 1024 took 0.93x and 0.87x the time of 256, 64 took
+# 1.28x and 4096 1.06x; on two 12k-frame videos and two threads, 128, 512
+# and 1024 took 1.44x, 0.83x and 0.75x. But a fresh process detecting those
+# two videos peaked at 47.4 MB RSS at 256, 54.3 MB at 512 (+15%) and
+# 67.5 MB at 1024, so 256 stays.
 BLOCK_WINDOWS = 256
 
 # Most blocks in flight at once, the calling thread included; fewer when
 # fewer CPUs are usable or the videos have fewer full blocks in all.
 # Attention blocks are large numpy calls that release the GIL: on two
 # 12k-frame videos (default model, one BLAS thread, 2 CPUs) two threads ran
-# about 1.6x the frames/s of one. Each block holds about 4 MB while it runs.
+# 1.68x the frames/s of one. Each block holds about 3.4 MB while it runs.
 MAX_THREADS = 2
 
 

@@ -9,7 +9,10 @@ the embeddings' own window, width and dtype; it costs microseconds, so no
 caller precomputes it. Two pre-norm residual blocks of multi-head
 self-attention and an MLP process the sequence with full bidirectional
 attention, and an affine output head maps the residual stream back to the
-embedding space. The objective is the mean squared distance between
+embedding space. Each block's attention is one ``tensor.attention`` node,
+which copies its queries, keys and values into a heads-last (rows, head_dim,
+snippets * heads) layout: a detection block of 256 windows at 8 heads makes
+a few whole-array calls over rows of 2,048 entries. The objective is the mean squared distance between
 reconstructed and original rows at the masked positions; the target rows are
 detached so the reconstruction loss cannot shrink the embedding geometry
 itself.
@@ -61,7 +64,7 @@ from .embedding import (
 )
 from .errors import ConfigError, NumericsError, ShapeError
 from .optim import Optimizer, sgd_step
-from .tensor import Parameter, ParameterArena, Tensor, layer_norm, linear, softmax
+from .tensor import Parameter, ParameterArena, Tensor, attention, layer_norm, linear
 
 
 @dataclass
@@ -91,14 +94,14 @@ def positional_embedding(window: int, dim: int) -> np.ndarray:
 
 class AttentionBlock:
     """Pre-norm residual block: x + MSA(LN(x)), then x + MLP(LN(x)). The
-    keys split straight into (batch, heads, head_dim, T), so the scores are
-    one product, softmax-normalised over their last axis."""
+    multi-head self-attention is three ``linear`` projections, one
+    ``attention`` node, which works on a heads-last (rows, head_dim,
+    batch * heads) copy of them, and the output ``linear``."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, prefix: str):
         if dim % heads != 0:
             raise ShapeError(f"dim {dim} not divisible by {heads} heads")
         self.heads = heads
-        self.head_dim = dim // heads
         self.ln1_gamma = Parameter(np.ones(dim, dtype=np.float32), f"{prefix}.ln1.gamma")
         self.ln1_beta = Parameter(np.zeros(dim, dtype=np.float32), f"{prefix}.ln1.beta")
         self.wq = uniform_weight(rng, dim, dim, f"{prefix}.msa.wq")
@@ -128,26 +131,18 @@ class AttentionBlock:
         """The block's (L x T x D) output; with ``rows`` (L x m indices) only
         those rows of each snippet, (L x m x D). Keys and values always come
         from all T rows."""
-        batch, _, dim = x.data.shape
+        batch = x.data.shape[0]
         y = layer_norm(x, self.ln1_gamma, self.ln1_beta)
         y_query = y
         if rows is not None:
             picked = (np.arange(batch)[:, None], rows)
             x, y_query = x[picked], y[picked]
-
-        def split(t: Tensor, axes=(0, 2, 1, 3)) -> Tensor:
-            return t.reshape((batch, -1, self.heads, self.head_dim)).transpose(axes)
-
-        q = split(linear(y_query, self.wq, self.bq))
-        k_t = split(linear(y, self.wk, self.bk), (0, 2, 3, 1))
-        v = split(linear(y, self.wv, self.bv))
-        scores = (q @ k_t) * (1.0 / np.sqrt(self.head_dim))
-        attention = softmax(scores)
-        # Dropped as soon as they are used, so the largest buffers, batch x
-        # heads x rows x T each, are not alive together through the MLP.
-        del scores
-        context = (attention @ v).transpose((0, 2, 1, 3)).reshape((batch, -1, dim))
-        del attention, q, k_t, v
+        context = attention(
+            linear(y_query, self.wq, self.bq),
+            linear(y, self.wk, self.bk),
+            linear(y, self.wv, self.bv),
+            self.heads,
+        )
         x = x + linear(context, self.wo, self.bo)
         y2 = layer_norm(x, self.ln2_gamma, self.ln2_beta)
         hidden = linear(y2, self.w1, self.b1).relu()

@@ -12,27 +12,27 @@ tensor holding NaN or Inf is an error state; callers that can produce one
 (losses, optimizer steps) check explicitly.
 
 The node set is what training and detection record: ``+``, ``-``, ``*``,
-``@``, ``reshape``, ``transpose``, indexing, ``relu``, ``sum`` (over any
-axes), ``mean`` (over every entry) and the fused nodes below, of which
-``softmax`` normalises the last axis only.
+``@``, ``reshape``, indexing, ``relu``, ``sum`` (over any axes), ``mean``
+(over every entry) and the fused nodes below.
 
 Gradient accumulation is additive across uses of a tensor; ``sgd_step``
 resets parameter gradients after each update. The gradient of a 2-D right
 operand of a product, a weight matrix, is one 2-D product over all rows of
 the left operand, whatever its leading axes.
 
-``linear``, ``layer_norm``, ``softmax`` and ``l2_normalize`` are fused: each
-is one graph node instead of the two, eleven, four and five nodes that
-composing them from elementwise nodes would record. Their forward passes
-make the composition's numpy calls in the same order and dtypes (softmax
-finds its row max by a sweep of ``np.maximum`` over the columns, which gives
-the same values; ``linear`` adds the bias into the product in place). Their
-backward passes replay the composed graph's gradient arithmetic step for
-step, in the order the graph walk would accumulate it, rather than a closed
-form, so outputs and gradients are bit-identical to the composition: one
-code path serves training and ``no_grad`` detection alike. The composed
-forms, and the ``exp``, ``div`` and ``power`` nodes that only they use, are
-test oracles in ``tests/gradcheck.py``.
+``linear``, ``layer_norm``, ``attention`` and ``l2_normalize`` are fused:
+each is one graph node instead of the two, eleven, twenty-five and five nodes
+that composing them from elementwise, shape and reduction nodes would
+record. Their forward passes compute what the composition's numpy calls
+compute, in the same order and dtypes (``linear`` adds the bias into the
+product in place; ``attention`` lets ``np.einsum`` do a product and its sum
+in one call). Their backward passes replay the composed graph's gradient
+arithmetic step for step, in the order the graph walk would accumulate it,
+rather than a closed form, so outputs and gradients are bit-identical to
+the composition: one code path serves training and ``no_grad`` detection
+alike. The composed forms, and the ``exp``, ``div``, ``power`` and
+``transpose`` nodes that only they use, are test oracles in
+``tests/gradcheck.py``.
 
 One recorded graph belongs to one thread. Separate graphs are independent.
 Whether operations record is a per-thread flag: ``no_grad`` switches it off
@@ -242,16 +242,6 @@ class Tensor:
 
         return self._result(data, (self,), backward)
 
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        axes = tuple(axes)
-        inverse = tuple(np.argsort(axes))
-        data = self.data.transpose(axes)
-
-        def backward(g):
-            _accumulate(self, g.transpose(inverse))
-
-        return self._result(data, (self,), backward)
-
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
         if isinstance(data, np.ndarray) and data.base is not None:
@@ -416,31 +406,69 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return x._result(data, (x, gamma, beta), backward)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Each row (last axis) sums to one; computed with (detached) max
-    subtraction for stability. A 0-d input or an empty last axis is a
-    ``ShapeError``.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product attention of (B, m, D) queries against (B, T, D)
+    keys and values, in ``heads`` heads of D / heads columns each: the
+    (B, m, D) context.
 
-    The max is a sweep of ``np.maximum`` over the columns: the same values
-    as ``np.max`` (NaN propagates) at a tenth of its cost on the short
-    attention rows.
+    The node copies q, k and v once into a heads-last layout, (rows,
+    head_dim, B * heads), scaling the queries by 1 / sqrt(head_dim) on the
+    way, so that every step is a whole-array call over the long last axis:
+    the (m, T, B * heads) scores sum their products over head_dim, the
+    softmax subtracts a detached max over the key axis and normalises over
+    it, and the context sums the weighted values over the key axis.
     """
-    xd = x.data
-    if xd.ndim == 0 or xd.shape[-1] == 0:
-        raise ShapeError(f"softmax needs a non-empty last axis, got shape {xd.shape}")
-    shift = xd[..., 0:1]
-    for i in range(1, xd.shape[-1]):
-        shift = np.maximum(shift, xd[..., i:i + 1])
-    exps = np.exp(xd - shift)
-    total = exps.sum(axis=-1, keepdims=True)
-    data = exps / total
+    qd, kd, vd = q.data, k.data, v.data
+    if (qd.ndim != 3 or kd.ndim != 3 or vd.shape != kd.shape or kd.shape[0] != qd.shape[0]
+            or kd.shape[2] != qd.shape[2] or kd.shape[1] == 0 or qd.shape[2] % heads):
+        raise ShapeError(
+            f"attention shapes disagree: queries {qd.shape}, keys {kd.shape}, "
+            f"values {vd.shape}, {heads} heads")
+    B, m, D = qd.shape
+    T = kd.shape[1]
+    hd, n = D // heads, B * heads
+    scale = qd.dtype.type(1.0 / np.sqrt(hd))
+
+    def split(a: np.ndarray, rows: int) -> np.ndarray:
+        # A C-ordered copy whatever the heads: one head's view would put
+        # head_dim innermost, and numpy sums an innermost axis pairwise.
+        a = a.reshape(B, rows, heads, hd).transpose(1, 3, 0, 2)
+        return np.ascontiguousarray(a).reshape(rows, hd, n)
+
+    def merge(a: np.ndarray, rows: int) -> np.ndarray:
+        return a.reshape(rows, hd, B, heads).transpose(2, 0, 3, 1).reshape(B, rows, D)
+
+    q3 = split(qd, m) * scale
+    k3, v3 = split(kd, T), split(vd, T)
+    # einsum adds each output's products in the order of the summed axis,
+    # as numpy's sum over a leading axis does, so it gives the composed
+    # product and sum's bits without their (m, T, head_dim, B * heads)
+    # temporary. The backward pass keeps the products: where a summed axis
+    # has length one the composition does not sum, and einsum would turn a
+    # -0.0 into +0.0.
+    exps = np.einsum("idn,jdn->ijn", q3, k3)
+    exps -= exps.max(axis=1, keepdims=True)
+    np.exp(exps, out=exps)
+    total = exps.sum(axis=1, keepdims=True)
+    weights = exps / total
+    data = merge(np.einsum("ijn,jdn->idn", weights, v3), m)
 
     def backward(g):
-        g_exps = g / total
-        g_exps += np.broadcast_to(_unbroadcast(-g * exps / (total * total), total.shape), xd.shape)
-        _accumulate(x, g_exps * exps)
+        g_context = split(g, m)[:, None]
+        if q.requires_grad or k.requires_grad:
+            g_weights = _unbroadcast(g_context * v3, (m, T, 1, n)).reshape(m, T, n)
+            g_exps = g_weights / total
+            g_exps += np.broadcast_to(
+                _unbroadcast(-g_weights * exps / (total * total), total.shape), exps.shape)
+            g_scores = (g_exps * exps)[:, :, None]
+            if q.requires_grad:
+                _accumulate(q, merge(_unbroadcast(g_scores * k3, (m, 1, hd, n)) * scale, m))
+            if k.requires_grad:
+                _accumulate(k, merge(_unbroadcast(g_scores * q3[:, None], (1, T, hd, n)), T))
+        if v.requires_grad:
+            _accumulate(v, merge(_unbroadcast(g_context * weights[:, :, None], (1, T, hd, n)), T))
 
-    return x._result(data, (x,), backward)
+    return q._result(data, (q, k, v), backward)
 
 
 def l2_normalize(x: Tensor) -> Tensor:

@@ -4,14 +4,18 @@
 the autodiff ones, ``gradients_close`` compares the two, and ``dot``
 reduces two tensors to a scalar loss.
 
-``exp``, ``log``, ``div``, ``power`` and ``clamp_min`` are autodiff nodes
-that the oracles below need and no package path uses. The package's
-fused ``linear``, ``layer_norm``, ``softmax`` and ``l2_normalize`` replay
-the arithmetic of ``composed_linear``, ``composed_layer_norm``,
-``composed_softmax`` and ``composed_l2_normalize``, which build those ops
-from ``@``, ``+``, ``sum`` and such nodes: the bit-exact oracles for the
-fused nodes. Each takes its fused node's arguments, and the three
-normalisations act on the last axis, as the fused nodes do.
+``exp``, ``log``, ``div``, ``power``, ``clamp_min`` and ``transpose`` are
+autodiff nodes that the oracles below need and no package path uses. The
+package's fused ``linear``, ``layer_norm``, ``attention`` and
+``l2_normalize`` replay the arithmetic of ``composed_linear``,
+``composed_layer_norm``, ``composed_attention`` and
+``composed_l2_normalize``, which build those ops from ``@``, ``+``,
+``sum`` and such nodes: the bit-exact oracles for the fused nodes. Each
+takes its fused node's arguments; the two normalisations act on the last
+axis, and ``composed_attention`` works in ``attention``'s heads-last
+layout. ``heads_first_attention`` is the arithmetic ``attention``
+replaced, batched products and a last-axis ``softmax``, a fused node kept
+here with ``composed_softmax`` as its bit-exact oracle.
 ``id_mask_info_nce`` is the bit-exact oracle for ``info_nce_loss``, whose
 arithmetic, like every node's, runs in the queries' dtype.
 
@@ -26,8 +30,8 @@ from typing import Iterable
 
 import numpy as np
 
-from eventseg import NumericsError, Tensor
-from eventseg.tensor import _accumulate
+from eventseg import NumericsError, ShapeError, Tensor
+from eventseg.tensor import _accumulate, _unbroadcast
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -64,6 +68,41 @@ def power(t: Tensor, exponent: float) -> Tensor:
     return t._result(data, (t,), backward)
 
 
+def transpose(t: Tensor, axes) -> Tensor:
+    """Permute the axes; value and gradient are C-ordered copies, as the
+    copies into and out of ``attention``'s layout are."""
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+
+    def backward(g):
+        _accumulate(t, np.ascontiguousarray(g.transpose(inverse)))
+
+    return t._result(np.ascontiguousarray(t.data.transpose(axes)), (t,), backward)
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Each row (last axis) sums to one, with a detached max subtracted
+    first, as one node whose backward replays ``composed_softmax``'s
+    gradient arithmetic. A 0-d input or an empty last axis is a
+    ``ShapeError``. The max is a sweep of ``np.maximum`` over the columns:
+    the same values as ``np.max``, NaN included."""
+    xd = x.data
+    if xd.ndim == 0 or xd.shape[-1] == 0:
+        raise ShapeError(f"softmax needs a non-empty last axis, got shape {xd.shape}")
+    shift = xd[..., 0:1]
+    for i in range(1, xd.shape[-1]):
+        shift = np.maximum(shift, xd[..., i:i + 1])
+    exps = np.exp(xd - shift)
+    total = exps.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        g_exps = g / total
+        g_exps += np.broadcast_to(_unbroadcast(-g * exps / (total * total), total.shape), xd.shape)
+        _accumulate(x, g_exps * exps)
+
+    return x._result(exps / total, (x,), backward)
+
+
 def clamp_min(t: Tensor, floor: float) -> Tensor:
     """max(t, floor); the clamped region is treated as constant."""
     def backward(g):
@@ -89,6 +128,42 @@ def composed_softmax(x: Tensor) -> Tensor:
     shift = Tensor(np.max(x.data, axis=-1, keepdims=True))
     exps = exp(x - shift)
     return div(exps, exps.sum(axis=-1, keepdims=True))
+
+
+def composed_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """``attention`` from reshape, transpose, ``*``, ``sum``, ``exp`` and
+    ``div`` nodes in the node's heads-last (rows, head_dim, B * heads)
+    layout: the queries scaled first, the scores summed over head_dim, the
+    softmax taken over the key axis with a detached max."""
+    B, m, D = q.data.shape
+    T = k.data.shape[1]
+    hd, n = D // heads, B * heads
+
+    def split(t: Tensor, rows: int) -> Tensor:
+        return transpose(t.reshape((B, rows, heads, hd)), (1, 3, 0, 2)).reshape((rows, hd, n))
+
+    q4 = (split(q, m) * (1.0 / np.sqrt(hd))).reshape((m, 1, hd, n))
+    scores = (q4 * split(k, T).reshape((1, T, hd, n))).sum(axis=2)
+    exps = exp(scores - Tensor(np.max(scores.data, axis=1, keepdims=True)))
+    weights = div(exps, exps.sum(axis=1, keepdims=True)).reshape((m, T, 1, n))
+    context = (weights * split(v, T).reshape((1, T, hd, n))).sum(axis=1)
+    return transpose(context.reshape((m, hd, B, heads)), (2, 0, 3, 1)).reshape((B, m, D))
+
+
+def heads_first_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Attention in the (B, heads, rows, head_dim) layout, with batched
+    products and a last-axis ``softmax``: the arithmetic ``attention``
+    replaced. It rounds differently, so it agrees with the node to within
+    the dtype's precision, not bit for bit."""
+    B, m, D = q.data.shape
+    hd = D // heads
+
+    def split(t: Tensor, axes=(0, 2, 1, 3)) -> Tensor:
+        return transpose(t.reshape((B, -1, heads, hd)), axes)
+
+    scores = (split(q) @ split(k, (0, 2, 3, 1))) * (1.0 / np.sqrt(hd))
+    context = softmax(scores) @ split(v)
+    return transpose(context, (0, 2, 1, 3)).reshape((B, m, D))
 
 
 def composed_l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from eventseg.cli import main
+from eventseg.data import load_feature_file
 
 TINY_CONFIG = """
 [synth]
@@ -695,6 +696,58 @@ def test_hostile_detector_value_ends_in_one_line(workspace, fresh_python, key, v
     else:
         category = "memory" if code == 1 else "config"
         assert err.startswith(f"error: {category}:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("extrema_range", [3, 20, 10**9])
+def test_detect_summary_names_videos_extrema_range_rules_out(workspace, capsys, extrema_range):
+    # relative_extrema needs 2 * extrema_range + 1 frames: the tiny corpus
+    # has videos of 24-60 frames, so 20 rules out some and 10**9 all.
+    tmp_path, config, out = workspace
+    assert _run(["synth", "--config", config, "--out", out]) == 0
+    assert _run(["train", "--config", config, "--out", out]) == 0
+    wide = tmp_path / "wide.ini"
+    wide.write_text(config.read_text().replace(
+        "extrema_range = 3\n", f"extrema_range = {extrema_range}\n"))
+    capsys.readouterr()
+    assert _run(["detect", "--config", wide, "--out", out,
+                 "--checkpoint", out / "checkpoint.bin"]) == 0
+    lengths = [load_feature_file(path).num_frames
+               for path in sorted((out / "features").glob("*.csgf"))]
+    span = 2 * extrema_range + 1
+    ruled_out = sum(n < span for n in lengths)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (line,) = captured.out.splitlines()
+    assert line.startswith("wrote ") and f" boundaries for {len(lengths)} videos to " in line
+    if ruled_out:
+        assert line.endswith(f"; extrema_range {extrema_range} rules out every frame "
+                             f"of {ruled_out} of them (fewer than {span} frames)")
+    else:
+        assert "extrema_range" not in line
+    if extrema_range == 20:
+        assert 0 < ruled_out < len(lengths)
+    if extrema_range == 10**9:
+        assert ruled_out == len(lengths) and line.startswith("wrote 0 boundaries")
+
+
+@pytest.mark.parametrize("heads", [1, 8], ids=["head_dim-8", "head_dim-1"])
+def test_pipeline_runs_at_either_extreme_of_the_head_count(workspace, capsys, heads):
+    # One head of embedding_dim columns, and embedding_dim heads of one
+    # column: the two extremes of attention's (rows, head_dim, B * heads)
+    # layout.
+    tmp_path, config, out = workspace
+    model = "embedding_dim = 8\nheads = 4\n"
+    assert model in config.read_text()
+    config.write_text(config.read_text().replace(model, f"embedding_dim = 8\nheads = {heads}\n"))
+    for command in (["synth"], ["train"], ["detect", "--checkpoint", out / "checkpoint.bin"],
+                    ["eval"]):
+        assert _run([command[0], "--config", config, "--out", out, *command[1:]]) == 0, command
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "metrics.json").read_text())
+    figures = [*report["f1"], report["avg_f1"], report["mof"], report["iou"]]
+    assert figures and all(np.isfinite(x) for x in figures)
+    losses = (out / "training_log.csv").read_text().strip().splitlines()[-1].split(",")[1:]
+    assert all(np.isfinite(float(x)) for x in losses)
 
 
 @pytest.mark.parametrize("model", [

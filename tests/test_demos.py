@@ -47,7 +47,7 @@ def test_exports_are_exactly_these():
         Optimizer sgd_step
         ReconstructionConfig Reconstructor assemble_masked_input compute_losses
         masked_reconstruct positional_embedding train_step
-        Parameter Tensor l2_normalize layer_norm no_grad softmax
+        Parameter Tensor l2_normalize layer_norm no_grad
         build_models run_training
     """.split())
 

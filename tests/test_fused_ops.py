@@ -1,7 +1,9 @@
-"""The fused ``linear``, ``layer_norm``, ``softmax`` and ``l2_normalize`` nodes against
-their composed oracles in ``gradcheck``: the forward values and the gradient
-of every input must be the same bits, not merely close, so that training and
-detection give byte-identical checkpoints and trajectories."""
+"""The fused ``linear``, ``layer_norm``, ``attention`` and ``l2_normalize`` nodes
+against their composed oracles in ``gradcheck``: the forward values and the
+gradient of every input must be the same bits, not merely close, so that
+training and detection give byte-identical checkpoints and trajectories.
+``gradcheck.softmax``, the fused last-axis softmax of the heads-first oracle,
+is held to ``composed_softmax`` the same way."""
 
 import numpy as np
 import pytest
@@ -20,20 +22,34 @@ from eventseg import (
     l2_normalize,
     layer_norm,
     sample_batch,
-    softmax,
     synth_generate,
     train_step,
 )
 from eventseg.detection import BLOCK_WINDOWS
-from eventseg.tensor import linear
+from eventseg.tensor import attention, linear
 
-from gradcheck import composed_l2_normalize, composed_layer_norm, composed_linear, composed_softmax
+from gradcheck import (
+    composed_attention,
+    composed_l2_normalize,
+    composed_layer_norm,
+    composed_linear,
+    composed_softmax,
+    finite_difference,
+    gradients_close,
+    heads_first_attention,
+    softmax,
+)
 
 DTYPES = [np.float32, np.float64]
 
-# Score blocks of the attention softmax: a detection block of 256 windows
-# (all rows, then the last block's masked row only) and a training batch.
+# Score blocks of the heads-first oracle's softmax: a detection block of 256
+# windows (all rows, then the last block's masked row only) and a training batch.
 SOFTMAX_SHAPES = [(256, 8, 10, 10), (256, 8, 1, 10), (32, 8, 10, 10), (32, 8, 1, 10)]
+# Queries of the attention node, against keys and values of (B, 10, 16): a
+# detection block (all rows, then the masked row only) and a training batch.
+ATTENTION_SHAPES = [(256, 10, 16), (256, 1, 16), (32, 10, 16), (32, 1, 16)]
+# One head of 16 columns, the default 8 of 2, and between.
+HEADS = [1, 2, 8]
 # Residual streams at the layer norms, in detection and in training.
 LAYER_NORM_SHAPES = [(256, 10, 16), (256, 1, 16), (32, 10, 16), (32, 1, 16)]
 # Encoder outputs: a detection block's frames, a training batch, an enqueue.
@@ -111,6 +127,89 @@ def test_softmax_matches_composed(shape, dtype, axis):
     _assert_matches_composed(softmax, composed_softmax, [x], weights)
 
 
+def _attention_inputs(rng, shape, dtype, magnitude=1.0):
+    batch, _, dim = shape
+    return [(magnitude * rng.normal(size=s)).astype(dtype)
+            for s in (shape, (batch, 10, dim), (batch, 10, dim))]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("heads", HEADS)
+@pytest.mark.parametrize("shape", ATTENTION_SHAPES)
+def test_attention_matches_composed(shape, heads, dtype):
+    rng = np.random.default_rng(36)
+    arrays = _attention_inputs(rng, shape, dtype)
+    weights = rng.normal(size=shape).astype(dtype)
+    _assert_matches_composed(
+        lambda q, k, v: attention(q, k, v, heads),
+        lambda q, k, v: composed_attention(q, k, v, heads),
+        arrays, weights,
+    )
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("heads", HEADS)
+def test_attention_agrees_with_the_heads_first_arithmetic(heads, dtype):
+    # The (B, heads, rows, head_dim) products and last-axis softmax that the
+    # node replaced round differently, so they agree to the dtype's precision.
+    rng = np.random.default_rng(37)
+    shape = (32, 10, 16)
+    arrays = _attention_inputs(rng, shape, dtype)
+    weights = rng.normal(size=shape).astype(dtype)
+    got, got_grads = _value_and_grads(lambda q, k, v: attention(q, k, v, heads), arrays, weights)
+    want, want_grads = _value_and_grads(
+        lambda q, k, v: heads_first_attention(q, k, v, heads), arrays, weights)
+    tol = {"rtol": 1e-4, "atol": 1e-5} if dtype == np.float32 else {"rtol": 1e-10, "atol": 1e-12}
+    np.testing.assert_allclose(got, want, **tol)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, **tol)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_gradient_matches_finite_differences(heads):
+    rng = np.random.default_rng(38)
+    q, k, v = (Parameter(rng.uniform(-1, 1, size=s), name)
+               for s, name in [((2, 3, 4), "q"), ((2, 5, 4), "k"), ((2, 5, 4), "v")])
+    weights = Tensor(rng.uniform(-1, 1, size=(2, 3, 4)))
+
+    def loss_value():
+        return float((attention(q, k, v, heads) * weights).sum().data)
+
+    (attention(q, k, v, heads) * weights).sum().backward()
+    for p, fd in zip((q, k, v), finite_difference(loss_value, [q.data, k.data, v.data], 1e-6)):
+        assert gradients_close(p.grad, fd, rel_tol=1e-6, abs_tol=1e-9), p.name
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_attention_matches_composed_when_weights_underflow(dtype):
+    # Scores hundreds of units apart: some attention weights underflow to
+    # exactly zero, and their gradients are zeros of either sign.
+    rng = np.random.default_rng(39)
+    for shape in [(4, 10, 16), (4, 1, 16)]:
+        arrays = _attention_inputs(rng, shape, dtype, magnitude=12.0)
+        weights = rng.normal(size=shape).astype(dtype)
+        with np.errstate(under="ignore"):
+            _assert_matches_composed(
+                lambda q, k, v: attention(q, k, v, 8),
+                lambda q, k, v: composed_attention(q, k, v, 8),
+                arrays, weights,
+            )
+
+
+@pytest.mark.parametrize("q_shape, kv_shape, heads", [
+    ((2, 3, 16), (2, 5, 16), 3),      # heads do not divide the width
+    ((2, 3, 16), (3, 5, 16), 8),      # batch sizes differ
+    ((2, 3, 16), (2, 5, 8), 8),       # widths differ
+    ((2, 3, 16), (2, 0, 16), 8),      # no keys
+    ((6, 16), (6, 16), 8),            # not (batch, rows, width)
+])
+def test_attention_rejects_disagreeing_shapes(q_shape, kv_shape, heads):
+    q = Tensor(np.zeros(q_shape, dtype=np.float32))
+    kv = Tensor(np.zeros(kv_shape, dtype=np.float32))
+    with pytest.raises(ShapeError):
+        attention(q, kv, kv, heads)
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("shape", L2_SHAPES)
 def test_l2_normalize_matches_composed(shape, dtype):
@@ -186,6 +285,11 @@ def test_fused_ops_accumulate_after_a_second_consumer(dtype, leaf):
     _assert_matches_composed(
         softmax, composed_softmax, [scores], rng.normal(size=scores.shape).astype(dtype), **kw
     )
+    _assert_matches_composed(
+        lambda q, k, v: attention(q, k, v, 8),
+        lambda q, k, v: composed_attention(q, k, v, 8),
+        _attention_inputs(rng, shape, dtype), weights, **kw,
+    )
 
 
 def test_softmax_rejects_an_empty_or_missing_axis():
@@ -229,7 +333,7 @@ def test_training_and_detection_identical_with_composed_ops(monkeypatch):
     monkeypatch.setattr(embedding, "linear", composed_linear)
     monkeypatch.setattr(reconstruction, "linear", composed_linear)
     monkeypatch.setattr(reconstruction, "layer_norm", composed_layer_norm)
-    monkeypatch.setattr(reconstruction, "softmax", composed_softmax)
+    monkeypatch.setattr(reconstruction, "attention", composed_attention)
     monkeypatch.setattr(embedding, "l2_normalize", composed_l2_normalize)
     composed = _train_then_detect()
 

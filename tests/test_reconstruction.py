@@ -349,7 +349,7 @@ def test_reconstruction_branch_graph_stays_small():
         if id(node) not in seen:
             seen.add(id(node))
             stack.extend(node._parents)
-    assert len(seen) <= 96
+    assert len(seen) <= 74
 
 
 def test_masked_row_input_gets_no_reconstruction_gradient():

@@ -208,10 +208,11 @@ def synth_generate(cfg: SynthConfig) -> tuple[list[FrameFeatureSequence], list[A
 def save_feature_file(seq: FrameFeatureSequence, path) -> None:
     if not _FPS_RANGE[0] <= seq.fps <= _FPS_RANGE[1]:
         raise DataError(f"fps {seq.fps} of {seq.video_id!r} is outside a CSGF header's f32 range")
-    payload = np.ascontiguousarray(seq.features, dtype="<f4").tobytes(order="C")
+    features = np.ascontiguousarray(seq.features, dtype="<f4")
     header = _CSGF_HEAD.pack(CSGF_MAGIC, CSGF_VERSION, seq.dim, seq.num_frames, seq.fps)
     with open(path, "wb") as fh:
-        fh.write(header + payload)
+        fh.write(header)
+        fh.write(features.data)  # the array's own buffer: no payload copy
 
 
 def load_feature_file(path) -> FrameFeatureSequence:

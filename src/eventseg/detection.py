@@ -2,13 +2,15 @@
 
 A window of ``window`` frames slides over the video; for every center
 position the middle frame is masked and reconstructed, and its squared
-reconstruction error becomes one point of the error trajectory. The first
-and last few frames, where no full window fits, replicate the nearest
-computed value. The trajectory is box-filtered, differentiated with central
-differences, and boundaries are the points of the gradient that strictly
-dominate every neighbour within ``extrema_range`` on both sides. Positions
-with fewer than ``extrema_range`` neighbours on either side are ineligible,
-so no detection lies within that range of the trajectory ends.
+reconstruction error, the per-snippet error training averages
+(``reconstruction.masked_errors``), becomes one point of the error
+trajectory. The first and last few frames, where no full window fits,
+replicate the nearest computed value. The trajectory is box-filtered,
+differentiated with central differences, and boundaries are the points of
+the gradient that strictly dominate every neighbour within
+``extrema_range`` on both sides. Positions with fewer than
+``extrema_range`` neighbours on either side are ineligible, so no
+detection lies within that range of the trajectory ends.
 
 One gate checks every video before any block runs: a video whose feature
 width is not the encoder's input width is a ``ShapeError``, and one shorter
@@ -50,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .data import Annotation, FrameFeatureSequence, SynthConfig
 from .embedding import EncoderPair, encode_query
 from .errors import ConfigError, DataError, NumericsError, ShapeError
-from .reconstruction import Reconstructor, masked_reconstruct
+from .reconstruction import Reconstructor, masked_errors
 from .tensor import no_grad
 
 # Windows per block of a trajectory: working memory is O(block) per
@@ -169,9 +171,8 @@ def _trajectories(
                     b = min(BLOCK_WINDOWS, counts[k] - s)
                     embeddings = encode_query(videos[k].features[s : s + b + T - 1], enc).data
                     windows = sliding_window_view(embeddings, T, axis=0).transpose(0, 2, 1)
-                    recon_mid = masked_reconstruct(windows, np.full(b, mid), rec).data
-                    originals = embeddings[mid : mid + b]
-                    values[k][mid + s : mid + s + b] = ((recon_mid - originals) ** 2).sum(axis=1)
+                    errors = masked_errors(windows, np.full(b, mid), rec).data
+                    values[k][mid + s : mid + s + b] = errors
         except BaseException:
             failed.set()
             raise

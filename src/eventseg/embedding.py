@@ -22,13 +22,14 @@ that product and one T x T product per snippet. It computes in the
 queries' dtype. The keys and the queue get no gradient.
 ``MemoryQueue(capacity, dim)`` is a ring buffer allocated when it is built;
 ``as_array`` returns its rows oldest first, which is the checkpoint layout.
-``extend`` appends a block of rows in at most two slice assignments, with
-the contents one ``push`` per row would leave; ``enqueue_memory`` pushes a
+``extend``, its only append, writes a block of rows in at most two slice
+assignments, evicting the oldest once full; ``enqueue_memory`` appends a
 step's L keys that way.
 
 Each encoder packs its parameters into one arena (``tensor.ParameterArena``)
-in ``parameters()`` order, and the query and key encoders' arenas share a
-layout, so ``momentum_update`` is two whole-array calls on the key arena.
+in ``parameters()`` order, which owns their values, gradients and momentum
+buffers; the query and key encoders' arenas share a layout, so
+``momentum_update`` is two whole-array calls on the key arena.
 
 A training batch is a plain (L, T, in_dim) float32 array of L snippets of
 T frames: ``sample_batch`` draws it, non-overlapping within each video by
@@ -140,7 +141,7 @@ class MemoryQueue:
     """FIFO buffer of up to ``capacity`` unit-norm key embeddings.
 
     A ``(capacity, dim)`` ring allocated here: ``_head`` is the row of the
-    oldest entry and a push overwrites it once the ring is full.
+    oldest entry and ``extend`` overwrites it once the ring is full.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -154,18 +155,10 @@ class MemoryQueue:
     def __len__(self) -> int:
         return self._len
 
-    def push(self, vector: np.ndarray) -> None:
-        """Append one (dim,) row, evicting the oldest once full."""
-        row = np.asarray(vector, dtype=np.float32)
-        if row.shape != self._rows.shape[1:]:
-            raise ShapeError(
-                f"queue holds rows of width {self._rows.shape[1]}, got shape {row.shape}"
-            )
-        self.extend(row[None])
-
     def extend(self, matrix: np.ndarray) -> None:
-        """Append the rows of a (k, dim) ``matrix`` in order, as k pushes
-        would, in at most two slice assignments into the ring."""
+        """Append the rows of a (k, dim) ``matrix`` in order, evicting the
+        oldest rows once full, in at most two slice assignments into the
+        ring."""
         rows = self._as_rows(matrix)
         # Row i of k lands at (head + len + i) % capacity, so of more than
         # capacity rows only the last capacity survive.
@@ -314,10 +307,10 @@ def enqueue_memory(
     rng: np.random.Generator,
 ) -> None:
     """Key-encode one uniformly chosen frame of each snippet of the
-    (L, T, dim) ``batch`` and push it.
+    (L, T, dim) ``batch`` and append the L keys to the queue.
 
-    A non-finite key is a ``NumericsError`` raised before any push, so the
-    queue never holds a value a checkpoint could not store.
+    A non-finite key is a ``NumericsError`` raised before the queue
+    changes, so the queue never holds a value a checkpoint could not store.
     """
     L, T, _ = batch.shape
     picks = rng.integers(0, T, size=L)

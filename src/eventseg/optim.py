@@ -1,10 +1,10 @@
 """SGD with classic momentum and L2 weight decay folded into the gradient.
 
-The update runs on parameter arenas (``tensor.ParameterArena``): each model
-keeps its parameters' values, gradients and momentum buffers as views of
-three flat arrays, so ``sgd_step`` updates a whole model in a few
-whole-array numpy calls. Elementwise, these are the per-parameter update's
-float32 operations in the same order, so the bytes are the same.
+The update runs on whole parameter arenas (``tensor.ParameterArena``): each
+model keeps its parameters' values, gradients and momentum buffers in three
+flat arrays, so ``sgd_step`` updates a whole model in a few whole-array
+numpy calls. Elementwise, these are the per-parameter update's float32
+operations in the same order, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError, ShapeError
-from .tensor import Parameter
+from .errors import ConfigError, NumericsError
+from .tensor import ParameterArena
 
 
 @dataclass
@@ -46,29 +46,16 @@ class Optimizer:
             )
 
 
-def sgd_step(params: Iterable[Parameter], opt: Optimizer) -> None:
-    """Apply one update to every parameter, then zero the gradients.
+def sgd_step(arenas: Iterable[ParameterArena], opt: Optimizer) -> None:
+    """Apply one update to every parameter of ``arenas``, then zero the
+    gradients.
 
-    ``params`` must be whole arenas, one after another, each in its own
-    order: a list that covers only part of an arena is a ``ShapeError``.
     Aborts before touching any state if a gradient is non-finite, or if the
     update would write a non-finite momentum buffer or value: every new
     buffer and value is built and checked before any is written, and the
-    error names the first offending parameter in list order.
+    error names the first offending parameter, arena by arena in order.
     """
-    params = tuple(params)
-    arenas, start = [], 0
-    while start < len(params):
-        arena = params[start].arena
-        end = start + len(arena.params)
-        if params[start:end] != arena.params:
-            raise ShapeError(
-                f"sgd_step needs whole parameter arenas in order; parameter "
-                f"{params[start].name!r} starts an arena of {len(arena.params)} "
-                f"that the list does not hold whole"
-            )
-        arenas.append(arena)
-        start = end
+    arenas = tuple(arenas)
     for arena in arenas:
         if not np.isfinite(arena.grads).all():
             name = arena.first_non_finite(arena.grads).name

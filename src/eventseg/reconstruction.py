@@ -22,9 +22,11 @@ Everything works on batches of snippets; a training batch is the
 embeddings ``h`` are (L*T, D). ``masked_reconstruct`` is the one
 forward path: it masks one given row of every snippet, runs the
 reconstructor, and returns the reconstructed rows. Training (``train_step``)
-masks one uniformly drawn frame per snippet and ``reconstruction_loss``
-scores the reconstructions against the detached embeddings; detection
-(``detection._trajectories``) masks the middle frame of every window.
+masks one uniformly drawn frame per snippet, detection
+(``detection._trajectories``) the middle frame of every window, and both
+score the reconstructions with ``masked_errors``: each snippet's squared
+error against its detached embedding, which ``reconstruction_loss``
+averages and detection writes into the error trajectory.
 Only the masked rows are ever read, so ``masked_reconstruct`` passes them to
 ``Reconstructor.forward``: the last block computes keys and values for every
 row, but queries, attention, the output projection, the second layer norm,
@@ -230,17 +232,24 @@ def contrastive_loss(
     return info_nce_loss(h, z.data, T, queue.as_array(), contrastive_cfg.temperature)
 
 
-def reconstruction_loss(h3: Tensor, mask_rows: np.ndarray, rec: Reconstructor) -> Tensor:
-    """The reconstruction branch: mean squared error of the reconstructed
-    masked rows of the (L x T x D) embeddings ``h3``, one row per snippet.
+def masked_errors(h3, mask_rows, rec: Reconstructor) -> Tensor:
+    """The (L,) squared error of each snippet's reconstructed masked row
+    against its embedding, for L snippets of embeddings ``h3``.
 
-    The target is the embedding of the masked rows, detached: no gradient
+    The target is the embedding of the masked row, detached: no gradient
     flows through it. A gradient check that perturbs the parameters must
     hold the target fixed itself, or it moves with them.
     """
+    h3 = h3 if isinstance(h3, Tensor) else Tensor(np.asarray(h3))
     recon_rows = masked_reconstruct(h3, mask_rows, rec)
     diff = recon_rows - Tensor(h3.data[np.arange(len(mask_rows)), mask_rows])
-    return (diff * diff).sum(axis=-1).mean()
+    return (diff * diff).sum(axis=-1)
+
+
+def reconstruction_loss(h3: Tensor, mask_rows: np.ndarray, rec: Reconstructor) -> Tensor:
+    """The reconstruction branch: the mean of ``masked_errors`` over the
+    snippets of the (L x T x D) embeddings ``h3``."""
+    return masked_errors(h3, mask_rows, rec).mean()
 
 
 def compute_losses(
@@ -289,8 +298,9 @@ def train_step(
     own detached copy of ``h``: the reconstruction branch (weighted by
     ``beta``) on ``worker`` when one is given, the contrastive branch in the
     calling thread. The two gradients are added at ``h`` and walked once
-    through the query encoder; then come the SGD update, the key encoder's
-    momentum update and one queue push per snippet. Every random draw is
+    through the query encoder; then come the SGD update of the query
+    encoder's and the reconstructor's arenas, the key encoder's momentum
+    update and one queued key per snippet. Every random draw is
     made in the calling thread, and an error in either branch reaches the
     caller once both have stopped.
 
@@ -339,7 +349,7 @@ def train_step(
             f"reconstruction={lr.item()!r})"
         )
     h.backward(h_contrastive.grad + h_reconstruction.grad.reshape(h.data.shape))
-    sgd_step(enc.query.parameters() + rec.parameters(), opt)
+    sgd_step((enc.query.arena, rec.arena), opt)
     momentum_update(enc)
     enqueue_memory(batch, enc, queue, rng)
     return {

@@ -12,8 +12,9 @@ tensor holding NaN or Inf is an error state; callers that can produce one
 (losses, optimizer steps) check explicitly.
 
 The node set is what training and detection record: ``+``, ``-``, ``*``,
-``@``, ``reshape``, indexing, ``relu``, ``sum`` (over any axes), ``mean``
-(over every entry) and the fused nodes below.
+``reshape``, indexing, ``relu``, ``sum`` (over any axes), ``mean`` (over
+every entry) and the fused nodes below, plus ``@``, which neither records:
+it is the product the composed test oracles are built from.
 
 Gradient accumulation is additive across uses of a tensor; ``sgd_step``
 resets parameter gradients after each update. The gradient of a 2-D right
@@ -285,20 +286,18 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor with a gradient buffer and a momentum buffer.
+    """A named leaf tensor that requires a gradient.
 
-    ``grad`` and ``momentum_buffer`` always have the same shape as the value.
-    All three are views of the flat arrays of ``arena``: a parameter built
-    alone owns an arena of one, and a model packs its parameters into one
-    arena (``ParameterArena``).
+    Built alone, its ``grad`` is ``None`` until a backward pass fills it. A
+    model packs its parameters into one ``ParameterArena``, which owns their
+    values, gradients and momentum buffers.
     """
 
-    __slots__ = ("name", "momentum_buffer", "arena")
+    __slots__ = ("name",)
 
     def __init__(self, value, name: str = ""):
         super().__init__(value, requires_grad=True)
         self.name = name
-        ParameterArena((self,))
 
     def __repr__(self):
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
@@ -308,13 +307,15 @@ class ParameterArena:
     """Values, gradients and momentum buffers of a fixed list of parameters
     as three flat arrays: ``values``, ``grads`` and ``buffers``.
 
-    Each parameter's ``data``, ``grad`` and ``momentum_buffer`` become views
-    of its span of them, the spans laid out in list order, so a whole-array
-    operation on the arena acts on every parameter at once (``sgd_step``,
-    ``momentum_update``). Packing keeps the values and starts the gradients
-    and buffers at zero; a model's parameters are all float32. Rebinding a
-    parameter's ``data`` or ``grad`` to another array takes it out of the
-    arena's reach, as the gradient checks do with throwaway float64 models.
+    Each parameter's ``data`` and ``grad`` become views of its span of
+    ``values`` and ``grads``, the spans laid out in list order, and its
+    momentum buffer is the same span of ``buffers``, which only the arena
+    holds. So a whole-array operation on the arena acts on every parameter
+    at once (``sgd_step``, ``momentum_update``). Packing keeps the values
+    and starts the gradients and buffers at zero; a model's parameters are
+    all float32. Rebinding a parameter's ``data`` or ``grad`` to another
+    array takes it out of the arena's reach, as the gradient checks do with
+    throwaway float64 models.
     """
 
     __slots__ = ("params", "values", "grads", "buffers", "ends")
@@ -327,10 +328,7 @@ class ParameterArena:
         self.ends = np.cumsum([p.data.size for p in self.params])
         for p, end in zip(self.params, self.ends):
             span, shape = slice(end - p.data.size, end), p.data.shape
-            p.data, p.grad, p.momentum_buffer = (
-                flat[span].reshape(shape) for flat in (self.values, self.grads, self.buffers)
-            )
-            p.arena = self
+            p.data, p.grad = (flat[span].reshape(shape) for flat in (self.values, self.grads))
 
     def first_non_finite(self, flat: np.ndarray) -> Parameter:
         """The first parameter whose span of ``flat``, an array laid out like

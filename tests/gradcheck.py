@@ -252,25 +252,30 @@ def gradients_close(
     return bool(np.all(diff <= np.maximum(rel_tol * scale, abs_tol)))
 
 
-def loop_sgd_step(params, opt) -> None:
-    """``sgd_step`` one parameter at a time: every gradient, then every new
-    buffer and value, is checked before any is written."""
-    params = list(params)
-    for p in params:
-        if not np.isfinite(p.grad).all():
-            raise NumericsError(f"non-finite gradient for parameter {p.name!r}")
+def loop_sgd_step(arenas, opt) -> None:
+    """``sgd_step`` one parameter's span of its arena at a time: every
+    gradient, then every new buffer and value, is checked before any is
+    written."""
+    spans = []
+    for arena in arenas:
+        for p, end in zip(arena.params, arena.ends):
+            span = slice(end - p.data.size, end)
+            spans.append((p.name, arena.values[span], arena.grads[span], arena.buffers[span]))
+    for name, _, grad, _ in spans:
+        if not np.isfinite(grad).all():
+            raise NumericsError(f"non-finite gradient for parameter {name!r}")
     updates = []
-    for p in params:
-        buf = p.momentum_buffer * opt.momentum
-        buf += p.grad + opt.weight_decay * p.data
-        updates.append((buf, p.data - opt.learning_rate * buf))
-    for p, (_, value) in zip(params, updates):
+    for _, value, grad, buffer in spans:
+        buf = buffer * opt.momentum
+        buf += grad + opt.weight_decay * value
+        updates.append((buf, value - opt.learning_rate * buf))
+    for (name, *_), (_, value) in zip(spans, updates):
         if not np.isfinite(value).all():
-            raise NumericsError(f"update overflows parameter {p.name!r}")
-    for p, (buf, value) in zip(params, updates):
-        p.momentum_buffer[...] = buf
-        p.data[...] = value
-        p.grad[...] = 0.0
+            raise NumericsError(f"update overflows parameter {name!r}")
+    for (_, value, grad, buffer), (buf, new_value) in zip(spans, updates):
+        buffer[...] = buf
+        value[...] = new_value
+        grad[...] = 0.0
 
 
 def loop_momentum_update(enc) -> None:

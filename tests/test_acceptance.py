@@ -77,7 +77,7 @@ def test_criterion_1_full_model_gradient_check():
     queue = MemoryQueue(8, dim)
     for _ in range(4):
         v = master.normal(size=dim)
-        queue.push((v / np.linalg.norm(v)).astype(np.float32))
+        queue.extend((v / np.linalg.norm(v)).astype(np.float32)[None])
     ccfg = ContrastiveConfig(temperature=0.2)
     rcfg = ReconstructionConfig(beta=1.0)
     mask_rows = np.array([2, 1])

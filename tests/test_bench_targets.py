@@ -94,8 +94,7 @@ def test_tracer_attributes_read_the_info_nce_queue(monkeypatch):
     rng = np.random.default_rng(1)
     enc = EncoderPair(6, 8, 0.999, rng)
     queue = MemoryQueue(16, 8)
-    for row in rng.normal(size=(7, 8)):
-        queue.push(row)
+    queue.extend(rng.normal(size=(7, 8)))
     batch = rng.normal(size=(2, 3, 6)).astype(np.float32)
     h = encode_query(batch.reshape(6, 6), enc)
     loss = reconstruction.contrastive_loss(h, batch, enc, queue, ContrastiveConfig())

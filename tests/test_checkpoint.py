@@ -77,7 +77,7 @@ def test_model_round_trip(tmp_path):
     queue = MemoryQueue(16, 8)
     for _ in range(5):
         v = rng.normal(size=8).astype(np.float32)
-        queue.push(v / np.linalg.norm(v))
+        queue.extend((v / np.linalg.norm(v))[None])
     path = tmp_path / "model.bin"
     save_model(path, enc, rec, queue, 5)
     first_bytes = path.read_bytes()
@@ -161,7 +161,7 @@ def _tiny_model_records():
     enc = EncoderPair(4, 8, 0.99, rng)
     rec = Reconstructor(8, 4, 1, rng)
     queue = MemoryQueue(8, 8)
-    queue.push(np.full(8, 8**-0.5, dtype=np.float32))
+    queue.extend(np.full((1, 8), 8**-0.5, dtype=np.float32))
     return enc, rec, queue, 5
 
 

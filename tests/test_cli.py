@@ -698,6 +698,31 @@ def test_hostile_detector_value_ends_in_one_line(workspace, fresh_python, key, v
         assert err.startswith(f"error: {category}:") and err.count("\n") == 1, err
 
 
+# Hostile sizes through train, each with its exit code and error category:
+# the tiny corpus cannot give 10**6 videos or 10**6 snippets of one video,
+# and an embedding width of 2**20 asks for terabytes of weights.
+@pytest.mark.parametrize("key, default, value, code, category", [
+    ("batch_videos", 3, 10**6, 3, "data"),
+    ("snippets_per_video", 2, 10**6, 3, "data"),
+    ("embedding_dim", 8, 2**20, 1, "memory"),
+])
+def test_hostile_training_value_ends_in_one_line(
+    workspace, fresh_python, key, default, value, code, category
+):
+    # Each case runs alone in a child process under a 2 GiB address-space
+    # limit, so a value that asks for more memory fails to allocate.
+    _, config, out = workspace
+    assert _run(["synth", "--config", config, "--out", out]) == 0
+    text = config.read_text()
+    assert f"{key} = {default}\n" in text
+    config.write_text(text.replace(f"{key} = {default}\n", f"{key} = {value}\n"))
+    result = fresh_python("-c", LIMITED_CLI, "train", "--config", config, "--out", out, timeout=120)
+    assert result.returncode == code, result.stderr
+    err = result.stderr
+    assert err.startswith(f"error: {category}:") and err.count("\n") == 1, err
+    assert not (out / "checkpoint.bin").exists()
+
+
 @pytest.mark.parametrize("extrema_range", [3, 20, 10**9])
 def test_detect_summary_names_videos_extrema_range_rules_out(workspace, capsys, extrema_range):
     # relative_extrema needs 2 * extrema_range + 1 frames: the tiny corpus

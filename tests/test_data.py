@@ -165,6 +165,24 @@ def test_feature_file_is_held_once_while_loading(tmp_path):
     assert peak <= 1.3 * matrix_bytes, peak / matrix_bytes
 
 
+def test_saving_a_feature_file_copies_no_payload(tmp_path):
+    # The header goes out first and then the matrix's own buffer: joining
+    # them after ``tobytes`` held two more copies of a 16 MiB payload.
+    features = np.arange(65_536 * 64, dtype=np.float32).reshape(65_536, 64)
+    seq = FrameFeatureSequence("clip", 25.0, features)
+    path = tmp_path / "clip.csgf"
+    tracemalloc.start()
+    try:
+        save_feature_file(seq, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < features.nbytes // 16, peak / features.nbytes
+    blob = path.read_bytes()
+    assert blob[-features.nbytes:] == features.tobytes()
+    assert len(blob) == struct.calcsize("<4sHIIf") + features.nbytes
+
+
 def test_feature_file_truncated_at_every_offset(tmp_path):
     seq = FrameFeatureSequence("clip", 30.0, np.arange(6, dtype=np.float32).reshape(3, 2))
     path = tmp_path / "clip.csgf"

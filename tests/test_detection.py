@@ -332,10 +332,11 @@ def test_train_step_fills_gradients_after_threaded_trajectory(monkeypatch, two_c
     grads = {}
     real_sgd_step = reconstruction.sgd_step
 
-    def recording_sgd_step(params, opt):
-        params = list(params)
-        grads.update((p.name, None if p.grad is None else p.grad.copy()) for p in params)
-        real_sgd_step(params, opt)
+    def recording_sgd_step(arenas, opt):
+        arenas = list(arenas)
+        grads.update((p.name, None if p.grad is None else p.grad.copy())
+                     for a in arenas for p in a.params)
+        real_sgd_step(arenas, opt)
 
     monkeypatch.setattr(reconstruction, "sgd_step", recording_sgd_step)
     batch = rng.normal(size=(4, 5, 6)).astype(np.float32)

@@ -170,20 +170,20 @@ def test_momentum_update_matches_the_per_parameter_loop_bit_for_bit():
 
 @pytest.mark.parametrize("capacity", [1, 2, 5])
 def test_block_push_matches_one_push_per_row(capacity):
-    """``extend`` against single pushes from every fill level and head
-    position, with blocks that wrap the ring and blocks of capacity rows
+    """``extend`` of a block against one row at a time, from every fill
+    level and head position, with blocks that wrap the ring and blocks of capacity rows
     or more."""
     rng = np.random.default_rng(capacity)
     for pushed_before in range(2 * capacity):
         for rows in sorted({0, 1, capacity - 1, capacity, capacity + 1, 2 * capacity + 3}):
             block, single = MemoryQueue(capacity, 3), MemoryQueue(capacity, 3)
             for row in rng.normal(size=(pushed_before, 3)).astype(np.float32):
-                block.push(row)
-                single.push(row)
+                block.extend(row[None])
+                single.extend(row[None])
             new = rng.normal(size=(rows, 3)).astype(np.float32)
             block.extend(new)
             for row in new:
-                single.push(row)
+                single.extend(row[None])
             assert (block._head, len(block)) == (single._head, len(single))
             assert block.as_array().tobytes() == single.as_array().tobytes()
 
@@ -193,18 +193,18 @@ def test_block_push_matches_one_push_per_row(capacity):
 def test_as_array_equals_the_wrapping_gather(pushed):
     queue = MemoryQueue(5, 3)
     queue.extend(np.random.default_rng(pushed).normal(size=(pushed, 3)).astype(np.float32))
-    for _ in range(2):  # and once more after one push more
+    for _ in range(2):  # and once more after one row more
         rows = queue.as_array()
         oracle = wrap_gather_queue(queue)
         assert rows.shape == oracle.shape == (len(queue), 3)
         assert rows.dtype == oracle.dtype and rows.tobytes() == oracle.tobytes()
-        queue.push(np.full(3, -1.0, dtype=np.float32))
+        queue.extend(np.full((1, 3), -1.0, dtype=np.float32))
 
 
 def test_queue_fifo_and_capacity():
     queue = MemoryQueue(4, 3)
     for i in range(6):
-        queue.push(np.full(3, float(i), dtype=np.float32))
+        queue.extend(np.full((1, 3), float(i), dtype=np.float32))
     assert len(queue) == 4
     np.testing.assert_array_equal(queue.as_array()[:, 0], [2.0, 3.0, 4.0, 5.0])
 
@@ -212,7 +212,7 @@ def test_queue_fifo_and_capacity():
 def test_queue_fifo_after_wrapping_twice():
     queue = MemoryQueue(5, 2)
     for i in range(13):
-        queue.push(np.full(2, float(i), dtype=np.float32))
+        queue.extend(np.full((1, 2), float(i), dtype=np.float32))
         expected = np.arange(max(0, i - 4), i + 1, dtype=np.float32)
         assert len(queue) == len(expected)
         np.testing.assert_array_equal(queue.as_array()[:, 0], expected)
@@ -224,7 +224,7 @@ def test_queue_load_keeps_newest_rows_oldest_first():
     queue.load(rows)
     assert len(queue) == 4
     np.testing.assert_array_equal(queue.as_array(), rows[3:])
-    queue.push(np.array([99.0, 99.0], dtype=np.float32))
+    queue.extend(np.array([[99.0, 99.0]], dtype=np.float32))
     np.testing.assert_array_equal(queue.as_array()[:, 0], [8.0, 10.0, 12.0, 99.0])
 
     queue.load(rows[:2])
@@ -236,7 +236,7 @@ def test_queue_load_refuses_a_non_finite_row_before_any_change(bad):
     # A wrapped queue: the refused load must keep its rows, head and length.
     queue = MemoryQueue(4, 2)
     for i in range(6):
-        queue.push(np.full(2, float(i), dtype=np.float32))
+        queue.extend(np.full((1, 2), float(i), dtype=np.float32))
     rows, head, length = queue._rows.copy(), queue._head, len(queue)
     # The bad row is among the kept ones in one case and dropped in the other.
     for matrix in ([[bad, 1.0]], [[bad, 1.0]] + [[0.0, 1.0]] * 4):
@@ -249,7 +249,7 @@ def test_queue_load_refuses_a_non_finite_row_before_any_change(bad):
 def test_queue_as_array_is_a_copy():
     queue = MemoryQueue(3, 2)
     for i in range(4):
-        queue.push(np.full(2, float(i), dtype=np.float32))
+        queue.extend(np.full((1, 2), float(i), dtype=np.float32))
     snapshot = queue.as_array()
     snapshot[...] = -1.0
     np.testing.assert_array_equal(queue.as_array()[:, 0], [1.0, 2.0, 3.0])
@@ -257,16 +257,15 @@ def test_queue_as_array_is_a_copy():
 
 def test_queue_rejects_row_of_other_width():
     queue = MemoryQueue(3, 4)
-    queue.push(np.zeros(4, dtype=np.float32))
-    with pytest.raises(ShapeError):
-        queue.push(np.zeros(5, dtype=np.float32))
-    with pytest.raises(ShapeError):
-        queue.push(np.zeros((1, 4), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        MemoryQueue(3, 4).push(np.zeros((1, 4), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        queue.load(np.zeros(4, dtype=np.float32))
-    assert len(queue) == 1
+    queue.extend(np.zeros((1, 4), dtype=np.float32))
+    # Both take a (k, 4) block: a wider or narrower row, a bare (4,) row
+    # and a stack of blocks are refused, and the queue keeps its one row.
+    for bad in (np.zeros((1, 5)), np.zeros((2, 3)), np.zeros(4), np.zeros((1, 1, 4))):
+        with pytest.raises(ShapeError, match="queue holds rows of width 4"):
+            queue.extend(bad)
+        with pytest.raises(ShapeError, match="queue holds rows of width 4"):
+            queue.load(bad)
+    assert len(queue) == 1 and queue.as_array().tobytes() == bytes(16)
 
 
 def test_wrapped_queue_round_trips_through_checkpoint(tmp_path):
@@ -275,7 +274,7 @@ def test_wrapped_queue_round_trips_through_checkpoint(tmp_path):
     rec = Reconstructor(8, 4, 1, rng)
     queue = MemoryQueue(5, 8)
     for _ in range(12):
-        queue.push(_unit_rows(rng, 1, 8)[0])
+        queue.extend(_unit_rows(rng, 1, 8))
     save_model(tmp_path / "model.bin", enc, rec, queue, 5)
     _, _, loaded, _ = load_model(tmp_path / "model.bin")
     assert len(loaded) == 5
@@ -294,7 +293,7 @@ def test_enqueue_memory_contract():
 
     small = MemoryQueue(4, 8)
     for i in range(4):
-        small.push(np.full(8, float(i), dtype=np.float32))
+        small.extend(np.full((1, 8), float(i), dtype=np.float32))
     enqueue_memory(batch, enc, small, np.random.default_rng(7))
     assert len(small) == 4
     # The three oldest seeded rows were evicted.
@@ -307,7 +306,7 @@ def test_enqueue_memory_rejects_a_non_finite_key_before_any_push():
     enc.key.b2.data[3] = np.nan
     batch = rng.normal(size=(3, 4, 6)).astype(np.float32)
     queue = MemoryQueue(64, 8)
-    queue.push(np.ones(8, dtype=np.float32))
+    queue.extend(np.ones((1, 8), dtype=np.float32))
     with pytest.raises(NumericsError, match="non-finite key"):
         enqueue_memory(batch, enc, queue, np.random.default_rng(6))
     np.testing.assert_array_equal(queue.as_array(), np.ones((1, 8), dtype=np.float32))
@@ -496,7 +495,7 @@ def test_queue_entries_receive_no_gradient():
     # The loss consumes the queue as raw values only.
     loss = info_nce_loss(h, _unit_rows(rng, 4, 6), 2, queue.data, 0.2)
     loss.backward()
-    np.testing.assert_array_equal(queue.grad, np.zeros_like(queue.data))
+    assert h.grad is not None and queue.grad is None
 
 
 def _corpus(rng, sizes, dim=6):

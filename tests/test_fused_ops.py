@@ -325,7 +325,8 @@ def _train_then_detect():
     video = FrameFeatureSequence("joined", 25.0, frames)
     trajectory = error_trajectory(video, enc, rec, cfg.detector).values
     params = enc.parameters() + rec.parameters()
-    return params, queue.as_array(), losses, trajectory
+    buffers = [model.arena.buffers for model in (enc.query, enc.key, rec)]
+    return params, buffers, queue.as_array(), losses, trajectory
 
 
 def test_training_and_detection_identical_with_composed_ops(monkeypatch):
@@ -337,11 +338,13 @@ def test_training_and_detection_identical_with_composed_ops(monkeypatch):
     monkeypatch.setattr(embedding, "l2_normalize", composed_l2_normalize)
     composed = _train_then_detect()
 
-    (params, queue, losses, trajectory), (params0, queue0, losses0, trajectory0) = fused, composed
+    (params, buffers, queue, losses, trajectory) = fused
+    (params0, buffers0, queue0, losses0, trajectory0) = composed
     assert losses == losses0
     for p, p0 in zip(params, params0):
         assert p.name == p0.name
         _assert_same_bits(p.data, p0.data, p.name)
-        _assert_same_bits(p.momentum_buffer, p0.momentum_buffer, p.name)
+    for model, b, b0 in zip(("query", "key", "reconstructor"), buffers, buffers0):
+        _assert_same_bits(b, b0, f"{model} momentum buffers")
     _assert_same_bits(queue, queue0, "queue")
     _assert_same_bits(trajectory, trajectory0, "trajectory")

@@ -37,9 +37,10 @@ def _small_run(steps):
 
 def _state(result):
     params = result.encoders.parameters() + result.reconstructor.parameters()
+    models = (result.encoders.query, result.encoders.key, result.reconstructor)
     return (
         [p.data.tobytes() for p in params],
-        [p.momentum_buffer.tobytes() for p in params],
+        [model.arena.buffers.tobytes() for model in models],
         result.queue.as_array().tobytes(),
         result.history,
     )
@@ -108,10 +109,10 @@ def test_step_gradients_are_those_of_one_joint_graph(monkeypatch, threaded):
     grads = {}
     real_sgd_step = reconstruction.sgd_step
 
-    def recording_sgd_step(params, opt):
-        params = list(params)
-        grads.update((p.name, p.grad.tobytes()) for p in params)
-        real_sgd_step(params, opt)
+    def recording_sgd_step(arenas, opt):
+        arenas = list(arenas)
+        grads.update((p.name, p.grad.tobytes()) for a in arenas for p in a.params)
+        real_sgd_step(arenas, opt)
 
     monkeypatch.setattr(reconstruction, "sgd_step", recording_sgd_step)
     enc, rec, queue, batch, _, _ = _training_setup(seed=5)
@@ -174,17 +175,18 @@ def test_a_non_finite_branch_loss_changes_nothing(branch, threaded):
     # One good step first, so the momentum buffers and the queue hold values.
     train_step(batch, enc, queue, rec, ccfg, rcfg, opt, rng)
     if branch == "contrastive":
-        # load refuses a non-finite row; push, below enqueue_memory's check, does not.
-        queue.push(np.full(8, np.nan, np.float32))
+        # load refuses a non-finite row; extend, below enqueue_memory's check, does not.
+        queue.extend(np.full((1, 8), np.nan, np.float32))
     else:
         rec.mask_token.data[0] = np.inf
     params = enc.parameters() + rec.parameters()
-    before = [(p.data.tobytes(), p.momentum_buffer.tobytes()) for p in params]
+    arenas = (enc.query.arena, enc.key.arena, rec.arena)
+    before = [(a.values.tobytes(), a.buffers.tobytes()) for a in arenas]
     queue_before = queue.as_array().tobytes()
     with ThreadPoolExecutor(1) as pool:
         with pytest.raises(NumericsError, match="non-finite training loss"):
             train_step(batch, enc, queue, rec, ccfg, rcfg, opt, rng,
                        pool if threaded else None)
-    assert [(p.data.tobytes(), p.momentum_buffer.tobytes()) for p in params] == before
+    assert [(a.values.tobytes(), a.buffers.tobytes()) for a in arenas] == before
     assert queue.as_array().tobytes() == queue_before
     assert not [p.name for p in params if np.any(p.grad != 0)]

@@ -171,8 +171,8 @@ def test_momentum_update_matches_the_per_parameter_loop_bit_for_bit():
 @pytest.mark.parametrize("capacity", [1, 2, 5])
 def test_block_push_matches_one_push_per_row(capacity):
     """``extend`` of a block against one row at a time, from every fill
-    level and head position, with blocks that wrap the ring and blocks of capacity rows
-    or more."""
+    level and head position, with blocks that wrap the ring and blocks of
+    capacity rows or more."""
     rng = np.random.default_rng(capacity)
     for pushed_before in range(2 * capacity):
         for rows in sorted({0, 1, capacity - 1, capacity, capacity + 1, 2 * capacity + 3}):
